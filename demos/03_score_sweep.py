@@ -30,14 +30,11 @@ ce = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=4, lift_freq=4.0),
 cene = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=5, lift_freq=4.0),
                      ds, tinynet.TrainConfig("cene", seed=5, **train_cfg))
 
-tables = []
-for which, (epoch, fm) in enumerate(f.checkpoints):
-    table = scorer.inn_scores(fm, ds, sets, scorer.ScorerConfig(H, L, "integral"), epoch)
-    table.add("midpoint",
-              scorer.inn_scores(fm, ds, sets, scorer.ScorerConfig(H, L, "midpoint")).values["midpoint"])
-    table.add("loss_ce", tinynet.per_sample_loss(ce.checkpoints[which][1], ds, "ce"))
-    table.add("loss_cene", tinynet.per_sample_loss(cene.checkpoints[which][1], ds, "cene"))
-    tables.append(table)
+# one pass scores inn and midpoint for every checkpoint of f
+tables, _ = scorer.score_models(ds, sets, scorer.ScorerConfig(H, L), f.checkpoints)
+for table, (_, ce_model), (_, cene_model) in zip(tables, ce.checkpoints, cene.checkpoints):
+    table.add("loss_ce", tinynet.per_sample_loss(ce_model, ds, "ce"))
+    table.add("loss_cene", tinynet.per_sample_loss(cene_model, ds, "cene"))
 
 report = evaluate.sweep_report(tables, clean)
 print(f"\n{'epoch':>6} " + " ".join(f"{k:>10}" for k in ("inn", "midpoint", "loss_ce", "loss_cene")))

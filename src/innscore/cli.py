@@ -331,25 +331,24 @@ def _cmd_score(args):
         index = neighbors.build_index(h_model.penultimate(ds.features))
         sets = neighbors.neighbor_sets(ds, index, args.l)
 
-    tables = []
+    checkpoints = []
     for ckpt in args.model:
         model, sidecar = tinynet.load_checkpoint(ckpt)
-        epoch = (sidecar or {}).get("epoch") or 0
+        checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
+    config = scorer.ScorerConfig(args.h, args.l)
+    scored, _ = scorer.score_models(ds, sets, config, checkpoints)
+    tables = []
+    for (epoch, model), full in zip(checkpoints, scored):
         table = scorer.ScoreTable(epoch, ds.ids.copy())
-        if "inn" in kinds:
-            cfg = scorer.ScorerConfig(args.h, args.l, "integral")
-            table.add("inn", scorer.inn_scores(model, ds, sets, cfg, epoch).values["inn"])
-        if "midpoint" in kinds:
-            cfg = scorer.ScorerConfig(args.h, args.l, "midpoint")
-            table.add("midpoint", scorer.inn_scores(model, ds, sets, cfg, epoch).values["midpoint"])
         for kind in kinds:
-            if kind.startswith("loss_"):
+            if kind in full.values:
+                table.add(kind, full.values[kind])
+            elif kind.startswith("loss_"):
                 table.add(kind, tinynet.per_sample_loss(model, ds, kind[len("loss_"):]))
         tables.append(table)
     os.makedirs(args.out, exist_ok=True)
     path = scorer.write_score_csv(tables, os.path.join(args.out, "scores.csv"))
-    cfg_echo = scorer.ScorerConfig(args.h, args.l, "integral" if "inn" in kinds else "midpoint")
-    scorer.write_score_summary(tables, cfg_echo, os.path.join(args.out, "scores_summary.json"))
+    scorer.write_score_summary(tables, config, os.path.join(args.out, "scores_summary.json"))
     print(f"wrote {path} ({len(tables)} checkpoints, kinds: {','.join(kinds)})")
     return 0
 
@@ -482,7 +481,7 @@ def main(argv=None):
         threads = getattr(args, "threads", None)
         if threads:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, str(threads))
+                os.environ[var] = str(threads)
         handler = {
             "synth": _cmd_synth,
             "corrupt": _cmd_corrupt,

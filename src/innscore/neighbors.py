@@ -104,13 +104,21 @@ def read_cache(path, dataset_ids):
         L = (len(header) - 1) // 2
         if header[0] != "id" or len(header) != 1 + 2 * L:
             raise ValueError(f"{path}: not a neighbor cache CSV")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if not parts or parts == [""]:
                 continue
-            owner = row_of[int(parts[0])]
-            nbr = np.array([row_of[int(v)] for v in parts[1 : 1 + L]], dtype=np.int64)
-            dist = np.array([float(v) for v in parts[1 + L :]])
-            sets.append(NeighborSet(owner, nbr, dist))
+            if len(parts) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(parts)}"
+                )
+            try:
+                rows = [row_of[int(v)] for v in parts[: 1 + L]]
+                dist = np.array([float(v) for v in parts[1 + L :]])
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: id {exc} is not in the dataset") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            sets.append(NeighborSet(rows[0], np.array(rows[1:], dtype=np.int64), dist))
     sets.sort(key=lambda s: s.owner)
     return sets

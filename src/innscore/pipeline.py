@@ -3,10 +3,11 @@
 A run trains a feature model h (cross-entropy by default), builds the
 exact neighbor index on h's penultimate features, trains the scored
 model f (mixup by default) plus the two small-loss baseline models (one
-per loss), and then, at every checkpoint epoch, records integral and
-midpoint scores of f alongside the baselines' per-sample losses. Scores
-feed a beta-mixture split, losses a Gaussian-mixture split, and the
-sweep report compares AUC stability across checkpoints.
+per loss), and then records integral and midpoint scores of every
+checkpoint of f, from one scoring pass, alongside the baselines'
+per-sample losses at the same epochs. Scores feed a beta-mixture split,
+losses a Gaussian-mixture split, and the sweep report compares AUC
+stability across checkpoints.
 
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
@@ -231,31 +232,29 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         _log("trained ce and cene baselines", quiet)
     clock.lap("train_baselines")
 
-    sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors, "integral")
-    sc_mid = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors, "midpoint")
-    tables = []
-    consistency = []
-    for which, (epoch, model) in enumerate(f_ckpts):
-        table = scorer.inn_scores(model, ds, sets, sc, epoch=epoch)
-        table.add("midpoint", scorer.inn_scores(model, ds, sets, sc_mid, epoch=epoch).values["midpoint"])
-        for loss_kind, ckpts in base_ckpts.items():
-            b_epoch, b_model = ckpts[which]
-            if b_epoch != epoch:
-                raise ValueError("baseline checkpoints out of step with f checkpoints")
+    sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors)
+    tables, f_stats = scorer.score_models(ds, sets, sc, f_ckpts)
+    for loss_kind, ckpts in base_ckpts.items():
+        if [e for e, _ in ckpts] != [e for e, _ in f_ckpts]:
+            raise ValueError("baseline checkpoints out of step with f checkpoints")
+        for table, (_, b_model) in zip(tables, ckpts):
             table.add(f"loss_{loss_kind}", tinynet.per_sample_loss(b_model, ds, loss_kind))
-        tables.append(table)
-        if ds.true_labels is not None:
-            if "ce" in base_ckpts:
-                consistency.append(
-                    (epoch, "ce", scorer.consistency_stats(base_ckpts["ce"][which][1], ds, sets, epoch))
-                )
-            consistency.append((epoch, "f", scorer.consistency_stats(model, ds, sets, epoch)))
+    consistency = []
+    if ds.true_labels is not None:
+        ce_stats = [None] * len(f_ckpts)
+        if "ce" in base_ckpts:
+            # L = H = 1 evaluates only the samples and their 1-NN midpoints
+            _, ce_stats = scorer.score_models(
+                ds, sets, scorer.ScorerConfig(1, 1), base_ckpts["ce"]
+            )
+        for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats):
+            if ce_st is not None:
+                consistency.append((epoch, "ce", ce_st))
+            consistency.append((epoch, "f", f_st))
     if write_outputs:
         paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
         paths["scores_summary"] = scorer.write_score_summary(
-            tables,
-            scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors, cfg.mode),
-            os.path.join(out, "scores_summary.json"),
+            tables, sc, os.path.join(out, "scores_summary.json")
         )
         if consistency:
             paths["consistency"] = _write_consistency_csv(
@@ -295,9 +294,7 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         clean = ds.clean_mask()
         report = evaluate.sweep_report(tables, clean)
         if cfg.l_sweep:
-            report.flags["l_sweep"] = _l_sweep_aucs(
-                f_ckpts[-1][1], ds, sets, cfg, clean
-            )
+            report.flags["l_sweep"] = _l_sweep_aucs(f_ckpts[-1], ds, sets, cfg, clean)
             if write_outputs:
                 with open(os.path.join(out, "lsweep.csv"), "w", encoding="utf-8") as fh:
                     fh.write("L,auc\n")
@@ -344,13 +341,13 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     )
 
 
-def _l_sweep_aucs(model, ds, sets, cfg, clean_mask):
+def _l_sweep_aucs(checkpoint, ds, sets, cfg, clean_mask):
     """Final-checkpoint integral AUC per neighbor count; trend is reported,
     not asserted."""
     rows = []
     for L in sorted(set(cfg.l_sweep)):
-        sub = scorer.ScorerConfig(cfg.trapezoids, L, "integral")
-        table = scorer.inn_scores(model, ds, sets, sub)
+        sub = scorer.ScorerConfig(cfg.trapezoids, L)
+        (table,), _ = scorer.score_models(ds, sets, sub, [checkpoint])
         rows.append({"L": L, "auc": evaluate.auc(table.values["inn"], clean_mask)})
     values = [r["auc"] for r in rows]
     return {

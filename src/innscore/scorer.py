@@ -6,6 +6,16 @@ x~, approximated with an H-trapezoid rule whose nodes include both
 endpoints. The midpoint variant evaluates f_y once per neighbor at
 (x + x~)/2. Any object with a predict_proba(points) -> (n, K) method can
 serve as the model.
+
+`score_models` computes both scores and the consistency means for
+every checkpoint of a model in one chunked pass. It evaluates f once at
+the n samples, whose probabilities serve as every segment's endpoint
+nodes, and evaluates only the interior nodes per segment. Because the
+first layer of a network is affine, its pre-activation at (1-t)x + t x~
+is (1-t)z(x) + t z(x~), so interior nodes are interpolated from the
+endpoint pre-activations and no probe coordinates are built. The
+midpoint is node H/2 when H is even; for odd H it is evaluated as one
+more interior node.
 """
 
 from __future__ import annotations
@@ -14,23 +24,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# cap on probe rows evaluated per forward call
-_CHUNK_ROWS = 262144
+# interior probe rows per chunk; bounds the scorer's working memory
+_CHUNK_PROBES = 4096
 
 
 @dataclass
 class ScorerConfig:
     trapezoids: int = 10  # H
     n_neighbors: int = 10  # L
-    mode: str = "integral"  # integral | midpoint
 
     def validate(self):
         if self.trapezoids < 1:
             raise ValueError("trapezoids must be >= 1")
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
-        if self.mode not in ("integral", "midpoint"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -89,7 +96,8 @@ def segment_integral(model, x, x_tilde, label, trapezoids):
     return float(trapezoid_weights(trapezoids) @ p)
 
 
-def _check_cover(dataset, sets, n_neighbors):
+def _neighbor_rows(dataset, sets, n_neighbors):
+    """(n, L) row indices of each sample's first L neighbors, by owner."""
     if len(sets) != dataset.n:
         raise ValueError("neighbor sets must cover every sample")
     owners = sorted(s.owner for s in sets)
@@ -98,69 +106,125 @@ def _check_cover(dataset, sets, n_neighbors):
     for s in sets:
         if len(s.ids) < n_neighbors:
             raise ValueError(f"sample {s.owner}: fewer than L={n_neighbors} neighbors")
+    by_owner = sorted(sets, key=lambda s: s.owner)
+    return np.stack([s.ids[:n_neighbors] for s in by_owner])
 
 
-def inn_scores(model, dataset, sets, config, epoch=None):
-    """Score every sample; returns a ScoreTable with one column.
+def _stages(model):
+    """(first affine map, its activation, the rest of the network).
 
-    Column kind is "inn" in integral mode and "midpoint" in midpoint
-    mode. Neighbor sets longer than config.n_neighbors are truncated to
-    their first (nearest) L entries.
+    For a network with hidden layers these are the first layer's
+    pre-activation, its activation and the remaining layers. Any other
+    model (an oracle, a stub with only predict_proba, a softmax without
+    hidden layers) takes the identity for the first two, so interpolated
+    pre-activations are the probe points themselves.
+    """
+    if len(getattr(model, "layer_dims", ())) > 2:
+        W, b = model.weights[0], model.biases[0]
+        return (
+            lambda X: X @ W + b,
+            lambda Z: model.activate(0, Z),
+            lambda A: model.forward(A, start=1)[0],
+        )
+    return (lambda X: X), (lambda Z: Z), model.predict_proba
+
+
+def _same_frozen_lift(a, b):
+    """True when both models share one frozen first layer, bit for bit."""
+    return (
+        len(getattr(a, "layer_dims", ())) > 2
+        and len(getattr(b, "layer_dims", ())) > 2
+        and 0 in a.frozen_layers
+        and 0 in b.frozen_layers
+        and a.activations[0] == b.activations[0]
+        and np.array_equal(a.weights[0], b.weights[0])
+        and np.array_equal(a.biases[0], b.biases[0])
+    )
+
+
+def score_models(dataset, sets, config, checkpoints):
+    """Score every sample under every checkpoint in one chunked pass.
+
+    checkpoints is a list of (epoch, model). Returns (tables, stats):
+    one ScoreTable per checkpoint with columns "inn" and "midpoint", and
+    one ConsistencyStats per checkpoint, or None for each when the
+    dataset has no true labels. Neighbor sets longer than
+    config.n_neighbors are truncated to their first (nearest) L entries.
+    Checkpoints whose frozen first layer is identical share its
+    activations, which are computed once per chunk.
     """
     config.validate()
-    L = config.n_neighbors
-    _check_cover(dataset, sets, L)
-    by_owner = sorted(sets, key=lambda s: s.owner)
-    nbr = np.stack([s.ids[:L] for s in by_owner])  # (n, L) row indices
-
+    H, L = config.trapezoids, config.n_neighbors
+    nbr = _neighbor_rows(dataset, sets, L)
     X = dataset.features
     y = dataset.observed_labels
     n = dataset.n
-    if config.mode == "midpoint":
-        probes = 0.5 * (X[:, None, :] + X[nbr])  # (n, L, d)
-        per_node = _eval_label_probs(model, probes.reshape(n * L, -1), np.repeat(y, L))
-        scores = per_node.reshape(n, L).mean(axis=1)
-    else:
-        H = config.trapezoids
-        t = np.arange(H + 1) / H
-        # (n, L, H+1, d): straight-line nodes from each sample to each neighbor
-        probes = (1.0 - t)[None, None, :, None] * X[:, None, None, :] + t[
-            None, None, :, None
-        ] * X[nbr][:, :, None, :]
-        per_node = _eval_label_probs(
-            model, probes.reshape(n * L * (H + 1), -1), np.repeat(y, L * (H + 1))
-        )
-        w = trapezoid_weights(H)
-        scores = (per_node.reshape(n, L, H + 1) @ w).mean(axis=1)
+    rows = np.arange(n)
 
-    kind = "inn" if config.mode == "integral" else "midpoint"
-    return ScoreTable(epoch, dataset.ids.copy()).add(kind, scores)
+    t = np.arange(H + 1) / H
+    # interior nodes, plus t = 1/2 when it is not one of them
+    t_in = t[1:-1] if H % 2 == 0 else np.append(t[1:-1], 0.5)
+    mid = H // 2 - 1 if H % 2 == 0 else H - 1
+    T = t_in.size
+    w = trapezoid_weights(H)
+    left = (1.0 - t_in)[None, None, :, None]
+    right = t_in[None, None, :, None]
 
+    groups = []  # positions of checkpoints that share one frozen lift
+    for c, (_, model) in enumerate(checkpoints):
+        for group in groups:
+            if _same_frozen_lift(checkpoints[group[0]][1], model):
+                group.append(c)
+                break
+        else:
+            groups.append([c])
 
-def _eval_label_probs(model, points, labels):
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, points.shape[0])
-        probs = model.predict_proba(points[start:stop])
-        out[start:stop] = probs[np.arange(stop - start), labels[start:stop]]
-    return out
+    inn = np.empty((len(checkpoints), n))
+    midpoint = np.empty((len(checkpoints), n))
+    mid_nearest = np.empty((len(checkpoints), n))
+    p_self = np.empty((len(checkpoints), n))
+    chunk = max(1, _CHUNK_PROBES // (L * T))
+    for members in groups:
+        stages = [_stages(checkpoints[c][1]) for c in members]
+        affine, activate, _ = stages[0]
+        tails = [tail for _, _, tail in stages]
+        Z = affine(X)
+        A = activate(Z)
+        # every segment's endpoint nodes, f at the n samples
+        probs = [tail(A) for tail in tails]
+        for c, P in zip(members, probs):
+            p_self[c] = P[rows, y]
+        for start in range(0, n, chunk):
+            r = rows[start : start + chunk]
+            m = r.size
+            Z_in = left * Z[r][:, None, None, :] + right * Z[nbr[r]][:, :, None, :]
+            A_in = activate(Z_in.reshape(m * L * T, -1))
+            labels = np.repeat(y[r], L * T)
+            nodes = np.empty((m, L, H + 1))
+            for c, tail, P in zip(members, tails, probs):
+                p_in = tail(A_in)[np.arange(m * L * T), labels].reshape(m, L, T)
+                nodes[:, :, 0] = P[r, y[r]][:, None]
+                nodes[:, :, H] = P[nbr[r], y[r][:, None]]
+                nodes[:, :, 1:H] = p_in[:, :, : H - 1]
+                inn[c, r] = (nodes @ w).mean(axis=1)
+                midpoint[c, r] = p_in[:, :, mid].mean(axis=1)
+                mid_nearest[c, r] = p_in[:, 0, mid]
 
-
-def consistency_stats(model, dataset, sets, epoch=None):
-    """The four clean/noisy expectations of f_y at samples and 1-NN midpoints."""
+    tables = [
+        ScoreTable(epoch, dataset.ids.copy()).add("inn", inn[c]).add("midpoint", midpoint[c])
+        for c, (epoch, _) in enumerate(checkpoints)
+    ]
     if dataset.true_labels is None:
-        raise ValueError("consistency stats require true labels")
-    _check_cover(dataset, sets, 1)
-    by_owner = sorted(sets, key=lambda s: s.owner)
-    nearest = np.array([s.ids[0] for s in by_owner])
-
-    X = dataset.features
-    y = dataset.observed_labels
-    idx = np.arange(dataset.n)
-    p_self = model.predict_proba(X)[idx, y]
-    p_mid = model.predict_proba(0.5 * (X + X[nearest]))[idx, y]
-
+        return tables, [None] * len(checkpoints)
     clean = dataset.clean_mask()
+    stats = [
+        _consistency(p_self[c], mid_nearest[c], clean, epoch)
+        for c, (epoch, _) in enumerate(checkpoints)
+    ]
+    return tables, stats
+
+
+def _consistency(p_self, p_mid, clean, epoch):
     missing = []
     if not clean.any():
         missing.append("clean")
@@ -178,6 +242,21 @@ def consistency_stats(model, dataset, sets, epoch=None):
         epoch=epoch,
         missing=tuple(missing),
     )
+
+
+def inn_scores(model, dataset, sets, config, epoch=None):
+    """One model's ScoreTable, with columns "inn" and "midpoint"."""
+    tables, _ = score_models(dataset, sets, config, [(epoch, model)])
+    return tables[0]
+
+
+def consistency_stats(model, dataset, sets, epoch=None):
+    """The four clean/noisy expectations of f_y at samples and 1-NN midpoints."""
+    if dataset.true_labels is None:
+        raise ValueError("consistency stats require true labels")
+    # L = H = 1 evaluates only the samples and their 1-NN midpoints
+    _, stats = score_models(dataset, sets, ScorerConfig(1, 1), [(epoch, model)])
+    return stats[0]
 
 
 # --- score files --------------------------------------------------------
@@ -205,7 +284,6 @@ def write_score_summary(tables, config, path):
         "config": {
             "trapezoids": config.trapezoids,
             "n_neighbors": config.n_neighbors,
-            "mode": config.mode,
         },
         "epochs": [t.epoch for t in tables],
         "kinds": sorted({k for t in tables for k in t.values}),
@@ -224,11 +302,16 @@ def read_score_csv(path):
         header = fh.readline().strip()
         if header != "id,epoch,score_kind,value":
             raise ValueError(f"{path}: not a score CSV")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
             if len(parts) != 4:
-                continue
-            sid, epoch, kind, value = int(parts[0]), int(parts[1]), parts[2], float(parts[3])
+                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                sid, epoch, kind, value = int(parts[0]), int(parts[1]), parts[2], float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             rows.setdefault(epoch, {}).setdefault(kind, []).append((sid, value))
     tables = []
     for epoch in sorted(rows):

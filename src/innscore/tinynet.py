@@ -74,21 +74,26 @@ class Model:
             tuple(self.frozen_layers),
         )
 
-    def forward(self, inputs):
+    def activate(self, layer, pre):
+        """Activations of hidden layer `layer` from its pre-activations."""
+        return np.sin(pre) if self.activations[layer] == "sin" else np.maximum(pre, 0.0)
+
+    def forward(self, inputs, start=0):
         """Return (probs, features) for a batch of inputs.
 
         probs is row-stochastic (n, K); features are the activations of
-        the last hidden layer (n, feature_dim).
+        the last hidden layer (n, feature_dim). With start > 0 the inputs
+        are the activations of hidden layer start - 1 and the layers
+        before `start` are skipped.
         """
         X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if X.shape[1] != self.input_dim:
+        if X.shape[1] != self.layer_dims[start]:
             raise ValueError(
-                f"input dim {X.shape[1]} does not match model dim {self.input_dim}"
+                f"input dim {X.shape[1]} does not match model dim {self.layer_dims[start]}"
             )
         A = X
-        for act, W, b in zip(self.activations, self.weights[:-1], self.biases[:-1]):
-            Z = A @ W + b
-            A = np.sin(Z) if act == "sin" else np.maximum(Z, 0.0)
+        for layer in range(start, len(self.weights) - 1):
+            A = self.activate(layer, A @ self.weights[layer] + self.biases[layer])
         logits = A @ self.weights[-1] + self.biases[-1]
         return _softmax(logits), A
 
@@ -206,10 +211,6 @@ def init_model(layer_dims, seed, lift_freq=0.0):
         activations = ("sin",) + ("relu",) * (n_hidden - 1)
         return Model(dims, weights, biases, activations, frozen_layers=(0,))
     return Model(dims, weights, biases)
-
-
-def forward(model, inputs):
-    return model.forward(inputs)
 
 
 def mixup_batch(inputs_a, targets_a, inputs_b, targets_b, lam):
@@ -410,28 +411,44 @@ def save_checkpoint(model, path, epoch=None, config=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (Model, sidecar dict or None)."""
+    """Read a checkpoint; returns (Model, sidecar dict or None).
+
+    A file that ends early, or runs on past the last bias, is rejected
+    with ValueError.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        magic, version, n_dims = struct.unpack("<4sII", head)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        if version not in (1, 2):
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        dims = list(struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims)))
-        activations = ("relu",) * (n_dims - 2)
-        frozen = ()
-        if version == 2:
-            codes = struct.unpack(f"<{n_dims - 2}B", fh.read(n_dims - 2))
-            activations = tuple("sin" if c & 1 else "relu" for c in codes)
-            frozen = tuple(i for i, c in enumerate(codes) if c & 2)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_in, fan_out).copy())
-            biases.append(np.frombuffer(fh.read(8 * fan_out), dtype="<f8").copy())
+        blob = fh.read()
+    pos = 0
+
+    def take(size, what):
+        nonlocal pos
+        if size > len(blob) - pos:
+            raise ValueError(f"{path}: truncated checkpoint ({what})")
+        pos += size
+        return blob[pos - size : pos]
+
+    magic, version, n_dims = struct.unpack("<4sII", take(12, "header"))
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+    if version not in (1, 2):
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if n_dims < 2:
+        raise ValueError(f"{path}: checkpoint needs at least 2 layer dims, has {n_dims}")
+    dims = list(struct.unpack(f"<{n_dims}I", take(4 * n_dims, "layer dims")))
+    activations = ("relu",) * (n_dims - 2)
+    frozen = ()
+    if version == 2:
+        codes = take(n_dims - 2, "layer codes")
+        activations = tuple("sin" if c & 1 else "relu" for c in codes)
+        frozen = tuple(i for i, c in enumerate(codes) if c & 2)
+    weights, biases = [], []
+    for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        w = np.frombuffer(take(8 * fan_in * fan_out, f"layer {layer} weights"), dtype="<f8")
+        b = np.frombuffer(take(8 * fan_out, f"layer {layer} biases"), dtype="<f8")
+        weights.append(w.reshape(fan_in, fan_out).copy())
+        biases.append(b.copy())
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the last layer")
     sidecar = None
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:

@@ -229,6 +229,41 @@ class TestCli:
         assert main(["score", "--data", "/no/such.csv", "--model", "/no/model",
                      "--features-from", "/no/h", "--out", str(tmp_path)]) == 2
 
+    def test_neighbor_cache_errors_exit_two(self, tmp_path, capsys):
+        run_pipeline(tiny_config(tmp_path / "run", baselines=False), quiet=True)
+        run = tmp_path / "run"
+        lines = (run / "neighbors.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        unknown = "\n".join(lines[:3] + [",".join([cells[0], "99999", *cells[2:]])] + lines[4:])
+        short = "\n".join(lines[:3] + [",".join(cells[:-1])] + lines[4:])
+        cases = (("unknown.csv", unknown, "99999"), ("short.csv", short, "fields"))
+        for name, text, shown in cases:
+            (tmp_path / name).write_text(text + "\n")
+            rc = main(["score", "--data", str(run / "dataset.csv"),
+                       "--model", str(run / "checkpoints" / "f_epoch10.ckpt"),
+                       "--features-from", str(run / "checkpoints" / "h_final.ckpt"),
+                       "--neighbors", str(tmp_path / name), "--l", "4", "--h", "5",
+                       "--out", str(tmp_path / "scores")])
+            err = capsys.readouterr().err
+            assert rc == 2, name
+            assert err.count("\n") == 1 and "line 4" in err and shown in err, err
+
+    def test_threads_flag_overrides_preset_environment(self, tmp_path, monkeypatch):
+        from innscore import cli
+
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in variables:
+            monkeypatch.setenv(var, "2")
+        seen = {}
+
+        def fake_pipeline(args, print_timing=False):
+            seen.update({var: os.environ[var] for var in variables})
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_pipeline", fake_pipeline)
+        assert main(["pipeline", "--threads", "1", "--out", str(tmp_path)]) == 0
+        assert seen == {var: "1" for var in variables}
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["pipeline", "--noise", "sideways"])

@@ -1,7 +1,11 @@
 """Segment-integral scores, the midpoint variant and consistency stats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innscore import data, neighbors, scorer, tinynet
 from innscore.oracle import SegmentInterpolantModel, oracle_inn
@@ -119,10 +123,11 @@ class TestInnScores:
             assert table.values["inn"][i] == pytest.approx(ref, abs=1e-12)
 
     def test_midpoint_mode_ignores_h(self):
+        # odd H evaluates t = 1/2 explicitly, even H reuses node H/2
         ds, sets = tiny_world(seed=8)
         m = tinynet.init_model([3, 6, 3], seed=5)
-        a = scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(1, 4, "midpoint"))
-        b = scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(50, 4, "midpoint"))
+        (a,), _ = scorer.score_models(ds, sets, scorer.ScorerConfig(1, 4), [(0, m)])
+        (b,), _ = scorer.score_models(ds, sets, scorer.ScorerConfig(50, 4), [(0, m)])
         np.testing.assert_array_equal(a.values["midpoint"], b.values["midpoint"])
 
     def test_oracle_identity_on_interpolant_model(self):
@@ -149,6 +154,114 @@ class TestInnScores:
             scorer.inn_scores(m, ds, sets[:-1], scorer.ScorerConfig(5, 4))
         with pytest.raises(ValueError):
             scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(5, 9))
+
+
+def reference_scores(model, ds, sets, H, L):
+    """inn, midpoint and the four consistency means, one probe at a time."""
+    X, y = ds.features, ds.observed_labels
+    nbr = np.stack([s.ids[:L] for s in sorted(sets, key=lambda s: s.owner)])
+    inn = np.array([
+        np.mean([scorer.segment_integral(model, X[i], X[j], y[i], H) for j in nbr[i]])
+        for i in range(ds.n)
+    ])
+    mids = np.array([
+        [model.predict_proba(0.5 * (X[i] + X[j]))[0, y[i]] for j in nbr[i]] for i in range(ds.n)
+    ])
+    idx = np.arange(ds.n)
+    p_self = model.predict_proba(X)[idx, y]
+    p_mid = model.predict_proba(0.5 * (X + X[nbr[:, 0]]))[idx, y]
+    clean = ds.clean_mask()
+    means = [
+        float(v[mask].mean()) if mask.any() else None
+        for v, mask in ((p_self, clean), (p_self, ~clean), (p_mid, clean), (p_mid, ~clean))
+    ]
+    return inn, mids.mean(axis=1), means
+
+
+def assert_matches_reference(tables, stats, checkpoints, ds, sets, H, L):
+    for table, st_, (epoch, model) in zip(tables, stats, checkpoints):
+        inn, mid, means = reference_scores(model, ds, sets, H, L)
+        assert table.epoch == st_.epoch == epoch
+        np.testing.assert_allclose(table.values["inn"], inn, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.values["midpoint"], mid, rtol=0, atol=1e-12)
+        for got, want in zip((st_.e_cor, st_.e_inc, st_.em_cor, st_.em_inc), means):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= 1e-12
+
+
+class TestScoreModels:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_unique=st.integers(2, 9),
+        n_dup=st.integers(0, 4),
+        d=st.integers(1, 3),
+        K=st.integers(2, 4),
+        L=st.integers(1, 5),
+        H=st.integers(1, 12),
+        n_ckpt=st.integers(1, 3),
+        lift=st.booleans(),
+    )
+    def test_matches_oracle(self, seed, n_unique, n_dup, d, K, L, H, n_ckpt, lift):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_unique, d))
+        # repeated rows give zero-length segments
+        X = np.vstack([X, X[rng.integers(0, n_unique, size=n_dup)]])
+        n = X.shape[0]
+        L = min(L, n - 1)
+        ds = data.Dataset(X, rng.integers(0, K, n), rng.integers(0, K, n), K, np.arange(n) + 7)
+        sets = neighbors.neighbor_sets(ds, neighbors.build_index(X), L)
+        if lift:
+            # checkpoints of one run: a shared frozen lift, later layers moved
+            base = tinynet.init_model([d, 8, 5, K], seed=seed % 1000, lift_freq=2.0)
+            checkpoints = []
+            for c in range(n_ckpt):
+                m = base.copy()
+                for layer in (1, 2):
+                    m.weights[layer] += rng.normal(scale=0.5, size=m.weights[layer].shape)
+                checkpoints.append((10 * c, m))
+        else:
+            checkpoints = [
+                (c, tinynet.init_model([d, 6, K], seed=seed % 1000 + c)) for c in range(n_ckpt)
+            ]
+        tables, stats = scorer.score_models(ds, sets, scorer.ScorerConfig(H, L), checkpoints)
+        assert_matches_reference(tables, stats, checkpoints, ds, sets, H, L)
+
+    def test_different_lifts_use_their_own(self):
+        ds, sets = tiny_world(n=30, seed=15)
+        a = tinynet.init_model([3, 8, 5, 3], seed=1, lift_freq=2.0)
+        b = tinynet.init_model([3, 8, 5, 3], seed=2, lift_freq=2.0)
+        # only the frozen lift tells the two models apart
+        b.weights[1:] = [w.copy() for w in a.weights[1:]]
+        b.biases[1:] = [v.copy() for v in a.biases[1:]]
+        checkpoints = [(1, a), (2, b)]
+        tables, stats = scorer.score_models(ds, sets, scorer.ScorerConfig(4, 3), checkpoints)
+        assert_matches_reference(tables, stats, checkpoints, ds, sets, 4, 3)
+        assert not np.allclose(tables[0].values["inn"], tables[1].values["inn"])
+
+    def test_without_true_labels_stats_are_none(self):
+        ds, sets = tiny_world(seed=16)
+        ds = data.Dataset(ds.features, ds.observed_labels, None, ds.n_classes, ds.ids)
+        m = tinynet.init_model([3, 6, 3], seed=7)
+        tables, stats = scorer.score_models(ds, sets, scorer.ScorerConfig(3, 2), [(5, m)])
+        assert stats == [None]
+        assert tables[0].kinds() == ["inn", "midpoint"]
+
+    def test_peak_memory_flat_in_n(self):
+        def peak(n):
+            ds = data.corrupt_symmetric(data.synth("blobs", n, 3, 2, 0.5, seed=0), 0.3, 1)
+            sets = neighbors.neighbor_sets(ds, neighbors.build_index(ds.features), 10)
+            m = tinynet.init_model([2, 64, 32, 3], seed=1, lift_freq=2.0)
+            tracemalloc.start()
+            try:
+                scorer.score_models(ds, sets, scorer.ScorerConfig(10, 10), [(0, m)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(400), peak(1600)
+        assert large < 2 * small, (small, large)
 
 
 class TestConsistencyStats:
@@ -202,6 +315,16 @@ class TestScoreCSV:
         np.testing.assert_array_equal(back[0].values["inn"], t1.values["inn"])
         np.testing.assert_array_equal(back[0].values["loss_ce"], t1.values["loss_ce"])
         np.testing.assert_array_equal(back[1].values["inn"], t2.values["inn"])
+
+    def test_rejects_row_with_wrong_field_count(self, tmp_path):
+        ids = np.arange(3, dtype=np.int64)
+        path = scorer.write_score_csv(
+            [scorer.ScoreTable(1, ids).add("inn", np.full(3, 0.5))], tmp_path / "scores.csv"
+        )
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("3,1,inn\n")
+        with pytest.raises(ValueError, match="line 5"):
+            scorer.read_score_csv(path)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -331,3 +331,16 @@ class TestCheckpointIO:
         path.write_bytes(b"JUNKxxxxxxxxxxxxxxxx")
         with pytest.raises(ValueError):
             tinynet.load_checkpoint(path)
+
+    def test_truncated_or_padded_checkpoint_rejected(self, tmp_path):
+        m = tinynet.init_model([2, 3, 2], seed=4, lift_freq=1.5)
+        tinynet.save_checkpoint(m, tmp_path / "m.ckpt")
+        raw = (tmp_path / "m.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                tinynet.load_checkpoint(bad)
+        bad.write_bytes(raw + bytes(8))
+        with pytest.raises(ValueError, match="trailing"):
+            tinynet.load_checkpoint(bad)
