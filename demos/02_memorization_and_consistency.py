@@ -23,9 +23,7 @@ h = tinynet.train(
     ds,
     tinynet.TrainConfig("ce", epochs=50, seed=2),
 )
-sets = neighbors.neighbor_sets(
-    ds, neighbors.build_index(h.model.penultimate(ds.features)), 10
-)
+nbr, _ = neighbors.search(neighbors.build_index(h.model.penultimate(ds.features)), 10)
 
 # scored model: sinusoidal lift gives it the capacity to memorize at d=2
 ce = tinynet.train(
@@ -36,11 +34,11 @@ ce = tinynet.train(
 
 print(f"{'epoch':>6} {'E_cor':>7} {'E_inc':>7} {'Em_cor':>7} {'Em_inc':>7}   sample gap vs midpoint gap")
 for epoch, model in ce.checkpoints:
-    st = scorer.consistency_stats(model, ds, sets, epoch)
+    st = scorer.consistency_stats(model, ds, nbr, epoch)
     print(f"{epoch:6d} {st.e_cor:7.3f} {st.e_inc:7.3f} {st.em_cor:7.3f} {st.em_inc:7.3f}"
           f"   {st.e_cor - st.e_inc:.3f} vs {st.em_cor - st.em_inc:.3f}")
 
-last = scorer.consistency_stats(ce.checkpoints[-1][1], ds, sets)
+last = scorer.consistency_stats(ce.checkpoints[-1][1], ds, nbr)
 print(
     "\nat the last checkpoint the sample-level gap has collapsed to "
     f"{last.e_cor - last.e_inc:.3f} while the midpoint gap is still "

@@ -20,7 +20,7 @@ print(f"n={ds.n}, noisy fraction {ds.noisy_fraction():.3f}")
 
 h = tinynet.train(tinynet.init_model([2, 64, 4, 4], seed=2),
                   ds, tinynet.TrainConfig("ce", epochs=50, seed=2))
-sets = neighbors.neighbor_sets(ds, neighbors.build_index(h.model.penultimate(ds.features)), L)
+nbr, _ = neighbors.search(neighbors.build_index(h.model.penultimate(ds.features)), L)
 
 train_cfg = dict(epochs=200, checkpoint_every=25, batch_size=128, lr0=0.02)
 f = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=3, lift_freq=4.0),
@@ -31,7 +31,7 @@ cene = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=5, lift_freq=4.0)
                      ds, tinynet.TrainConfig("cene", seed=5, **train_cfg))
 
 # one pass scores inn and midpoint for every checkpoint of f
-tables, _ = scorer.score_models(ds, sets, scorer.ScorerConfig(H, L), f.checkpoints)
+tables, _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(H, L), f.checkpoints)
 for table, (_, ce_model), (_, cene_model) in zip(tables, ce.checkpoints, cene.checkpoints):
     table.add("loss_ce", tinynet.per_sample_loss(ce_model, ds, "ce"))
     table.add("loss_cene", tinynet.per_sample_loss(cene_model, ds, "cene"))

@@ -326,17 +326,19 @@ def _cmd_score(args):
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
 
     if args.neighbors:
-        sets = neighbors.read_cache(args.neighbors, ds.ids)
+        nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, args.l)
     else:
         index = neighbors.build_index(h_model.penultimate(ds.features))
-        sets = neighbors.neighbor_sets(ds, index, args.l)
+        nbr, dist = neighbors.search(index, args.l)
+    zero = int((dist[:, args.l - 1] == 0).sum())  # neighbors picked by the id tie-break
+    print(f"neighbors: {zero} of {ds.n} rows have neighbor {args.l} at distance 0")
 
     checkpoints = []
     for ckpt in args.model:
         model, sidecar = tinynet.load_checkpoint(ckpt)
         checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
     config = scorer.ScorerConfig(args.h, args.l)
-    scored, _ = scorer.score_models(ds, sets, config, checkpoints)
+    scored, _ = scorer.score_models(ds, nbr, config, checkpoints)
     tables = []
     for (epoch, model), full in zip(checkpoints, scored):
         table = scorer.ScoreTable(epoch, ds.ids.copy())

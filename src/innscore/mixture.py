@@ -42,32 +42,15 @@ class MixtureFit:
             return a / (a + b)
         return self.params[:, 0]
 
-    def _log_pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty((x.shape[0], 2))
-        for k in range(2):
-            if self.kind == "beta":
-                a, b = self.params[k]
-                out[:, k] = (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - betaln(a, b)
-            else:
-                mu, sigma = self.params[k]
-                out[:, k] = -0.5 * ((x - mu) / sigma) ** 2 - np.log(
-                    sigma * np.sqrt(2.0 * np.pi)
-                )
-        return out
-
     def posterior(self, x):
         """Per-sample component responsibilities, rows summing to 1."""
         if self.degenerate:
             post = np.zeros((np.asarray(x).shape[0], 2))
             post[:, self.clean_component] = 1.0
             return post
-        logj = self._log_pdf(x) + np.log(self.weights)
+        logj = _log_pdf(self.kind, np.asarray(x, dtype=np.float64), self.params)
+        logj += np.log(self.weights)
         return np.exp(logj - logsumexp(logj, axis=1, keepdims=True))
-
-    def log_likelihood(self, x):
-        logj = self._log_pdf(x) + np.log(self.weights)
-        return float(logsumexp(logj, axis=1).sum())
 
     def to_dict(self):
         return {
@@ -139,6 +122,19 @@ def normalize_scores(scores, clamp=_CLAMP):
     return out, False
 
 
+def _log_pdf(kind, x, params):
+    """(n, 2) per-component log densities of a beta or Gaussian pair."""
+    out = np.empty((x.shape[0], 2))
+    for k in range(2):
+        if kind == "beta":
+            a, b = params[k]
+            out[:, k] = (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - betaln(a, b)
+        else:
+            mu, sigma = params[k]
+            out[:, k] = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma * np.sqrt(2.0 * np.pi))
+    return out
+
+
 def _median_split_resp(x):
     resp = np.full((x.shape[0], 2), 0.1)
     high = x >= np.median(x)
@@ -149,14 +145,14 @@ def _median_split_resp(x):
     return resp
 
 
-def _run_em(x, m_step, log_pdf_of, max_iters, tol, init_resp):
+def _run_em(x, kind, m_step, max_iters, tol, init_resp):
     resp = _median_split_resp(x) if init_resp is None else np.asarray(init_resp, dtype=float)
     params, weights = m_step(x, resp)
     prev = (params, weights)
     trace = []
     converged = False
     for it in range(max_iters + 1):
-        logj = log_pdf_of(x, params) + np.log(weights)
+        logj = _log_pdf(kind, x, params) + np.log(weights)
         norm = logsumexp(logj, axis=1, keepdims=True)
         ll = float(norm.sum())
         if not np.isfinite(ll):
@@ -206,15 +202,8 @@ def fit_beta_mixture(scores, max_iters=200, tol=1e-8, init_resp=None):
             params[k] = (a, b)
         return params, weights
 
-    def log_pdf_of(x, params):
-        out = np.empty((x.shape[0], 2))
-        for k in range(2):
-            a, b = params[k]
-            out[:, k] = (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - betaln(a, b)
-        return out
-
     params, weights, trace, converged, iters = _run_em(
-        x, m_step, log_pdf_of, max_iters, tol, init_resp
+        x, "beta", m_step, max_iters, tol, init_resp
     )
     fit = MixtureFit("beta", params, weights, trace, 0, converged, False, iters)
     fit.clean_component = int(np.argmax(fit.component_means()))
@@ -241,15 +230,8 @@ def fit_gaussian_mixture(losses, max_iters=200, tol=1e-8, init_resp=None):
             params[k] = (mu, max(np.sqrt(var), sigma_floor))
         return params, weights
 
-    def log_pdf_of(x, params):
-        out = np.empty((x.shape[0], 2))
-        for k in range(2):
-            mu, sigma = params[k]
-            out[:, k] = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma * np.sqrt(2.0 * np.pi))
-        return out
-
     params, weights, trace, converged, iters = _run_em(
-        x, m_step, log_pdf_of, max_iters, tol, init_resp
+        x, "gaussian", m_step, max_iters, tol, init_resp
     )
     degenerate = abs(params[0, 0] - params[1, 0]) < 1e-6 * max(1.0, spread)
     fit = MixtureFit("gaussian", params, weights, trace, 0, converged, degenerate, iters)
@@ -281,21 +263,3 @@ def split(fit, scores, threshold=0.5, ids=None):
         post = fit.posterior(x)[:, fit.clean_component]
     labeled = post >= threshold
     return SplitResult(ids[labeled], ids[~labeled], post, threshold, ids)
-
-
-def monotone_cut(scores, labeled_mask):
-    """If the labeled set is exactly an upper score set, return the cut.
-
-    Reported alongside split results; None when the posterior densities
-    cross more than once and no single threshold reproduces the split.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    labeled_mask = np.asarray(labeled_mask, dtype=bool)
-    if labeled_mask.all():
-        return float(s.min())
-    if not labeled_mask.any():
-        return float(s.max()) + 1.0
-    cut = float(s[labeled_mask].min())
-    if (s[~labeled_mask] < cut).all():
-        return cut
-    return None

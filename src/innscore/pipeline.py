@@ -213,10 +213,14 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     l_max = cfg.n_neighbors
     if cfg.l_sweep:
         l_max = max(l_max, max(cfg.l_sweep))
-    sets = neighbors.neighbor_sets(ds, index, l_max)
+    nbr, dist = neighbors.search(index, l_max)
     if write_outputs:
-        paths["neighbors"] = neighbors.write_cache(sets, ds.ids, os.path.join(out, "neighbors.csv"))
-    _log(f"neighbor search done (L={l_max})", quiet)
+        paths["neighbors"] = neighbors.write_cache(
+            nbr, dist, ds.ids, os.path.join(out, "neighbors.csv")
+        )
+    zero = int((dist[:, cfg.n_neighbors - 1] == 0).sum())  # neighbors picked by the id tie-break
+    _log(f"neighbor search done (L={l_max}; {zero} of {ds.n} rows have neighbor "
+         f"{cfg.n_neighbors} at distance 0)", quiet)
     clock.lap("neighbor_search")
 
     f_result, f_tc = _train_model(ds, cfg, cfg.f_loss, f_epochs, cfg.seed + 3, ckpt_every)
@@ -233,7 +237,7 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     clock.lap("train_baselines")
 
     sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors)
-    tables, f_stats = scorer.score_models(ds, sets, sc, f_ckpts)
+    tables, f_stats = scorer.score_models(ds, nbr, sc, f_ckpts)
     for loss_kind, ckpts in base_ckpts.items():
         if [e for e, _ in ckpts] != [e for e, _ in f_ckpts]:
             raise ValueError("baseline checkpoints out of step with f checkpoints")
@@ -245,7 +249,7 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         if "ce" in base_ckpts:
             # L = H = 1 evaluates only the samples and their 1-NN midpoints
             _, ce_stats = scorer.score_models(
-                ds, sets, scorer.ScorerConfig(1, 1), base_ckpts["ce"]
+                ds, nbr, scorer.ScorerConfig(1, 1), base_ckpts["ce"]
             )
         for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats):
             if ce_st is not None:
@@ -294,7 +298,7 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         clean = ds.clean_mask()
         report = evaluate.sweep_report(tables, clean)
         if cfg.l_sweep:
-            report.flags["l_sweep"] = _l_sweep_aucs(f_ckpts[-1], ds, sets, cfg, clean)
+            report.flags["l_sweep"] = _l_sweep_aucs(f_ckpts[-1], ds, nbr, cfg, clean)
             if write_outputs:
                 with open(os.path.join(out, "lsweep.csv"), "w", encoding="utf-8") as fh:
                     fh.write("L,auc\n")
@@ -341,13 +345,13 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     )
 
 
-def _l_sweep_aucs(checkpoint, ds, sets, cfg, clean_mask):
+def _l_sweep_aucs(checkpoint, ds, nbr, cfg, clean_mask):
     """Final-checkpoint integral AUC per neighbor count; trend is reported,
     not asserted."""
     rows = []
     for L in sorted(set(cfg.l_sweep)):
         sub = scorer.ScorerConfig(cfg.trapezoids, L)
-        (table,), _ = scorer.score_models(ds, sets, sub, [checkpoint])
+        (table,), _ = scorer.score_models(ds, nbr, sub, [checkpoint])
         rows.append({"L": L, "auc": evaluate.auc(table.values["inn"], clean_mask)})
     values = [r["auc"] for r in rows]
     return {

@@ -96,20 +96,6 @@ def segment_integral(model, x, x_tilde, label, trapezoids):
     return float(trapezoid_weights(trapezoids) @ p)
 
 
-def _neighbor_rows(dataset, sets, n_neighbors):
-    """(n, L) row indices of each sample's first L neighbors, by owner."""
-    if len(sets) != dataset.n:
-        raise ValueError("neighbor sets must cover every sample")
-    owners = sorted(s.owner for s in sets)
-    if owners != list(range(dataset.n)):
-        raise ValueError("neighbor sets must cover every sample exactly once")
-    for s in sets:
-        if len(s.ids) < n_neighbors:
-            raise ValueError(f"sample {s.owner}: fewer than L={n_neighbors} neighbors")
-    by_owner = sorted(sets, key=lambda s: s.owner)
-    return np.stack([s.ids[:n_neighbors] for s in by_owner])
-
-
 def _stages(model):
     """(first affine map, its activation, the rest of the network).
 
@@ -142,23 +128,26 @@ def _same_frozen_lift(a, b):
     )
 
 
-def score_models(dataset, sets, config, checkpoints):
+def score_models(dataset, neighbor_ids, config, checkpoints):
     """Score every sample under every checkpoint in one chunked pass.
 
+    neighbor_ids is the (n, >= L) row-index table of `neighbors.search`,
+    nearest first; only its first config.n_neighbors columns are used.
     checkpoints is a list of (epoch, model). Returns (tables, stats):
     one ScoreTable per checkpoint with columns "inn" and "midpoint", and
     one ConsistencyStats per checkpoint, or None for each when the
-    dataset has no true labels. Neighbor sets longer than
-    config.n_neighbors are truncated to their first (nearest) L entries.
-    Checkpoints whose frozen first layer is identical share its
-    activations, which are computed once per chunk.
+    dataset has no true labels. Checkpoints whose frozen first layer is
+    identical share its activations, which are computed once per chunk.
     """
     config.validate()
     H, L = config.trapezoids, config.n_neighbors
-    nbr = _neighbor_rows(dataset, sets, L)
     X = dataset.features
     y = dataset.observed_labels
     n = dataset.n
+    nbr = np.asarray(neighbor_ids)
+    if nbr.ndim != 2 or nbr.shape[0] != n or nbr.shape[1] < L:
+        raise ValueError(f"need an (n={n}, >= L={L}) neighbor id table, got {nbr.shape}")
+    nbr = nbr[:, :L]
     rows = np.arange(n)
 
     t = np.arange(H + 1) / H
@@ -244,18 +233,18 @@ def _consistency(p_self, p_mid, clean, epoch):
     )
 
 
-def inn_scores(model, dataset, sets, config, epoch=None):
+def inn_scores(model, dataset, neighbor_ids, config, epoch=None):
     """One model's ScoreTable, with columns "inn" and "midpoint"."""
-    tables, _ = score_models(dataset, sets, config, [(epoch, model)])
+    tables, _ = score_models(dataset, neighbor_ids, config, [(epoch, model)])
     return tables[0]
 
 
-def consistency_stats(model, dataset, sets, epoch=None):
+def consistency_stats(model, dataset, neighbor_ids, epoch=None):
     """The four clean/noisy expectations of f_y at samples and 1-NN midpoints."""
     if dataset.true_labels is None:
         raise ValueError("consistency stats require true labels")
     # L = H = 1 evaluates only the samples and their 1-NN midpoints
-    _, stats = score_models(dataset, sets, ScorerConfig(1, 1), [(epoch, model)])
+    _, stats = score_models(dataset, neighbor_ids, ScorerConfig(1, 1), [(epoch, model)])
     return stats[0]
 
 

@@ -53,10 +53,6 @@ class Model:
                 raise ValueError(f"unknown activation {act!r}")
 
     @property
-    def input_dim(self):
-        return self.layer_dims[0]
-
-    @property
     def n_classes(self):
         return self.layer_dims[-1]
 

@@ -4,7 +4,8 @@ Criteria 1-7 are exact or distribution-recovery checks against
 independent oracles. Criteria 8-11 are qualitative replications on
 synthetic data, averaged over three seeds, with the tolerances stated
 here. Criterion 12 checks byte-level reproducibility. The three-seed
-runs take several minutes each; the whole module is CPU-only.
+runs take several minutes each; the whole module is CPU-only. Criteria
+8-11 carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import filecmp
@@ -106,12 +107,8 @@ def test_criterion_3_oracle_identity():
         labels = np.concatenate([[0], np.zeros(m, dtype=int), np.full(L - m, 1, dtype=int)])
         model = oracle.SegmentInterpolantModel(points, labels, K)
         ds = data.Dataset(points, labels, labels.copy(), K, np.arange(L + 1))
-        sets = [
-            neighbors.NeighborSet(i, np.array([j for j in range(L + 1) if j != i]),
-                                  np.zeros(L), None)
-            for i in range(L + 1)
-        ]
-        table = scorer.inn_scores(model, ds, sets, scorer.ScorerConfig(10, L))
+        nbr = np.array([[j for j in range(L + 1) if j != i] for i in range(L + 1)])
+        table = scorer.inn_scores(model, ds, nbr, scorer.ScorerConfig(10, L))
         expected = float(oracle.oracle_inn(0, labels[1:]))
         assert expected == float(Fraction(1, 2) + Fraction(m, 2 * L))
         worst = max(worst, abs(table.values["inn"][0] - expected))
@@ -212,6 +209,7 @@ def test_criterion_7_mixture_recovery():
             f"beta means {b_means.round(3)}, gauss means {g_means.round(3)}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_stability_replication(stability_runs):
     t0 = time.perf_counter()
     rng_inn, rng_ce, margins = [], [], []
@@ -229,6 +227,7 @@ def test_criterion_8_stability_replication(stability_runs):
             f"final margin {np.mean(margins):.3f} (>=0.02); fixture+check {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_consistency_replication(stability_runs):
     gaps = []
     for res in stability_runs:
@@ -240,6 +239,7 @@ def test_criterion_9_consistency_replication(stability_runs):
             margin >= 0.05, f"(Em_cor-Em_inc)-(E_cor-E_inc) = {margin:.3f} (>=0.05)")
 
 
+@pytest.mark.slow
 def test_criterion_10_heavy_noise_ordering(heavy_noise_runs):
     best_inn, best_ce = [], []
     for res in heavy_noise_runs:
@@ -251,6 +251,7 @@ def test_criterion_10_heavy_noise_ordering(heavy_noise_runs):
             ok, f"best {np.mean(best_inn):.3f} vs {np.mean(best_ce):.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_11_imbalanced_separation(tmp_path):
     t0 = time.perf_counter()
     inn_final, ce_final = [], []

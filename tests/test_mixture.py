@@ -139,14 +139,6 @@ class TestSplit:
         assert len(res.labeled_ids) == 50
         assert np.all(res.posterior == 1.0)
 
-    def test_monotone_cut_detected(self):
-        fit, x, _ = self.make_fit()
-        res = mixture.split(fit, x)
-        labeled_mask = np.isin(res.ids, res.labeled_ids)
-        cut = mixture.monotone_cut(x, labeled_mask)
-        if cut is not None:
-            assert ((x >= cut) == labeled_mask).all()
-
     def test_csv_roundtrip(self, tmp_path):
         fit, x, _ = self.make_fit()
         res = mixture.split(fit, x, ids=np.arange(len(x)) + 5)

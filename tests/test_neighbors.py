@@ -1,18 +1,15 @@
 """Exact nearest-neighbor retrieval against a brute-force sort oracle."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import brute_force_knn as brute_force
 from innscore import data, neighbors
-
-
-def brute_force(features, i, L):
-    """Independent oracle: full distance list, lexicographic (distance, id) sort."""
-    diff = features - features[i]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    order = sorted((dist[j], j) for j in range(len(features)) if j != i)
-    ids = np.array([j for _, j in order[:L]])
-    return ids, np.array([d for d, _ in order[:L]])
 
 
 class TestQuery:
@@ -92,23 +89,123 @@ class TestIndex:
             assert np.array_equal(perm[b.ids], a.ids)
 
 
+class TestSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_unique=st.integers(2, 40),
+        n_dup=st.integers(0, 20),
+        p=st.integers(1, 128),
+        grid=st.booleans(),
+        # fractional offsets round the Gram form of exactly tied grid distances
+        offset=st.sampled_from([0.0, 0.5, 1e3 + 0.1, 123456.789, 1e6, 1e6 + 0.37])
+        | st.floats(0.0, 1e6),
+        L=st.integers(1, 12),
+        chunk=st.integers(1, 4096),
+    )
+    def test_matches_oracle(self, seed, n_unique, n_dup, p, grid, offset, L, chunk):
+        rng = np.random.default_rng(seed)
+        if grid:  # integer coordinates: many exact distance ties
+            X = rng.integers(-2, 3, size=(n_unique, p)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n_unique, p))
+        # repeated rows are neighbors at distance 0
+        F = np.vstack([X, X[rng.integers(0, n_unique, size=n_dup)]]) + offset
+        L = min(L, F.shape[0] - 1)
+        # small chunks split the rows into many blocks and recheck passes
+        with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+            ids, dist = neighbors.search(neighbors.build_index(F), L)
+        assert ids.dtype == np.int64 and ids.shape == dist.shape == (F.shape[0], L)
+        for i in range(F.shape[0]):
+            want_ids, want_dist = brute_force(F, i, L)
+            assert np.array_equal(ids[i], want_ids)
+            assert np.array_equal(dist[i], want_dist)
+
+    def test_peak_memory_flat_in_n(self):
+        def peak(n):
+            index = neighbors.build_index(np.random.default_rng(0).normal(size=(n, 8)))
+            tracemalloc.start()
+            try:
+                neighbors.search(index, 10)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(400), peak(1600)
+        assert large < 2 * small, (small, large)
+
+    def test_bounds(self):
+        idx = neighbors.build_index(np.random.default_rng(1).normal(size=(5, 2)))
+        for L in (0, 5):
+            with pytest.raises(ValueError):
+                neighbors.search(idx, L)
+
+    def test_rejects_overflowing_features(self):
+        with pytest.raises(ValueError, match="overflow"):
+            neighbors.build_index(np.array([[1e200, 0.0], [0.0, 1.0]]))
+
+
 class TestHelpers:
     def test_neighbor_sets_attach_labels(self):
         ds = data.synth("blobs", 30, 3, 2, 0.2, seed=0)
         idx = neighbors.build_index(ds.features)
-        sets = neighbors.neighbor_sets(ds, idx, 4)
-        assert len(sets) == 30
-        for s in sets:
-            assert np.array_equal(s.labels, ds.observed_labels[s.ids])
+        ids, _ = neighbors.search(idx, 4)
+        labels = ds.observed_labels[ids]
+        assert len(labels) == 30
+        for i in range(30):
+            assert np.array_equal(labels[i], ds.observed_labels[neighbors.query(idx, i, 4).ids])
 
     def test_cache_roundtrip(self, tmp_path):
         ds = data.synth("blobs", 25, 2, 2, 0.2, seed=1)
         ds_ids = ds.ids + 1000  # non-contiguous ids must survive
         idx = neighbors.build_index(ds.features)
-        sets = neighbors.query_all(idx, 3)
-        path = neighbors.write_cache(sets, ds_ids, tmp_path / "nn.csv")
-        back = neighbors.read_cache(path, ds_ids)
-        for a, b in zip(sets, back):
-            assert a.owner == b.owner
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.distances, b.distances)
+        ids, dist = neighbors.search(idx, 3)
+        path = neighbors.write_cache(ids, dist, ds_ids, tmp_path / "nn.csv")
+        back_ids, back_dist = neighbors.read_cache(path, ds_ids)
+        assert np.array_equal(ids, back_ids)
+        assert np.array_equal(dist, back_dist)
+
+    def test_cache_rows_in_any_order(self, tmp_path):
+        ds = data.synth("blobs", 12, 2, 2, 0.2, seed=2)
+        ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+        path = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn.csv")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        back_ids, back_dist = neighbors.read_cache(path, ds.ids)
+        assert np.array_equal(ids, back_ids) and np.array_equal(dist, back_dist)
+
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            (lambda c: c[:4] + ["nan"] + c[5:], "line 3: a distance is not finite, >= 0"),
+            (lambda c: c[:6] + ["inf"], "line 3: a distance is not finite, >= 0"),
+            (lambda c: c[:4] + ["-1.0"] + c[5:], "line 3: a distance is not finite, >= 0"),
+            (lambda c: c[:4] + [c[6], c[5], c[4]], "line 3: distances decrease"),
+            (lambda c: [c[0], c[0]] + c[2:], "line 3: the row lists its own id"),
+            (lambda c: [c[0], c[2]] + c[2:], "line 3: the row lists one neighbor twice"),
+            (lambda c: ["1000"] + c[1:], "line 3: the id already has a row"),
+            (lambda c: c[:-1], "line 3: expected 7 fields"),
+            (lambda c: [c[0], "77"] + c[2:], "line 3: id 77 is not in the dataset"),
+        ],
+    )
+    def test_cache_reader_rejects(self, tmp_path, edit, shown):
+        ds = data.synth("blobs", 10, 2, 2, 0.2, seed=3)
+        ds_ids = ds.ids + 1000
+        ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+        path = neighbors.write_cache(ids, dist, ds_ids, tmp_path / "nn.csv")
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=shown):
+            neighbors.read_cache(path, ds_ids)
+
+    def test_cache_reader_rejects_missing_row_and_short_table(self, tmp_path):
+        ds = data.synth("blobs", 10, 2, 2, 0.2, seed=4)
+        ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+        path = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn.csv")
+        with pytest.raises(ValueError, match="line 1: 3 neighbor columns, fewer than L=4"):
+            neighbors.read_cache(path, ds.ids, 4)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        with pytest.raises(ValueError, match=f"id {ds.ids[4]} has no row"):
+            neighbors.read_cache(path, ds.ids)

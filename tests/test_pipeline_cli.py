@@ -72,8 +72,8 @@ class TestPipeline:
         np.testing.assert_array_equal(
             tables[-1].values["inn"], result.score_tables[-1].values["inn"]
         )
-        sets = neighbors.read_cache(out / "neighbors.csv", ds.ids)
-        assert len(sets) == ds.n
+        nbr, _ = neighbors.read_cache(out / "neighbors.csv", ds.ids)
+        assert len(nbr) == ds.n
 
         ckpts = os.listdir(out / "checkpoints")
         assert "h_final.ckpt" in ckpts
@@ -236,7 +236,18 @@ class TestCli:
         cells = lines[3].split(",")
         unknown = "\n".join(lines[:3] + [",".join([cells[0], "99999", *cells[2:]])] + lines[4:])
         short = "\n".join(lines[:3] + [",".join(cells[:-1])] + lines[4:])
-        cases = (("unknown.csv", unknown, "99999"), ("short.csv", short, "fields"))
+        # an id whose row is elsewhere and that is not among line 4's neighbors
+        other = next(row.split(",")[0] for row in lines[1:] if row.split(",")[0] not in cells[:5])
+        edits = {
+            "nan.csv": (cells[:5] + ["nan"] + cells[6:], "not finite, >= 0"),
+            "self.csv": ([cells[0], cells[0], *cells[2:]], "its own id"),
+            "decrease.csv": (cells[:5] + cells[5:][::-1], "decrease"),
+            "twice.csv": ([other, *cells[1:]], "already has a row"),
+        }
+        cases = [("unknown.csv", unknown, "99999"), ("short.csv", short, "fields")] + [
+            (name, "\n".join(lines[:3] + [",".join(row)] + lines[4:]), shown)
+            for name, (row, shown) in edits.items()
+        ]
         for name, text, shown in cases:
             (tmp_path / name).write_text(text + "\n")
             rc = main(["score", "--data", str(run / "dataset.csv"),

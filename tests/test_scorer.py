@@ -37,8 +37,8 @@ class AffineModel:
 
 def tiny_world(n=12, d=3, n_classes=3, seed=0, L=4):
     ds = data.corrupt_symmetric(data.synth("blobs", n, n_classes, d, 0.5, seed=seed), 0.4, seed + 1)
-    sets = neighbors.neighbor_sets(ds, neighbors.build_index(ds.features), L)
-    return ds, sets
+    nbr, _ = neighbors.search(neighbors.build_index(ds.features), L)
+    return ds, nbr
 
 
 class TestSegmentIntegral:
@@ -75,59 +75,53 @@ class TestSegmentIntegral:
 
 class TestInnScores:
     def test_constant_uniform_model_scores_one_over_k(self):
-        ds, sets = tiny_world()
+        ds, nbr = tiny_world()
         m = ConstantModel(np.full(3, 1 / 3))
-        table = scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(10, 4), epoch=1)
+        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(10, 4), epoch=1)
         np.testing.assert_allclose(table.values["inn"], 1 / 3, atol=1e-12)
 
     def test_scores_within_unit_interval(self):
-        ds, sets = tiny_world(n=40, seed=3)
+        ds, nbr = tiny_world(n=40, seed=3)
         m = tinynet.init_model([3, 6, 3], seed=1)
-        table = scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(7, 4))
+        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(7, 4))
         s = table.values["inn"]
         assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_single_neighbor_reduces_to_segment_integral(self):
-        ds, sets = tiny_world(seed=5)
+        ds, nbr = tiny_world(seed=5)
         m = tinynet.init_model([3, 6, 3], seed=2)
-        table = scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(10, 1))
-        for s in sets:
-            i = s.owner
+        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(10, 1))
+        for i, row in enumerate(nbr):
             ref = scorer.segment_integral(
-                m, ds.features[i], ds.features[s.ids[0]], ds.observed_labels[i], 10
+                m, ds.features[i], ds.features[row[0]], ds.observed_labels[i], 10
             )
             assert table.values["inn"][i] == pytest.approx(ref, abs=1e-12)
 
     def test_neighbor_order_irrelevant(self):
-        from innscore.neighbors import NeighborSet
-
-        ds, sets = tiny_world(seed=6)
+        ds, nbr = tiny_world(seed=6)
         m = tinynet.init_model([3, 6, 3], seed=3)
         cfg = scorer.ScorerConfig(5, 4)
-        a = scorer.inn_scores(m, ds, sets, cfg).values["inn"]
-        flipped = [
-            NeighborSet(s.owner, s.ids[::-1].copy(), s.distances[::-1].copy()) for s in sets
-        ]
+        a = scorer.inn_scores(m, ds, nbr, cfg).values["inn"]
+        flipped = nbr[:, ::-1]
         b = scorer.inn_scores(m, ds, flipped, cfg).values["inn"]
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_h1_equals_endpoint_average(self):
-        ds, sets = tiny_world(seed=7)
+        ds, nbr = tiny_world(seed=7)
         m = tinynet.init_model([3, 6, 3], seed=4)
-        table = scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(1, 4))
+        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(1, 4))
         probs = m.predict_proba(ds.features)
-        for s in sets:
-            i = s.owner
+        for i, row in enumerate(nbr):
             y = ds.observed_labels[i]
-            ref = np.mean([0.5 * (probs[i, y] + probs[j, y]) for j in s.ids])
+            ref = np.mean([0.5 * (probs[i, y] + probs[j, y]) for j in row])
             assert table.values["inn"][i] == pytest.approx(ref, abs=1e-12)
 
     def test_midpoint_mode_ignores_h(self):
         # odd H evaluates t = 1/2 explicitly, even H reuses node H/2
-        ds, sets = tiny_world(seed=8)
+        ds, nbr = tiny_world(seed=8)
         m = tinynet.init_model([3, 6, 3], seed=5)
-        (a,), _ = scorer.score_models(ds, sets, scorer.ScorerConfig(1, 4), [(0, m)])
-        (b,), _ = scorer.score_models(ds, sets, scorer.ScorerConfig(50, 4), [(0, m)])
+        (a,), _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(1, 4), [(0, m)])
+        (b,), _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(50, 4), [(0, m)])
         np.testing.assert_array_equal(a.values["midpoint"], b.values["midpoint"])
 
     def test_oracle_identity_on_interpolant_model(self):
@@ -139,27 +133,25 @@ class TestInnScores:
             labels = np.array([0] + [0] * m_matches + [1] * (L - m_matches))
             model = SegmentInterpolantModel(points, labels, K)
             ds = data.Dataset(points, labels, labels.copy(), K, np.arange(L + 1))
-            sets = neighbors.neighbor_sets(ds, neighbors.build_index(points), L)
-            from innscore.neighbors import NeighborSet
-
-            sets[0] = NeighborSet(0, np.arange(1, L + 1), np.zeros(L), labels[1:])
-            table = scorer.inn_scores(model, ds, sets, scorer.ScorerConfig(10, L))
+            nbr, _ = neighbors.search(neighbors.build_index(points), L)
+            nbr[0] = np.arange(1, L + 1)
+            table = scorer.inn_scores(model, ds, nbr, scorer.ScorerConfig(10, L))
             expected = float(oracle_inn(0, labels[1:]))
             assert table.values["inn"][0] == pytest.approx(expected, abs=1e-9)
 
     def test_missing_sets_rejected(self):
-        ds, sets = tiny_world(seed=10)
+        ds, nbr = tiny_world(seed=10)
         m = tinynet.init_model([3, 6, 3], seed=6)
         with pytest.raises(ValueError):
-            scorer.inn_scores(m, ds, sets[:-1], scorer.ScorerConfig(5, 4))
+            scorer.inn_scores(m, ds, nbr[:-1], scorer.ScorerConfig(5, 4))
         with pytest.raises(ValueError):
-            scorer.inn_scores(m, ds, sets, scorer.ScorerConfig(5, 9))
+            scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(5, 9))
 
 
-def reference_scores(model, ds, sets, H, L):
+def reference_scores(model, ds, nbr, H, L):
     """inn, midpoint and the four consistency means, one probe at a time."""
     X, y = ds.features, ds.observed_labels
-    nbr = np.stack([s.ids[:L] for s in sorted(sets, key=lambda s: s.owner)])
+    nbr = nbr[:, :L]
     inn = np.array([
         np.mean([scorer.segment_integral(model, X[i], X[j], y[i], H) for j in nbr[i]])
         for i in range(ds.n)
@@ -178,9 +170,9 @@ def reference_scores(model, ds, sets, H, L):
     return inn, mids.mean(axis=1), means
 
 
-def assert_matches_reference(tables, stats, checkpoints, ds, sets, H, L):
+def assert_matches_reference(tables, stats, checkpoints, ds, nbr, H, L):
     for table, st_, (epoch, model) in zip(tables, stats, checkpoints):
-        inn, mid, means = reference_scores(model, ds, sets, H, L)
+        inn, mid, means = reference_scores(model, ds, nbr, H, L)
         assert table.epoch == st_.epoch == epoch
         np.testing.assert_allclose(table.values["inn"], inn, rtol=0, atol=1e-12)
         np.testing.assert_allclose(table.values["midpoint"], mid, rtol=0, atol=1e-12)
@@ -211,7 +203,7 @@ class TestScoreModels:
         n = X.shape[0]
         L = min(L, n - 1)
         ds = data.Dataset(X, rng.integers(0, K, n), rng.integers(0, K, n), K, np.arange(n) + 7)
-        sets = neighbors.neighbor_sets(ds, neighbors.build_index(X), L)
+        nbr, _ = neighbors.search(neighbors.build_index(X), L)
         if lift:
             # checkpoints of one run: a shared frozen lift, later layers moved
             base = tinynet.init_model([d, 8, 5, K], seed=seed % 1000, lift_freq=2.0)
@@ -225,37 +217,37 @@ class TestScoreModels:
             checkpoints = [
                 (c, tinynet.init_model([d, 6, K], seed=seed % 1000 + c)) for c in range(n_ckpt)
             ]
-        tables, stats = scorer.score_models(ds, sets, scorer.ScorerConfig(H, L), checkpoints)
-        assert_matches_reference(tables, stats, checkpoints, ds, sets, H, L)
+        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(H, L), checkpoints)
+        assert_matches_reference(tables, stats, checkpoints, ds, nbr, H, L)
 
     def test_different_lifts_use_their_own(self):
-        ds, sets = tiny_world(n=30, seed=15)
+        ds, nbr = tiny_world(n=30, seed=15)
         a = tinynet.init_model([3, 8, 5, 3], seed=1, lift_freq=2.0)
         b = tinynet.init_model([3, 8, 5, 3], seed=2, lift_freq=2.0)
         # only the frozen lift tells the two models apart
         b.weights[1:] = [w.copy() for w in a.weights[1:]]
         b.biases[1:] = [v.copy() for v in a.biases[1:]]
         checkpoints = [(1, a), (2, b)]
-        tables, stats = scorer.score_models(ds, sets, scorer.ScorerConfig(4, 3), checkpoints)
-        assert_matches_reference(tables, stats, checkpoints, ds, sets, 4, 3)
+        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(4, 3), checkpoints)
+        assert_matches_reference(tables, stats, checkpoints, ds, nbr, 4, 3)
         assert not np.allclose(tables[0].values["inn"], tables[1].values["inn"])
 
     def test_without_true_labels_stats_are_none(self):
-        ds, sets = tiny_world(seed=16)
+        ds, nbr = tiny_world(seed=16)
         ds = data.Dataset(ds.features, ds.observed_labels, None, ds.n_classes, ds.ids)
         m = tinynet.init_model([3, 6, 3], seed=7)
-        tables, stats = scorer.score_models(ds, sets, scorer.ScorerConfig(3, 2), [(5, m)])
+        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(3, 2), [(5, m)])
         assert stats == [None]
         assert tables[0].kinds() == ["inn", "midpoint"]
 
     def test_peak_memory_flat_in_n(self):
         def peak(n):
             ds = data.corrupt_symmetric(data.synth("blobs", n, 3, 2, 0.5, seed=0), 0.3, 1)
-            sets = neighbors.neighbor_sets(ds, neighbors.build_index(ds.features), 10)
+            nbr, _ = neighbors.search(neighbors.build_index(ds.features), 10)
             m = tinynet.init_model([2, 64, 32, 3], seed=1, lift_freq=2.0)
             tracemalloc.start()
             try:
-                scorer.score_models(ds, sets, scorer.ScorerConfig(10, 10), [(0, m)])
+                scorer.score_models(ds, nbr, scorer.ScorerConfig(10, 10), [(0, m)])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -266,7 +258,7 @@ class TestScoreModels:
 
 class TestConsistencyStats:
     def test_one_hot_observed_predictor(self):
-        ds, sets = tiny_world(n=20, seed=11)
+        ds, nbr = tiny_world(n=20, seed=11)
 
         class Oracle:
             def predict_proba(self, X):
@@ -277,29 +269,29 @@ class TestConsistencyStats:
                 out[np.arange(X.shape[0]), ds.observed_labels[d2.argmin(axis=1)]] = 1.0
                 return out
 
-        st = scorer.consistency_stats(Oracle(), ds, sets)
+        st = scorer.consistency_stats(Oracle(), ds, nbr)
         assert st.e_cor == pytest.approx(1.0)
         assert st.e_inc == pytest.approx(1.0)
 
     def test_constant_uniform(self):
-        ds, sets = tiny_world(n=20, seed=12)
-        st = scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, sets)
+        ds, nbr = tiny_world(n=20, seed=12)
+        st = scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, nbr)
         for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc):
             assert v == pytest.approx(1 / 3)
         assert st.missing == ()
 
     def test_all_clean_flags_missing_group(self):
         ds = data.synth("blobs", 15, 3, 2, 0.4, seed=13)
-        sets = neighbors.neighbor_sets(ds, neighbors.build_index(ds.features), 2)
-        st = scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, sets)
+        nbr, _ = neighbors.search(neighbors.build_index(ds.features), 2)
+        st = scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, nbr)
         assert st.missing == ("noisy",)
         assert st.e_inc is None
 
     def test_requires_true_labels(self):
-        ds, sets = tiny_world(seed=14)
+        ds, nbr = tiny_world(seed=14)
         ds = data.Dataset(ds.features, ds.observed_labels, None, ds.n_classes, ds.ids)
         with pytest.raises(ValueError):
-            scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, sets)
+            scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, nbr)
 
 
 class TestScoreCSV:
