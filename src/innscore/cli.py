@@ -201,47 +201,26 @@ def _apply_config_file(parser, argv):
         action.set_defaults(**{k: v for k, v in values.items() if k in known_dests})
 
 
+def _fields_from(cls, args):
+    """The parsed flags whose dest names a field of dataclass `cls`."""
+    from dataclasses import fields
+
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _run_config_from_args(args):
     from .pipeline import RunConfig
 
-    return RunConfig(
-        data_path=args.data_path,
-        synth_kind=args.synth_kind,
-        n=args.n,
-        n_classes=args.n_classes,
-        dim=args.dim,
-        spread=args.spread,
-        noise_kind=args.noise_kind,
-        noise_rate=args.noise_rate,
-        noise_map=_parse_map(args.noise_map) if args.noise_map else None,
-        imb_keep=args.imb_keep,
-        imb_flip=args.imb_flip,
-        hidden=_parse_int_list(args.hidden),
-        lift_freq=args.lift_freq,
-        h_hidden=_parse_int_list(args.h_hidden),
-        h_loss=args.h_loss,
-        h_epochs=args.h_epochs,
-        f_loss=args.f_loss,
-        epochs=args.epochs,
-        checkpoint_every=args.checkpoint_every,
-        batch_size=args.batch_size,
-        lr0=args.lr0,
-        momentum=args.momentum,
-        lr_drop_factor=args.lr_drop_factor,
-        mixup_alpha=args.mixup_alpha,
-        trapezoids=args.trapezoids,
-        n_neighbors=args.n_neighbors,
-        mode=args.mode,
-        baselines=not args.no_baselines,
-        l_sweep=_parse_int_list(args.l_sweep) if args.l_sweep else None,
-        epoch_scale=args.epoch_scale,
-        share_epochs=args.share_epochs,
-        normalize=not args.no_normalize,
-        threshold=args.threshold,
-        bins=args.bins,
-        seed=args.seed,
-        out_dir=args.out,
-    )
+    return RunConfig(**{
+        **_fields_from(RunConfig, args),
+        "noise_map": _parse_map(args.noise_map) if args.noise_map else None,
+        "hidden": _parse_int_list(args.hidden),
+        "h_hidden": _parse_int_list(args.h_hidden),
+        "baselines": not args.no_baselines,
+        "l_sweep": _parse_int_list(args.l_sweep) if args.l_sweep else None,
+        "normalize": not args.no_normalize,
+        "out_dir": args.out,
+    })
 
 
 def _cmd_synth(args):
@@ -292,17 +271,7 @@ def _cmd_train(args):
     ds = load_dataset(args.data)
     dims = [ds.d, *_parse_int_list(args.hidden), ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
-    tc = tinynet.TrainConfig(
-        loss_kind=args.loss,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr0=args.lr0,
-        momentum=args.momentum,
-        lr_drop_factor=args.lr_drop_factor,
-        mixup_alpha=args.mixup_alpha,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-    )
+    tc = tinynet.TrainConfig(loss_kind=args.loss, **_fields_from(tinynet.TrainConfig, args))
     result = tinynet.train(model, ds, tc)
     os.makedirs(args.out, exist_ok=True)
     for epoch, snap in result.checkpoints:

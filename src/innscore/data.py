@@ -9,6 +9,7 @@ corruption returns a new dataset with a fresh observed-label column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +244,9 @@ def write_csv(ds, path):
 
 
 def read_csv(path, n_classes=None):
+    """Read a dataset CSV as written by write_csv. A wrong field count, a
+    non-integer id or label, a non-finite feature or a repeated id raises
+    ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         has_true = header[-1] == "true_label"
@@ -250,23 +254,34 @@ def read_csv(path, n_classes=None):
         if d < 1 or header[0] != "id" or header[1] != "f0":
             raise ValueError(f"{path}: not a dataset CSV")
         ids, feats, labels, trues = [], [], [], []
-        for line in fh:
+        line_of = {}
+        for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
-            ids.append(int(parts[0]))
-            feats.append([float(v) for v in parts[1 : 1 + d]])
-            labels.append(int(parts[1 + d]))
-            if has_true:
-                trues.append(int(parts[2 + d]))
-    labels = np.array(labels, dtype=np.int64)
-    trues_arr = np.array(trues, dtype=np.int64) if has_true else None
+            where = f"{path}: line {lineno}"
+            if len(parts) != len(header):
+                raise ValueError(f"{where}: {len(parts)} fields, the header has {len(header)}")
+            try:
+                sid, label = int(parts[0]), int(parts[1 + d])
+                row = [float(v) for v in parts[1 : 1 + d]]
+                true = int(parts[2 + d]) if has_true else None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{where}: feature is not a finite number")
+            if sid in line_of:
+                raise ValueError(f"{where}: id {sid} already on line {line_of[sid]}")
+            line_of[sid] = lineno
+            ids.append(sid)
+            feats.append(row)
+            labels.append(label)
+            trues.append(true)
+    if not has_true:
+        trues = None
     if n_classes is None:
-        hi = labels.max(initial=0)
-        if has_true:
-            hi = max(hi, trues_arr.max(initial=0))
-        n_classes = int(hi) + 1
-    return Dataset(np.array(feats), labels, trues_arr, max(n_classes, 2), np.array(ids))
+        n_classes = 1 + max(labels + (trues or []), default=0)
+    return Dataset(np.array(feats), labels, trues, max(n_classes, 2), np.array(ids))
 
 
 def write_raw(ds, base_path):
@@ -308,6 +323,9 @@ def read_raw(sidecar_path):
     n, d = int(meta["n"]), int(meta["d"])
     with open(base + ".f32", "rb") as fh:
         X = np.frombuffer(fh.read(), dtype="<f4").reshape(n, d).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{sidecar_path}: row {bad[0]} has a non-finite feature")
     with open(os.path.join(base_dir, meta["labels_file"]), "rb") as fh:
         labels = np.frombuffer(fh.read(), dtype="<i4").astype(np.int64)
     trues = None

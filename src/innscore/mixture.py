@@ -32,9 +32,13 @@ class MixtureFit:
     weights: np.ndarray  # (2,) mixing proportions
     loglik_trace: list = field(default_factory=list)
     clean_component: int = 0
-    converged: bool = False
+    stop_reason: str = "max_iters"  # tol | ll_drop_reverted | max_iters | degenerate
     degenerate: bool = False
     n_iters: int = 0
+
+    @property
+    def converged(self):
+        return self.stop_reason != "max_iters"
 
     def component_means(self):
         if self.kind == "beta":
@@ -60,7 +64,8 @@ class MixtureFit:
             "component_means": self.component_means().tolist(),
             "clean_component": int(self.clean_component),
             "n_iters": int(self.n_iters),
-            "converged": bool(self.converged),
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "degenerate": bool(self.degenerate),
             "final_loglik": self.loglik_trace[-1] if self.loglik_trace else None,
             "loglik_trace": self.loglik_trace,
@@ -140,8 +145,6 @@ def _median_split_resp(x):
     high = x >= np.median(x)
     resp[high, 1] = 0.9
     resp[~high, 0] = 0.9
-    resp[high, 0] = 0.1
-    resp[~high, 1] = 0.1
     return resp
 
 
@@ -150,7 +153,7 @@ def _run_em(x, kind, m_step, max_iters, tol, init_resp):
     params, weights = m_step(x, resp)
     prev = (params, weights)
     trace = []
-    converged = False
+    stop_reason = "max_iters"
     for it in range(max_iters + 1):
         logj = _log_pdf(kind, x, params) + np.log(weights)
         norm = logsumexp(logj, axis=1, keepdims=True)
@@ -160,11 +163,11 @@ def _run_em(x, kind, m_step, max_iters, tol, init_resp):
         if trace and ll < trace[-1] - 1e-9:
             # moment/floored step reduced the likelihood: keep the previous fit
             params, weights = prev
-            converged = True
+            stop_reason = "ll_drop_reverted"
             break
         trace.append(ll)
         if len(trace) > 1 and trace[-1] - trace[-2] < tol:
-            converged = True
+            stop_reason = "tol"
             break
         if it == max_iters:
             break
@@ -175,7 +178,7 @@ def _run_em(x, kind, m_step, max_iters, tol, init_resp):
         params, weights = m_step(x, new_resp)
         if not (np.isfinite(params).all() and np.isfinite(weights).all()):
             raise FitError("non-finite mixture parameters", trace)
-    return params, weights, trace, converged, len(trace)
+    return params, weights, trace, stop_reason, len(trace)
 
 
 def fit_beta_mixture(scores, max_iters=200, tol=1e-8, init_resp=None):
@@ -202,10 +205,10 @@ def fit_beta_mixture(scores, max_iters=200, tol=1e-8, init_resp=None):
             params[k] = (a, b)
         return params, weights
 
-    params, weights, trace, converged, iters = _run_em(
+    params, weights, trace, stop_reason, iters = _run_em(
         x, "beta", m_step, max_iters, tol, init_resp
     )
-    fit = MixtureFit("beta", params, weights, trace, 0, converged, False, iters)
+    fit = MixtureFit("beta", params, weights, trace, 0, stop_reason, False, iters)
     fit.clean_component = int(np.argmax(fit.component_means()))
     return fit
 
@@ -230,11 +233,11 @@ def fit_gaussian_mixture(losses, max_iters=200, tol=1e-8, init_resp=None):
             params[k] = (mu, max(np.sqrt(var), sigma_floor))
         return params, weights
 
-    params, weights, trace, converged, iters = _run_em(
+    params, weights, trace, stop_reason, iters = _run_em(
         x, "gaussian", m_step, max_iters, tol, init_resp
     )
     degenerate = abs(params[0, 0] - params[1, 0]) < 1e-6 * max(1.0, spread)
-    fit = MixtureFit("gaussian", params, weights, trace, 0, converged, degenerate, iters)
+    fit = MixtureFit("gaussian", params, weights, trace, 0, stop_reason, degenerate, iters)
     fit.clean_component = int(np.argmin(fit.component_means()))
     return fit
 
@@ -246,7 +249,7 @@ def degenerate_fit(kind, x):
     else:
         mu = float(x.mean())
         params = np.array([[mu, 1e-6], [mu, 1e-6]])
-    return MixtureFit(kind, params, np.array([0.5, 0.5]), [], 0, True, True, 0)
+    return MixtureFit(kind, params, np.array([0.5, 0.5]), [], 0, "degenerate", True, 0)
 
 
 def split(fit, scores, threshold=0.5, ids=None):

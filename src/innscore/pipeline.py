@@ -229,11 +229,19 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     clock.lap("train_f")
 
     base_ckpts = {}
+    trained = {"h": h_result, "f": f_result}
     if cfg.baselines:
         for offset, loss_kind in ((4, "ce"), (5, "cene")):
             res, _ = _train_model(ds, cfg, loss_kind, f_epochs, cfg.seed + offset, ckpt_every)
             base_ckpts[loss_kind] = res.checkpoints or [(f_epochs, res.model)]
+            trained[loss_kind] = res
         _log("trained ce and cene baselines", quiet)
+    if write_outputs:
+        rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
+                for epoch, loss in enumerate(res.epoch_loss, 1))
+        paths["train_trace"] = _write_csv(
+            os.path.join(out, "train_trace.csv"), "epoch,model,mean_loss", rows
+        )
     clock.lap("train_baselines")
 
     sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors)
@@ -261,8 +269,11 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
             tables, sc, os.path.join(out, "scores_summary.json")
         )
         if consistency:
-            paths["consistency"] = _write_consistency_csv(
-                consistency, os.path.join(out, "consistency.csv")
+            paths["consistency"] = _write_csv(
+                os.path.join(out, "consistency.csv"), "epoch,model,e_cor,e_inc,em_cor,em_inc",
+                ([str(epoch), tag] + ["" if v is None else repr(v)
+                                      for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc)]
+                 for epoch, tag, st in consistency),
             )
     _log(f"scored {len(tables)} checkpoints", quiet)
     clock.lap("scoring")
@@ -300,11 +311,10 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         if cfg.l_sweep:
             report.flags["l_sweep"] = _l_sweep_aucs(f_ckpts[-1], ds, nbr, cfg, clean)
             if write_outputs:
-                with open(os.path.join(out, "lsweep.csv"), "w", encoding="utf-8") as fh:
-                    fh.write("L,auc\n")
-                    for row in report.flags["l_sweep"]["aucs"]:
-                        fh.write(f"{row['L']},{row['auc']!r}\n")
-                paths["lsweep"] = os.path.join(out, "lsweep.csv")
+                paths["lsweep"] = _write_csv(
+                    os.path.join(out, "lsweep.csv"), "L,auc",
+                    ([str(row["L"]), repr(row["auc"])] for row in report.flags["l_sweep"]["aucs"]),
+                )
         if write_outputs:
             report.to_json(os.path.join(out, "report.json"))
             paths["auc"] = report.write_auc_csv(os.path.join(out, "auc.csv"))
@@ -360,14 +370,11 @@ def _l_sweep_aucs(checkpoint, ds, nbr, cfg, clean_mask):
     }
 
 
-def _write_consistency_csv(rows, path):
+def _write_csv(path, header, rows):
+    """Write a header line and one line per row of already formatted cells."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,model,e_cor,e_inc,em_cor,em_inc\n")
-        for epoch, tag, st in rows:
-            cells = [str(epoch), tag] + [
-                "" if v is None else repr(v)
-                for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc)
-            ]
+        fh.write(header + "\n")
+        for cells in rows:
             fh.write(",".join(cells) + "\n")
     return path
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,10 +88,17 @@ class Model:
                 f"input dim {X.shape[1]} does not match model dim {self.layer_dims[start]}"
             )
         A = X
-        for layer in range(start, len(self.weights) - 1):
-            A = self.activate(layer, A @ self.weights[layer] + self.biases[layer])
+        for _, A in self._hidden(X, start):
+            pass
         logits = A @ self.weights[-1] + self.biases[-1]
         return _softmax(logits), A
+
+    def _hidden(self, A, start):
+        """Yield (pre-activations, activations) of each hidden layer from `start` on."""
+        for layer in range(start, len(self.weights) - 1):
+            Z = A @ self.weights[layer] + self.biases[layer]
+            A = self.activate(layer, Z)
+            yield Z, A
 
     def predict_proba(self, inputs):
         return self.forward(inputs)[0]
@@ -127,17 +134,7 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be positive or None")
 
     def to_dict(self):
-        return {
-            "loss_kind": self.loss_kind,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr0": self.lr0,
-            "momentum": self.momentum,
-            "lr_drop_factor": self.lr_drop_factor,
-            "mixup_alpha": self.mixup_alpha,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -159,6 +156,7 @@ class OptState:
 class TrainResult:
     model: Model
     checkpoints: list  # (completed epoch, Model snapshot)
+    epoch_loss: list  # per epoch, the mean of its batch losses
 
 
 def _softmax(logits):
@@ -241,25 +239,24 @@ def loss_and_grad(model, inputs, targets, loss_kind):
     ce:    cross-entropy against integer labels
     cene:  cross-entropy plus negative entropy of the prediction
     mixup: cross-entropy against soft (mixed) targets
+
+    Every layer gets its gradient, frozen ones included.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    T = _target_matrix(model, targets, loss_kind)
+    return _loss_and_grad(model, X, _target_matrix(model, targets, loss_kind), loss_kind, 0)
 
-    # forward with cached activations
-    acts = [X]
-    pre = []
-    A = X
-    for act, W, b in zip(model.activations, model.weights[:-1], model.biases[:-1]):
-        Z = A @ W + b
+
+def _loss_and_grad(model, A, T, loss_kind, start):
+    """Mean loss and (dW, db) of layers start.. for A, the inputs of layer
+    `start`, and (n, K) targets T; nothing is propagated below `start`."""
+    acts, pre = [A], []
+    for Z, A in model._hidden(A, start):
         pre.append(Z)
-        A = np.sin(Z) if act == "sin" else np.maximum(Z, 0.0)
         acts.append(A)
-    logits = A @ model.weights[-1] + model.biases[-1]
-    probs = _softmax(logits)
+    probs = _softmax(A @ model.weights[-1] + model.biases[-1])
 
-    n = X.shape[0]
     logp = np.log(np.maximum(probs, PROB_FLOOR))
     ce = -(T * logp).sum(axis=1)
     if loss_kind == "cene":
@@ -274,21 +271,16 @@ def loss_and_grad(model, inputs, targets, loss_kind):
     if not np.isfinite(loss):
         raise NumericError("non-finite loss; model parameters diverged")
 
-    d_logits = d_logits / n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    delta = d_logits
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            local = (
-                np.cos(pre[layer - 1])
-                if model.activations[layer - 1] == "sin"
-                else (pre[layer - 1] > 0)
-            )
+    delta = d_logits / T.shape[0]
+    grads = []
+    for layer in range(len(model.weights) - 1, start - 1, -1):
+        i = layer - start  # acts[i] is the input of `layer`, pre[i - 1] its pre-activation
+        grads.append((acts[i].T @ delta, delta.sum(axis=0)))
+        if layer > start:
+            sin = model.activations[layer - 1] == "sin"
+            local = np.cos(pre[i - 1]) if sin else (pre[i - 1] > 0)
             delta = (delta @ model.weights[layer].T) * local
-    return loss, list(zip(grads_w, grads_b))
+    return loss, grads[::-1]
 
 
 def learning_rate(epoch, config):
@@ -307,6 +299,10 @@ def train(model, dataset, config):
     Shuffling, mixup pairing and mixing weights all come from one
     generator seeded with config.seed, so a fixed (seed, config, dataset)
     reproduces the final parameters bit for bit.
+
+    A frozen first layer (the random-feature lift) is evaluated once per
+    call, or once per mixed batch for mixup, and gets no gradient; a later
+    frozen layer is back-propagated through and skipped by the update.
     """
     config.validate()
     X = dataset.features
@@ -318,36 +314,43 @@ def train(model, dataset, config):
     opt = OptState.for_model(model)
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
-    checkpoints = []
+    T = one_hot(y, model.n_classes)
+    start = 1 if 0 in model.frozen_layers else 0
+    mixup = config.loss_kind == "mixup"
 
+    def prefix(inputs):
+        return model.activate(0, inputs @ model.weights[0] + model.biases[0]) if start else inputs
+
+    lifted = None if mixup else prefix(X)
+    checkpoints, epoch_loss = [], []
     for epoch in range(config.epochs):
         lr = learning_rate(epoch, config)
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = X[idx], y[idx]
-            if config.loss_kind == "mixup":
+        batch_loss = []
+        for first in range(0, n, config.batch_size):
+            idx = order[first : first + config.batch_size]
+            if mixup:
                 lam = rng.beta(config.mixup_alpha, config.mixup_alpha)
                 partner = rng.permutation(idx.shape[0])
-                tb = one_hot(yb, model.n_classes)
+                xb, tb = X[idx], T[idx]
                 xb, tb = mixup_batch(xb, tb, xb[partner], tb[partner], lam)
-                loss, grads = loss_and_grad(model, xb, tb, "mixup")
+                loss, grads = _loss_and_grad(model, prefix(xb), tb, "mixup", start)
             else:
-                loss, grads = loss_and_grad(model, xb, yb, config.loss_kind)
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged at epoch {epoch}")
-            for layer, (gw, gb) in enumerate(grads):
+                loss, grads = _loss_and_grad(model, lifted[idx], T[idx], config.loss_kind, start)
+            batch_loss.append(loss)
+            for layer, (gw, gb) in enumerate(grads, start):
                 if layer in model.frozen_layers:
                     continue
                 opt.vel_w[layer] = config.momentum * opt.vel_w[layer] + gw
                 opt.vel_b[layer] = config.momentum * opt.vel_b[layer] + gb
                 model.weights[layer] -= lr * opt.vel_w[layer]
                 model.biases[layer] -= lr * opt.vel_b[layer]
+        epoch_loss.append(float(np.mean(batch_loss)))
         done = epoch + 1
         if config.checkpoint_every and done % config.checkpoint_every == 0:
             checkpoints.append((done, model.copy()))
 
-    return TrainResult(model, checkpoints)
+    return TrainResult(model, checkpoints, epoch_loss)
 
 
 def per_sample_loss(model, dataset, loss_kind):

@@ -31,6 +31,48 @@ def fd_gradients(model, X, targets, loss_kind, step=1e-5):
     return grads
 
 
+def reference_train(model, dataset, config):
+    """The training loop written plainly: full loss_and_grad on every batch.
+
+    Every layer, frozen ones included, is evaluated and differentiated on
+    each batch; frozen layers are then skipped by the update. Returns the
+    final model, the (epoch, model) checkpoints and the per-epoch mean of
+    the batch losses.
+    """
+    X, y = dataset.features, dataset.observed_labels
+    model = model.copy()
+    opt = tinynet.OptState.for_model(model)
+    rng = np.random.default_rng(config.seed)
+    checkpoints, epoch_loss = [], []
+    for epoch in range(config.epochs):
+        lr = tinynet.learning_rate(epoch, config)
+        order = rng.permutation(X.shape[0])
+        losses = []
+        for first in range(0, X.shape[0], config.batch_size):
+            idx = order[first : first + config.batch_size]
+            xb, yb = X[idx], y[idx]
+            if config.loss_kind == "mixup":
+                lam = rng.beta(config.mixup_alpha, config.mixup_alpha)
+                partner = rng.permutation(idx.shape[0])
+                tb = tinynet.one_hot(yb, model.n_classes)
+                xb, tb = tinynet.mixup_batch(xb, tb, xb[partner], tb[partner], lam)
+                loss, grads = tinynet.loss_and_grad(model, xb, tb, "mixup")
+            else:
+                loss, grads = tinynet.loss_and_grad(model, xb, yb, config.loss_kind)
+            losses.append(loss)
+            for layer, (gw, gb) in enumerate(grads):
+                if layer in model.frozen_layers:
+                    continue
+                opt.vel_w[layer] = config.momentum * opt.vel_w[layer] + gw
+                opt.vel_b[layer] = config.momentum * opt.vel_b[layer] + gb
+                model.weights[layer] -= lr * opt.vel_w[layer]
+                model.biases[layer] -= lr * opt.vel_b[layer]
+        epoch_loss.append(float(np.mean(losses)))
+        if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
+            checkpoints.append((epoch + 1, model.copy()))
+    return model, checkpoints, epoch_loss
+
+
 def max_rel_error(analytic, numeric):
     worst = 0.0
     for (aw, ab), (nw, nb) in zip(analytic, numeric):

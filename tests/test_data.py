@@ -183,11 +183,35 @@ class TestFileFormats:
         assert np.array_equal(back.true_labels, ds.true_labels)
         assert back.n_classes == ds.n_classes
 
+    def test_raw_rejects_non_finite_feature(self, tmp_path):
+        ds = data.synth("blobs", 20, 2, 2, 0.3, seed=0)
+        ds.features[7, 1] = np.inf
+        with pytest.raises(ValueError, match="row 7 has a non-finite feature"):
+            data.read_raw(data.write_raw(ds, tmp_path / "ds"))
+
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             data.read_csv(path)
+
+    @pytest.mark.parametrize("row, shown", [
+        ("1,0.5,1", "3 fields, the header has 4"),
+        ("1,0.5,0.25,1,0", "5 fields"),
+        ("1,nan,0.25,1", "not a finite number"),
+        ("1,0.5,-inf,1", "not a finite number"),
+        ("1,1e400,0.25,1", "not a finite number"),
+        ("1,0.5,abc,1", "could not convert"),
+        ("1,0.5,0.25,1.0", "invalid literal"),
+        ("x,0.5,0.25,1", "invalid literal"),
+        ("0,0.5,0.25,1", "id 0 already on line 2"),
+    ])
+    def test_csv_rejects_bad_line(self, tmp_path, row, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,f0,f1,label\n0,0.1,0.2,0\n{row}\n2,0.3,0.4,1\n")
+        with pytest.raises(ValueError, match="line 3") as err:
+            data.read_csv(path)
+        assert shown in str(err.value)
 
 
 class TestDatasetInvariants:

@@ -161,3 +161,24 @@ class TestSplit:
         assert loaded["kind"] == "beta"
         assert loaded["n_iters"] == len(loaded["loglik_trace"])
         assert loaded["final_loglik"] == loaded["loglik_trace"][-1]
+
+    def test_stop_reason_recorded_and_written(self, tmp_path):
+        import json
+
+        def sample(seed):
+            rng = np.random.default_rng(seed)
+            return np.concatenate([rng.beta(2, 8, 100 + seed), rng.beta(8, 2, 60)])
+
+        fits = {
+            "tol": mixture.fit_beta_mixture(sample(0)),
+            "ll_drop_reverted": mixture.fit_beta_mixture(sample(1)),
+            "max_iters": mixture.fit_beta_mixture(sample(0), max_iters=1),
+            "degenerate": mixture.degenerate_fit("beta", np.full(20, 0.5)),
+        }
+        for reason, fit in fits.items():
+            assert fit.stop_reason == reason
+            assert fit.converged == (reason != "max_iters")
+            loaded = json.loads(open(fit.to_json(tmp_path / f"{reason}.json")).read())
+            assert (loaded["stop_reason"], loaded["converged"]) == (reason, fit.converged)
+        assert fits["max_iters"].n_iters == 2
+        assert fits["ll_drop_reverted"].n_iters < 200

@@ -4,12 +4,17 @@ Pipeline tests run a deliberately tiny configuration; the acceptance
 module exercises the full-size protocol.
 """
 
+import contextlib
 import filecmp
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innscore import data, neighbors, scorer
 from innscore.cli import main
@@ -78,6 +83,18 @@ class TestPipeline:
         ckpts = os.listdir(out / "checkpoints")
         assert "h_final.ckpt" in ckpts
         assert "f_epoch10.ckpt" in ckpts
+
+    def test_train_trace(self, tmp_path):
+        run_pipeline(tiny_config(tmp_path / "run"), quiet=True)
+        lines = (tmp_path / "run" / "train_trace.csv").read_text().splitlines()
+        assert lines[0] == "epoch,model,mean_loss"
+        rows = [line.split(",") for line in lines[1:]]
+        # h trains 5 epochs, f and the two baselines 10 each
+        assert [(int(e), m) for e, m, _ in rows] == (
+            [(e, "h") for e in range(1, 6)]
+            + [(e, m) for m in ("f", "ce", "cene") for e in range(1, 11)]
+        )
+        assert all(np.isfinite(float(v)) for _, _, v in rows)
 
     def test_timing_phases_sum_to_total(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
@@ -293,3 +310,50 @@ class TestCli:
         manifest = json.loads(open(f"{out}/manifest.json").read())
         assert manifest["config"]["n"] == 120  # from file
         assert manifest["config"]["seed"] == 9  # flag wins
+
+
+class TestCorruptDatasetCli:
+    """One corrupted line of a dataset CSV is a configuration error: the
+    commands that read it exit with a code in {2, 3, 4} and one stderr line."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        line=st.integers(2, 31),
+        other=st.integers(2, 31),
+        col=st.integers(0, 4),
+        edit=st.sampled_from(["drop", "extra", "nan", "inf", "-inf", "word", "dup_id"]),
+    )
+    def test_one_bad_line_exits_cleanly(self, line, other, col, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = data.corrupt_symmetric(data.synth("blobs", 30, 2, 2, 0.5, seed=0), 0.3, seed=1)
+            lines = open(data.write_csv(ds, os.path.join(tmp, "d.csv"))).read().splitlines()
+            cells = lines[line - 1].split(",")  # id,f0,f1,label,true_label
+            bad_line = line
+            if edit == "drop":
+                del cells[col]
+            elif edit == "extra":
+                cells.insert(col, "0")
+            elif edit == "dup_id":
+                other = other if other != line else 2 + (line - 1) % 30
+                cells[0] = lines[other - 1].split(",")[0]
+                bad_line = max(line, other)
+            else:
+                cells[col] = {"word": "abc"}.get(edit, edit)
+            lines[line - 1] = ",".join(cells)
+            path = os.path.join(tmp, "bad.csv")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            for argv in (
+                ["train", "--data", path, "--epochs", "1", "--hidden", "4",
+                 "--out", os.path.join(tmp, "t")],
+                ["pipeline", "--data", path, "--epochs", "2", "--checkpoint-every", "1",
+                 "--h-epochs", "1", "--hidden", "4,4", "--h-hidden", "4,2", "--l", "2",
+                 "--trapezoids", "2", "--out", os.path.join(tmp, "p")],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = main(argv)
+                shown = err.getvalue()
+                assert rc in (2, 3, 4), (argv[0], shown)
+                assert shown.count("\n") == 1 and "Traceback" not in shown, shown
+                assert f"line {bad_line}:" in shown, shown

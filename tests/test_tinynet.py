@@ -6,10 +6,15 @@ to the vectorized code has an independent witness.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_train
 from innscore import data, tinynet
 from innscore.errors import NumericError
 
@@ -270,6 +275,57 @@ class TestTrain:
         m = tinynet.init_model([2, 8, 2], seed=7)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             tinynet.train(m, ds, tinynet.TrainConfig("ce", epochs=50, seed=8, lr0=1e12))
+
+
+class TestTrainMatchesReference:
+    """train() against the plain loop of helpers.reference_train.
+
+    Features and lift weights lie on a grid of quarters, so X @ W0 is
+    exact whatever summation order BLAS picks for a batch or for the
+    whole matrix; the lift computed once then equals the per-batch one
+    bit for bit, and any difference comes from the backward pass, the
+    batch indexing or the update.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        loss_kind=st.sampled_from(tinynet.LOSS_KINDS),
+        lift=st.booleans(),
+        hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        d=st.integers(1, 4),
+        K=st.integers(2, 4),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 48),
+        epochs=st.integers(1, 4),
+        checkpoint_every=st.none() | st.integers(1, 3),
+        freeze_later=st.booleans(),
+    )
+    def test_bitwise_equal_to_reference(self, seed, loss_kind, lift, hidden, d, K, n,
+                                        batch_size, epochs, checkpoint_every, freeze_later):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, K, size=n)
+        ds = data.Dataset(rng.integers(-8, 9, size=(n, d)) / 4.0, y, y, K, np.arange(n))
+        model = tinynet.init_model([d, *hidden, K], seed, lift_freq=2.0 if lift else 0.0)
+        model.weights[0] = rng.integers(-8, 9, size=model.weights[0].shape) / 4.0
+        if freeze_later and len(hidden) > 1:
+            # a checkpoint may flag a later hidden layer as frozen
+            model.frozen_layers += (int(rng.integers(1, len(hidden))),)
+            with tempfile.TemporaryDirectory() as tmp:
+                tinynet.save_checkpoint(model, os.path.join(tmp, "m.ckpt"))
+                model, _ = tinynet.load_checkpoint(os.path.join(tmp, "m.ckpt"))
+        cfg = tinynet.TrainConfig(loss_kind, epochs=epochs, batch_size=batch_size,
+                                  seed=seed, checkpoint_every=checkpoint_every)
+
+        got = tinynet.train(model, ds, cfg)
+        want, want_ckpts, want_loss = reference_train(model, ds, cfg)
+
+        assert got.epoch_loss == want_loss
+        assert [e for e, _ in got.checkpoints] == [e for e, _ in want_ckpts]
+        for a, b in zip([got.model] + [m for _, m in got.checkpoints],
+                        [want] + [m for _, m in want_ckpts]):
+            for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+                assert np.array_equal(pa, pb)
 
 
 class TestPerSampleLoss:
