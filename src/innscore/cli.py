@@ -18,7 +18,9 @@ import json
 import os
 import sys
 
-from .errors import NumericError  # stdlib-only module, safe to import early
+# stdlib-only modules, safe to import before --threads takes effect
+from ._records import write_json
+from .errors import NumericError
 
 
 def _add_out(p):
@@ -125,80 +127,83 @@ def build_parser():
         ("pipeline", "run the full protocol"),
         ("timing", "run the full protocol and print per-phase wall clock"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="flat key=value config file; flags win")
-        p.add_argument("--data", dest="data_path", default=None,
-                       help="dataset file (csv or raw sidecar json); default: synthesize")
-        p.add_argument("--kind", dest="synth_kind", default="blobs",
-                       choices=["blobs", "two_moons"])
-        p.add_argument("--n", type=int, default=2000)
-        p.add_argument("--k", dest="n_classes", type=int, default=4)
-        p.add_argument("--d", dest="dim", type=int, default=2)
-        p.add_argument("--spread", type=float, default=0.3)
-        p.add_argument("--noise", dest="noise_kind", default="none",
-                       choices=["none", "symmetric", "chain", "map", "imbalanced"])
-        p.add_argument("--rate", dest="noise_rate", type=float, default=0.0)
-        p.add_argument("--map", dest="noise_map", default=None, help="'src:dst,...'")
-        p.add_argument("--imb-keep", type=float, default=0.1)
-        p.add_argument("--imb-flip", type=float, default=0.3)
-        p.add_argument("--hidden", default="256,128")
-        p.add_argument("--lift-freq", type=float, default=4.0,
-                       help="frequency of the frozen sinusoidal first layer of the "
-                            "scored/baseline models; 0 disables the lift")
-        p.add_argument("--h-hidden", default="64,4",
-                       help="hidden stack of the feature model (narrow penultimate)")
-        p.add_argument("--h-loss", default="ce", choices=["ce", "cene", "mixup"])
-        p.add_argument("--h-epochs", type=int, default=50)
-        p.add_argument("--f-loss", default="mixup", choices=["ce", "cene", "mixup"])
-        p.add_argument("--epochs", type=int, default=300)
-        p.add_argument("--checkpoint-every", type=int, default=50)
-        p.add_argument("--batch-size", type=int, default=128)
-        p.add_argument("--lr0", type=float, default=0.02)
-        p.add_argument("--momentum", type=float, default=0.9)
-        p.add_argument("--lr-drop-factor", type=float, default=5.0)
-        p.add_argument("--mixup-alpha", type=float, default=1.0)
-        p.add_argument("--l", dest="n_neighbors", type=int, default=10)
-        p.add_argument("--trapezoids", type=int, default=10)
-        p.add_argument("--mode", default="integral", choices=["integral", "midpoint"])
-        p.add_argument("--no-baselines", action="store_true")
-        p.add_argument("--l-sweep", default=None, help="e.g. '1,2,5,10'")
-        p.add_argument("--epoch-scale", type=float, default=1.0)
-        p.add_argument("--share-epochs", action="store_true")
-        p.add_argument("--no-normalize", action="store_true")
-        p.add_argument("--threshold", type=float, default=0.5)
-        p.add_argument("--bins", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS worker pools (best effort)")
-        p.add_argument("--quiet", action="store_true")
-        _add_out(p)
+        _add_run_flags(sub.add_parser(name, help=help_text))
 
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Config file sets parser defaults; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv[1:])
-    if not known.config:
-        return
+def _add_run_flags(p):
+    """The flags of `pipeline` and `timing`."""
+    p.add_argument("--config", default=None, help="flat key=value config file; flags win")
+    p.add_argument("--data", dest="data_path", default=None,
+                   help="dataset file (csv or raw sidecar json); default: synthesize")
+    p.add_argument("--kind", dest="synth_kind", default="blobs",
+                   choices=["blobs", "two_moons"])
+    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--k", dest="n_classes", type=int, default=4)
+    p.add_argument("--d", dest="dim", type=int, default=2)
+    p.add_argument("--spread", type=float, default=0.3)
+    p.add_argument("--noise", dest="noise_kind", default="none",
+                   choices=["none", "symmetric", "chain", "map", "imbalanced"])
+    p.add_argument("--rate", dest="noise_rate", type=float, default=0.0)
+    p.add_argument("--map", dest="noise_map", default=None, help="'src:dst,...'")
+    p.add_argument("--imb-keep", type=float, default=0.1)
+    p.add_argument("--imb-flip", type=float, default=0.3)
+    p.add_argument("--hidden", default="256,128")
+    p.add_argument("--lift-freq", type=float, default=4.0,
+                   help="frequency of the frozen sinusoidal first layer of the "
+                        "scored/baseline models; 0 disables the lift")
+    p.add_argument("--h-hidden", default="64,4",
+                   help="hidden stack of the feature model (narrow penultimate)")
+    p.add_argument("--h-loss", default="ce", choices=["ce", "cene", "mixup"])
+    p.add_argument("--h-epochs", type=int, default=50)
+    p.add_argument("--f-loss", default="mixup", choices=["ce", "cene", "mixup"])
+    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--checkpoint-every", type=int, default=50)
+    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--lr0", type=float, default=0.02)
+    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--lr-drop-factor", type=float, default=5.0)
+    p.add_argument("--mixup-alpha", type=float, default=1.0)
+    p.add_argument("--l", dest="n_neighbors", type=int, default=10)
+    p.add_argument("--trapezoids", type=int, default=10)
+    p.add_argument("--mode", default="integral", choices=["integral", "midpoint"])
+    p.add_argument("--no-baselines", action="store_true")
+    p.add_argument("--l-sweep", default=None, help="e.g. '1,2,5,10'")
+    p.add_argument("--epoch-scale", type=float, default=1.0)
+    p.add_argument("--share-epochs", action="store_true")
+    p.add_argument("--no-normalize", action="store_true")
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=None,
+                   help="cap BLAS worker pools (best effort)")
+    p.add_argument("--quiet", action="store_true")
+    _add_out(p)
+
+
+def _apply_config_file(args, argv):
+    """Parse the pipeline or timing flags `argv` again with the config file's
+    `key = value` lines (a flag's dest, a JSON value or a bare string) as
+    defaults, so explicit flags win; an unknown key is a configuration error."""
+    parser = argparse.ArgumentParser(prog=f"innscore {args.command}")
+    _add_run_flags(parser)
+    known = vars(parser.parse_args([]))
     values = {}
-    with open(known.config, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{known.config}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
+            key, eq, raw = (part.strip() for part in line.partition("="))
+            if not eq or key not in known:
+                raise ValueError(f"{args.config}: line {lineno}: unknown key {key!r}")
             try:
                 values[key] = json.loads(raw)
             except json.JSONDecodeError:
                 values[key] = raw
-    for action in parser._subparsers._group_actions[0].choices.values():
-        known_dests = {a.dest for a in action._actions}
-        action.set_defaults(**{k: v for k, v in values.items() if k in known_dests})
+    parser.set_defaults(**values)
+    return argparse.Namespace(command=args.command, **vars(parser.parse_args(argv)))
 
 
 def _fields_from(cls, args):
@@ -381,16 +386,7 @@ def _cmd_eval(args):
         raise ValueError(f"score table references id {exc} missing from the dataset") from exc
     report = evaluate.sweep_report(tables, mask)
     os.makedirs(args.out, exist_ok=True)
-    report.to_json(os.path.join(args.out, "report.json"))
-    report.write_auc_csv(os.path.join(args.out, "auc.csv"))
-    final = tables[-1]
-    for kind in final.kinds():
-        table_h, edges = evaluate.grouped_histogram(
-            evaluate.score_orientation(kind) * final.values[kind], ds, args.bins
-        )
-        evaluate.write_histogram_csv(
-            table_h, edges, os.path.join(args.out, f"histograms_{kind}.csv")
-        )
+    report.write_outputs(args.out, tables[-1], ds, tables[-1].kinds(), args.bins)
     for epoch, kind, value in report.aucs:
         print(f"epoch {epoch} {kind}: AUC {value:.4f}")
     return 0
@@ -431,24 +427,22 @@ def _write_command_manifest(args):
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     from . import __version__
 
-    manifest = {
+    write_json(os.path.join(args.out, "manifest.json"), {
         "command": args.command,
         "config": config,
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": getattr(args, "seed", None),
         "versions": {"innscore": __version__, "python": platform.python_version()},
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    })
 
 
 def main(argv=None):
     argv = sys.argv if argv is None else ["innscore", *argv]
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv[1:])
+        if getattr(args, "config", None):
+            args = _apply_config_file(args, argv[2:])
         threads = getattr(args, "threads", None)
         if threads:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

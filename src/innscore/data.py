@@ -8,11 +8,12 @@ corruption returns a new dataset with a fresh observed-label column.
 
 from __future__ import annotations
 
-import json
-import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._records import read_json, read_rows, write_json, write_rows
 
 _U64 = np.uint64
 
@@ -226,110 +227,85 @@ def build_imbalanced(ds, class_a, class_b, keep_frac, flip_p, seed):
 # --- file formats -----------------------------------------------------
 
 
+def _dataset_header(d, has_true):
+    return ["id", *(f"f{j}" for j in range(d)), "label"] + ["true_label"] * has_true
+
+
 def write_csv(ds, path):
     """CSV with header id,f0..f{d-1},label[,true_label]; '.' decimal."""
-    cols = ["id"] + [f"f{j}" for j in range(ds.d)] + ["label"]
-    if ds.true_labels is not None:
-        cols.append("true_label")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            row = [str(ds.ids[i])]
-            row += [repr(float(v)) for v in ds.features[i]]
-            row.append(str(ds.observed_labels[i]))
-            if ds.true_labels is not None:
-                row.append(str(ds.true_labels[i]))
-            fh.write(",".join(row) + "\n")
-    return path
+    trues = [None] * ds.n if ds.true_labels is None else ds.true_labels.tolist()
+    rows = (
+        [str(sid), *map(repr, x), str(y)] + ([] if t is None else [str(t)])
+        for sid, x, y, t in zip(
+            ds.ids.tolist(), ds.features.tolist(), ds.observed_labels.tolist(), trues
+        )
+    )
+    return write_rows(path, _dataset_header(ds.d, ds.true_labels is not None), rows)
 
 
-def read_csv(path, n_classes=None):
-    """Read a dataset CSV as written by write_csv. A wrong field count, a
-    non-integer id or label, a non-finite feature or a repeated id raises
-    ValueError naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        has_true = header[-1] == "true_label"
-        d = len(header) - (3 if has_true else 2)
-        if d < 1 or header[0] != "id" or header[1] != "f0":
-            raise ValueError(f"{path}: not a dataset CSV")
-        ids, feats, labels, trues = [], [], [], []
-        line_of = {}
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split(",")
-            if parts == [""]:
-                continue
-            where = f"{path}: line {lineno}"
-            if len(parts) != len(header):
-                raise ValueError(f"{where}: {len(parts)} fields, the header has {len(header)}")
-            try:
-                sid, label = int(parts[0]), int(parts[1 + d])
-                row = [float(v) for v in parts[1 : 1 + d]]
-                true = int(parts[2 + d]) if has_true else None
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{where}: feature is not a finite number")
-            if sid in line_of:
-                raise ValueError(f"{where}: id {sid} already on line {line_of[sid]}")
-            line_of[sid] = lineno
-            ids.append(sid)
-            feats.append(row)
-            labels.append(label)
-            trues.append(true)
-    if not has_true:
-        trues = None
-    if n_classes is None:
-        n_classes = 1 + max(labels + (trues or []), default=0)
-    return Dataset(np.array(feats), labels, trues, max(n_classes, 2), np.array(ids))
+def read_csv(path):
+    """Read a dataset CSV as written by write_csv. Besides the checks of
+    `_records.read_rows`, a repeated id raises ValueError naming the line."""
+
+    def header(names):
+        has_true = names[-1] == "true_label"
+        return _dataset_header(max(1, len(names) - 2 - has_true), has_true)
+
+    names, rows = read_rows(path, header, {"id": int, "f": float, "label": int, "true_label": int})
+    line_of = {}
+    for lineno, (sid, *_) in rows:
+        if line_of.setdefault(sid, lineno) != lineno:
+            raise ValueError(f"{path}: line {lineno}: id {sid} already on line {line_of[sid]}")
+    has_true = names[-1] == "true_label"
+    d = len(names) - 2 - has_true
+    cells = [row for _, row in rows]
+    labels = [row[1 + d] for row in cells]
+    trues = [row[2 + d] for row in cells] if has_true else None
+    n_classes = max(2, 1 + max(labels + (trues or [])))
+    features = np.array([row[1 : 1 + d] for row in cells])
+    return Dataset(features, labels, trues, n_classes, np.array([row[0] for row in cells]))
 
 
 def write_raw(ds, base_path):
     """Little-endian float32 row-major features + int32 labels + JSON sidecar."""
     base = str(base_path)
-    feat_file = base + ".f32"
-    labels_file = base + ".labels.i32"
-    with open(feat_file, "wb") as fh:
-        fh.write(ds.features.astype("<f4").tobytes(order="C"))
-    with open(labels_file, "wb") as fh:
-        fh.write(ds.observed_labels.astype("<i4").tobytes())
-    true_file = None
+    arrays = {".f32": ds.features.astype("<f4"), ".labels.i32": ds.observed_labels.astype("<i4")}
     if ds.true_labels is not None:
-        true_file = base + ".true.i32"
-        with open(true_file, "wb") as fh:
-            fh.write(ds.true_labels.astype("<i4").tobytes())
-    import os
+        arrays[".true.i32"] = ds.true_labels.astype("<i4")
+    for suffix, values in arrays.items():
+        values.tofile(base + suffix)
+    name = os.path.basename(base)
+    return write_json(base + ".json", {
+        "n": ds.n, "d": ds.d, "K": ds.n_classes,
+        "labels_file": name + ".labels.i32",
+        "true_labels_file": None if ds.true_labels is None else name + ".true.i32",
+    })
 
-    sidecar = {
-        "n": ds.n,
-        "d": ds.d,
-        "K": ds.n_classes,
-        "labels_file": os.path.basename(labels_file),
-        "true_labels_file": None if true_file is None else os.path.basename(true_file),
-    }
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return base + ".json"
+
+def _read_array(path, dtype, count):
+    """The `count` values of a little-endian binary file of exactly that size."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    size = count * np.dtype(dtype).itemsize
+    if len(blob) != size:
+        raise ValueError(f"{path}: {len(blob)} bytes, expected {size}")
+    return np.frombuffer(blob, dtype=dtype)
 
 
 def read_raw(sidecar_path):
-    import os
-
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(sidecar_path, {"n": int, "d": int, "K": int, "labels_file": str,
+                                    "true_labels_file": (str, type(None))})
+    n, d = meta["n"], meta["d"]
+    if n < 1 or d < 1:
+        raise ValueError(f"{sidecar_path}: line 1: n={n} and d={d} must be positive")
     base_dir = os.path.dirname(os.path.abspath(sidecar_path))
     base = str(sidecar_path)[: -len(".json")]
-    n, d = int(meta["n"]), int(meta["d"])
-    with open(base + ".f32", "rb") as fh:
-        X = np.frombuffer(fh.read(), dtype="<f4").reshape(n, d).astype(np.float64)
+    X = _read_array(base + ".f32", "<f4", n * d).reshape(n, d).astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"{sidecar_path}: row {bad[0]} has a non-finite feature")
-    with open(os.path.join(base_dir, meta["labels_file"]), "rb") as fh:
-        labels = np.frombuffer(fh.read(), dtype="<i4").astype(np.int64)
-    trues = None
-    if meta.get("true_labels_file"):
-        with open(os.path.join(base_dir, meta["true_labels_file"]), "rb") as fh:
-            trues = np.frombuffer(fh.read(), dtype="<i4").astype(np.int64)
-    return Dataset(X, labels, trues, int(meta["K"]), np.arange(n, dtype=np.int64))
+    labels, trues = (
+        None if name is None else _read_array(os.path.join(base_dir, name), "<i4", n)
+        for name in (meta["labels_file"], meta["true_labels_file"])
+    )
+    return Dataset(X, labels, trues, meta["K"], np.arange(n, dtype=np.int64))

@@ -9,10 +9,12 @@ score column gives exactly 0.5). Score kinds whose name starts with
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._records import write_json, write_rows
 
 
 def score_orientation(kind):
@@ -75,32 +77,12 @@ def grouped_histogram(scores, dataset, bins=20):
 
 
 def write_histogram_csv(table, edges, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("group,bin_lo,bin_hi,count\n")
-        for group in sorted(table):
-            for b, count in enumerate(table[group]):
-                fh.write(f"{group},{float(edges[b])!r},{float(edges[b+1])!r},{int(count)}\n")
-    return path
-
-
-def read_histogram_csv(path):
-    """Read back a grouped-histogram CSV; returns (table, edges)."""
-    groups = {}
-    edge_set = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "group,bin_lo,bin_hi,count":
-            raise ValueError(f"{path}: not a histogram CSV")
-        for line in fh:
-            group, lo, hi, count = line.strip().split(",")
-            groups.setdefault(group, []).append((float(lo), float(hi), int(count)))
-            edge_set.add(float(lo))
-            edge_set.add(float(hi))
-    table = {}
-    for group, rows in groups.items():
-        rows.sort()
-        table[group] = np.array([c for _, _, c in rows])
-    return table, np.array(sorted(edge_set))
+    rows = (
+        [group, repr(float(edges[b])), repr(float(edges[b + 1])), str(int(count))]
+        for group in sorted(table)
+        for b, count in enumerate(table[group])
+    )
+    return write_rows(path, ("group", "bin_lo", "bin_hi", "count"), rows)
 
 
 @dataclass
@@ -132,17 +114,21 @@ class EvalReport:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_json(path, self.to_dict())
 
     def write_auc_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch,kind,auc\n")
-            for e, k, v in self.aucs:
-                fh.write(f"{e},{k},{v!r}\n")
-        return path
+        rows = ([str(e), k, repr(v)] for e, k, v in self.aucs)
+        return write_rows(path, ("epoch", "kind", "auc"), rows)
+
+    def write_outputs(self, out_dir, final, ds, kinds, bins):
+        """report.json, auc.csv and histograms_<kind>.csv of the final ScoreTable's `kinds`."""
+        self.to_json(os.path.join(out_dir, "report.json"))
+        paths = {"auc": self.write_auc_csv(os.path.join(out_dir, "auc.csv"))}
+        for kind in kinds:
+            table, edges = grouped_histogram(score_orientation(kind) * final.values[kind], ds, bins)
+            path = os.path.join(out_dir, f"histograms_{kind}.csv")
+            paths[f"hist_{kind}"] = write_histogram_csv(table, edges, path)
+        return paths
 
 
 def sweep_report(tables, clean_mask):

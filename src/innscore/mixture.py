@@ -12,12 +12,12 @@ smaller-mean one for losses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, logsumexp
 
+from ._records import write_json, write_rows
 from .errors import FitError
 
 _CLAMP = 1e-4
@@ -72,10 +72,7 @@ class MixtureFit:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_json(path, self.to_dict())
 
 
 @dataclass
@@ -87,28 +84,11 @@ class SplitResult:
     ids: np.ndarray
 
     def to_csv(self, path):
-        labeled = set(int(v) for v in self.labeled_ids)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("id,posterior,assignment\n")
-            for i, sid in enumerate(self.ids):
-                tag = "labeled" if int(sid) in labeled else "unlabeled"
-                fh.write(f"{sid},{float(self.posterior[i])!r},{tag}\n")
-        return path
-
-
-def read_split_csv(path):
-    """Read back a split CSV; returns (ids, posterior, labeled_mask)."""
-    ids, post, labeled = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,posterior,assignment":
-            raise ValueError(f"{path}: not a split CSV")
-        for line in fh:
-            sid, p, tag = line.strip().split(",")
-            ids.append(int(sid))
-            post.append(float(p))
-            labeled.append(tag == "labeled")
-    return np.array(ids, dtype=np.int64), np.array(post), np.array(labeled)
+        rows = (
+            [str(sid), repr(p), "labeled" if p >= self.threshold else "unlabeled"]
+            for sid, p in zip(self.ids.tolist(), self.posterior.tolist())
+        )
+        return write_rows(path, ("id", "posterior", "assignment"), rows)
 
 
 def normalize_scores(scores, clamp=_CLAMP):

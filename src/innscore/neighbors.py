@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._records import read_rows, write_rows
+
 # pairs per block and per recheck pass; bounds the search's working memory
 _CHUNK_ELEMENTS = 1 << 17
 
@@ -111,54 +113,53 @@ def search(index, n_neighbors):
 # be reused across score sweeps.
 
 
+def _cache_header(L):
+    return ["id"] + [f"n{k+1}" for k in range(L)] + [f"d{k+1}" for k in range(L)]
+
+
+def _distance(cell):
+    value = float(cell)
+    if not 0.0 <= value < np.inf:
+        raise ValueError("a distance is not finite, >= 0")
+    return value
+
+
 def write_cache(ids, dist, dataset_ids, path):
     ds_ids = np.asarray(dataset_ids, dtype=np.int64)
-    L = ids.shape[1]
-    header = ["id"] + [f"n{k+1}" for k in range(L)] + [f"d{k+1}" for k in range(L)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for owner, nbrs, dd in zip(ds_ids.tolist(), ds_ids[ids].tolist(), dist.tolist()):
-            fh.write(",".join([str(owner), *map(str, nbrs), *map(repr, dd)]) + "\n")
-    return path
+    rows = (
+        [str(owner), *map(str, nbrs), *map(repr, dd)]
+        for owner, nbrs, dd in zip(ds_ids.tolist(), ds_ids[ids].tolist(), dist.tolist())
+    )
+    return write_rows(path, _cache_header(ids.shape[1]), rows)
 
 
 def read_cache(path, dataset_ids, n_neighbors=1):
     """(ids, dist) of a cache in dataset order; ValueError names the bad line or missing id."""
     ds_ids = np.asarray(dataset_ids, dtype=np.int64)
     row_of = {int(v): r for r, v in enumerate(ds_ids)}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        L = (len(header) - 1) // 2
-        if header[0] != "id" or len(header) != 1 + 2 * L:
-            raise ValueError(f"{path}: not a neighbor cache CSV")
-        if L < max(1, n_neighbors):
-            raise ValueError(f"{path}: line 1: {L} neighbor columns, fewer than L={n_neighbors}")
-        ids = np.full((ds_ids.size, L), -1, dtype=np.int64)
-        dist = np.empty((ds_ids.size, L))
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            try:
-                if len(parts) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
-                owner, *nbrs = [row_of[int(v)] for v in parts[: 1 + L]]
-                d = [float(v) for v in parts[1 + L :]]
-                for bad, what in (
-                    (not all(0 <= v < np.inf for v in d), "a distance is not finite, >= 0"),
-                    (any(a > b for a, b in zip(d, d[1:])), "distances decrease along the row"),
-                    (owner in nbrs, "the row lists its own id as a neighbor"),
-                    (len(set(nbrs)) < L, "the row lists one neighbor twice"),
-                    (ids[owner, 0] >= 0, "the id already has a row"),
-                ):
-                    if bad:
-                        raise ValueError(what)
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: id {exc} is not in the dataset") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            ids[owner], dist[owner] = nbrs, d
+    names, rows = read_rows(path, lambda names: _cache_header(max(1, (len(names) - 1) // 2)),
+                            {"id": int, "n": int, "d": _distance})
+    L = (len(names) - 1) // 2
+    if L < max(1, n_neighbors):
+        raise ValueError(f"{path}: line 1: {L} neighbor columns, fewer than L={n_neighbors}")
+    ids = np.full((ds_ids.size, L), -1, dtype=np.int64)
+    dist = np.empty((ds_ids.size, L))
+    for lineno, cells in rows:
+        try:
+            owner, *nbrs = [row_of[v] for v in cells[: 1 + L]]
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: id {exc} is not in the dataset") from None
+        d = cells[1 + L :]
+        for bad, what in (
+            (any(a > b for a, b in zip(d, d[1:])), "distances decrease along the row"),
+            (owner in nbrs, "the row lists its own id as a neighbor"),
+            (len(set(nbrs)) < L, "the row lists one neighbor twice"),
+            (ids[owner, 0] >= 0, "the id already has a row"),
+        ):
+            if bad:
+                raise ValueError(f"{path}: line {lineno}: {what}")
+        ids[owner], dist[owner] = nbrs, d
     missing = np.flatnonzero(ids[:, 0] < 0)
     if missing.size:
-        raise ValueError(f"{path}: id {ds_ids[missing[0]]} has no row")
+        raise ValueError(f"{path}: line {rows[-1][0] + 1}: id {ds_ids[missing[0]]} has no row")
     return ids, dist

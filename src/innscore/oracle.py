@@ -12,13 +12,13 @@ all neighbor-label count vectors satisfying a chosen condition.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._records import write_json
 from .errors import EnumerationBudgetError
 
 CONDITIONS = ("majority", "pure", "count")
@@ -117,10 +117,7 @@ class SeparationReport:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_json(path, self.to_dict())
 
 
 def _condition_met(condition, counts, y_star, n_neighbors, n_classes):

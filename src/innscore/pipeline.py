@@ -29,6 +29,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet
+from ._records import write_json, write_rows
 
 
 @dataclass
@@ -83,11 +84,7 @@ class RunConfig:
         return max(1, int(round(value * self.epoch_scale)))
 
     def to_dict(self):
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        d["h_hidden"] = list(self.h_hidden)
-        d["l_sweep"] = None if self.l_sweep is None else list(self.l_sweep)
-        return d
+        return asdict(self)  # JSON writes the tuple fields as lists
 
     def config_hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -189,7 +186,6 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     out = cfg.out_dir
     paths = {}
     if write_outputs:
-        os.makedirs(out, exist_ok=True)
         os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
 
     ds = make_dataset(cfg)
@@ -239,8 +235,8 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     if write_outputs:
         rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
                 for epoch, loss in enumerate(res.epoch_loss, 1))
-        paths["train_trace"] = _write_csv(
-            os.path.join(out, "train_trace.csv"), "epoch,model,mean_loss", rows
+        paths["train_trace"] = write_rows(
+            os.path.join(out, "train_trace.csv"), ("epoch", "model", "mean_loss"), rows
         )
     clock.lap("train_baselines")
 
@@ -269,8 +265,9 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
             tables, sc, os.path.join(out, "scores_summary.json")
         )
         if consistency:
-            paths["consistency"] = _write_csv(
-                os.path.join(out, "consistency.csv"), "epoch,model,e_cor,e_inc,em_cor,em_inc",
+            paths["consistency"] = write_rows(
+                os.path.join(out, "consistency.csv"),
+                ("epoch", "model", "e_cor", "e_inc", "em_cor", "em_inc"),
                 ([str(epoch), tag] + ["" if v is None else repr(v)
                                       for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc)]
                  for epoch, tag, st in consistency),
@@ -311,37 +308,24 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         if cfg.l_sweep:
             report.flags["l_sweep"] = _l_sweep_aucs(f_ckpts[-1], ds, nbr, cfg, clean)
             if write_outputs:
-                paths["lsweep"] = _write_csv(
-                    os.path.join(out, "lsweep.csv"), "L,auc",
+                paths["lsweep"] = write_rows(
+                    os.path.join(out, "lsweep.csv"), ("L", "auc"),
                     ([str(row["L"]), repr(row["auc"])] for row in report.flags["l_sweep"]["aucs"]),
                 )
         if write_outputs:
-            report.to_json(os.path.join(out, "report.json"))
-            paths["auc"] = report.write_auc_csv(os.path.join(out, "auc.csv"))
-            for kind in (main_kind, "loss_ce"):
-                if kind in final.values:
-                    table_h, edges = evaluate.grouped_histogram(
-                        evaluate.score_orientation(kind) * final.values[kind], ds, cfg.bins
-                    )
-                    paths[f"hist_{kind}"] = evaluate.write_histogram_csv(
-                        table_h, edges, os.path.join(out, f"histograms_{kind}.csv")
-                    )
+            kinds = [kind for kind in (main_kind, "loss_ce") if kind in final.values]
+            paths.update(report.write_outputs(out, final, ds, kinds, cfg.bins))
     clock.lap("eval")
 
     timing = clock.table()
     if write_outputs:
-        manifest = {
+        write_json(os.path.join(out, "manifest.json"), {
             "config": cfg.to_dict(),
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
             "versions": _versions(),
-        }
-        with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out, "timing.json"), "w", encoding="utf-8") as fh:
-            json.dump(timing, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
+        write_json(os.path.join(out, "timing.json"), timing)
         tinynet.save_checkpoint(
             h_result.model, os.path.join(out, "checkpoints", "h_final.ckpt"), h_epochs, h_tc
         )
@@ -368,15 +352,6 @@ def _l_sweep_aucs(checkpoint, ds, nbr, cfg, clean_mask):
         "aucs": rows,
         "nondecreasing": all(b >= a - 1e-12 for a, b in zip(values, values[1:])),
     }
-
-
-def _write_csv(path, header, rows):
-    """Write a header line and one line per row of already formatted cells."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for cells in rows:
-            fh.write(",".join(cells) + "\n")
-    return path
 
 
 def _versions():

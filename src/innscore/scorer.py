@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import read_rows, write_json, write_rows
+from .errors import NumericError
+
 # interior probe rows per chunk; bounds the scorer's working memory
 _CHUNK_PROBES = 4096
 
@@ -52,6 +55,8 @@ class ScoreTable:
         column = np.asarray(column, dtype=np.float64)
         if column.shape != self.ids.shape:
             raise ValueError("score column must align with ids")
+        if not np.isfinite(column).all():
+            raise NumericError(f"non-finite {kind} score at epoch {self.epoch}")
         self.values[kind] = column
         return self
 
@@ -251,67 +256,53 @@ def consistency_stats(model, dataset, neighbor_ids, epoch=None):
 # --- score files --------------------------------------------------------
 
 
-def write_score_csv(tables, path, append=False):
+_SCORE_HEADER = ("id", "epoch", "score_kind", "value")
+
+
+def write_score_csv(tables, path):
     """Long-format CSV `id,epoch,score_kind,value`, deterministically ordered."""
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="\n") as fh:
-        if not append:
-            fh.write("id,epoch,score_kind,value\n")
-        for table in tables:
-            for kind in table.kinds():
-                col = table.values[kind]
-                for i, sid in enumerate(table.ids):
-                    fh.write(f"{sid},{table.epoch},{kind},{float(col[i])!r}\n")
-    return path
+    rows = (
+        [str(sid), str(table.epoch), kind, repr(value)]
+        for table in tables
+        for kind in table.kinds()
+        for sid, value in zip(table.ids.tolist(), table.values[kind].tolist())
+    )
+    return write_rows(path, _SCORE_HEADER, rows)
 
 
 def write_score_summary(tables, config, path):
     """JSON companion to the score CSV: config echo plus table shape."""
-    import json
-
-    payload = {
-        "config": {
-            "trapezoids": config.trapezoids,
-            "n_neighbors": config.n_neighbors,
-        },
+    return write_json(path, {
+        "config": {"trapezoids": config.trapezoids, "n_neighbors": config.n_neighbors},
         "epochs": [t.epoch for t in tables],
         "kinds": sorted({k for t in tables for k in t.values}),
         "n_samples": int(tables[0].ids.shape[0]) if tables else 0,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
 
 
 def read_score_csv(path):
-    """Read back a score CSV; returns ScoreTables sorted by epoch."""
-    rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,epoch,score_kind,value":
-            raise ValueError(f"{path}: not a score CSV")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                sid, epoch, kind, value = int(parts[0]), int(parts[1]), parts[2], float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            rows.setdefault(epoch, {}).setdefault(kind, []).append((sid, value))
-    tables = []
-    for epoch in sorted(rows):
-        kinds = rows[epoch]
-        first = next(iter(kinds.values()))
-        ids = np.array([sid for sid, _ in first], dtype=np.int64)
-        table = ScoreTable(epoch, ids)
-        for kind, pairs in kinds.items():
-            got = np.array([sid for sid, _ in pairs], dtype=np.int64)
-            if not np.array_equal(got, ids):
-                raise ValueError(f"{path}: inconsistent id sets across kinds at epoch {epoch}")
-            table.add(kind, np.array([v for _, v in pairs]))
-        tables.append(table)
-    return tables
+    """Read back a score CSV; returns ScoreTables sorted by epoch.
+
+    Every (epoch, kind) column must list the ids of the file's first
+    column, in the same order and each once; ValueError names the line.
+    """
+    _, rows = read_rows(path, _SCORE_HEADER,
+                        {"id": int, "epoch": int, "score_kind": str, "value": float})
+    columns = {}
+    for lineno, (sid, epoch, kind, value) in rows:
+        columns.setdefault((epoch, kind), []).append((lineno, sid, value))
+    lines, first, _ = zip(*next(iter(columns.values())))
+    line_of = {}
+    for lineno, sid in zip(lines, first):
+        if line_of.setdefault(sid, lineno) != lineno:
+            raise ValueError(f"{path}: line {lineno}: id {sid} already on line {line_of[sid]}")
+    tables = {}
+    for (epoch, kind), column in columns.items():
+        lines, ids, values = zip(*column)
+        if ids != first:
+            at = next((j for j, (a, b) in enumerate(zip(ids, first)) if a != b), len(first))
+            raise ValueError(f"{path}: line {lines[min(at, len(lines) - 1)]}: {kind} at epoch "
+                             f"{epoch} does not list the ids of the first column in order")
+        table = tables.setdefault(epoch, ScoreTable(epoch, np.array(first, dtype=np.int64)))
+        table.add(kind, np.array(values))
+    return [tables[epoch] for epoch in sorted(tables)]

@@ -8,12 +8,12 @@ used for nearest-neighbor search.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._records import read_json, write_json
 from .errors import NumericError
 
 # log() arguments are clamped here to keep losses finite
@@ -380,8 +380,6 @@ def per_sample_loss(model, dataset, loss_kind):
 
 
 def save_checkpoint(model, path, epoch=None, config=None):
-    import os
-
     plain = all(a == "relu" for a in model.activations) and not model.frozen_layers
     version = CHECKPOINT_VERSION if plain else 2
     with open(path, "wb") as fh:
@@ -396,24 +394,22 @@ def save_checkpoint(model, path, epoch=None, config=None):
         for W, b in zip(model.weights, model.biases):
             fh.write(W.astype("<f8").tobytes(order="C"))
             fh.write(b.astype("<f8").tobytes())
-    sidecar = {
+    write_json(str(path) + ".json", {
         "epoch": epoch,
         "layer_dims": list(model.layer_dims),
         "activations": list(model.activations),
         "frozen_layers": list(model.frozen_layers),
         "config": config.to_dict() if isinstance(config, TrainConfig) else config,
-    }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return os.fspath(path)
+    })
+    return str(path)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (Model, sidecar dict or None).
 
-    A file that ends early, or runs on past the last bias, is rejected
-    with ValueError.
+    A file that ends early, runs on past the last bias or holds a
+    non-finite weight or bias, and a sidecar whose epoch is not an integer
+    or null, are rejected with ValueError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -444,14 +440,14 @@ def load_checkpoint(path):
     for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = np.frombuffer(take(8 * fan_in * fan_out, f"layer {layer} weights"), dtype="<f8")
         b = np.frombuffer(take(8 * fan_out, f"layer {layer} biases"), dtype="<f8")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {layer} has a non-finite weight or bias")
         weights.append(w.reshape(fan_in, fan_out).copy())
         biases.append(b.copy())
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the last layer")
-    sidecar = None
     try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        sidecar = read_json(str(path) + ".json", {"epoch": (int, type(None))})
     except FileNotFoundError:
-        pass
+        sidecar = None
     return Model(dims, weights, biases, activations, frozen), sidecar

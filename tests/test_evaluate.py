@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from innscore import data, evaluate, scorer
+from innscore._records import read_rows
 
 
 def pairwise_auc(scores, clean_mask):
@@ -99,7 +100,14 @@ class TestGroupedHistogram:
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "group,bin_lo,bin_hi,count"
         assert len(lines) == 1 + 3 * len(table)
-        back_table, back_edges = evaluate.read_histogram_csv(path)
+        _, rows = read_rows(
+            path, ("group", "bin_lo", "bin_hi", "count"),
+            {"group": str, "bin_lo": float, "bin_hi": float, "count": int},
+        )
+        back_table = {}
+        for _, (group, _, _, count) in rows:
+            back_table.setdefault(group, []).append(count)
+        back_edges = np.array(sorted({v for _, (_, lo, hi, _) in rows for v in (lo, hi)}))
         assert set(back_table) == set(table)
         for key in table:
             assert np.array_equal(back_table[key], table[key])

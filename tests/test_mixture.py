@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from innscore import mixture
+from innscore._records import read_rows
 
 
 def beta_sample(rng, n):
@@ -147,7 +148,13 @@ class TestSplit:
         assert lines[0] == "id,posterior,assignment"
         assert len(lines) == len(x) + 1
         assert lines[1].startswith("5,")
-        ids, post, labeled = mixture.read_split_csv(path)
+        _, rows = read_rows(
+            path, ("id", "posterior", "assignment"),
+            {"id": int, "posterior": float, "assignment": str},
+        )
+        ids = np.array([sid for _, (sid, _, _) in rows])
+        post = np.array([p for _, (_, p, _) in rows])
+        labeled = np.array([tag == "labeled" for _, (_, _, tag) in rows])
         assert np.array_equal(ids, res.ids)
         np.testing.assert_array_equal(post, res.posterior)
         assert np.array_equal(np.sort(ids[labeled]), np.sort(res.labeled_ids))

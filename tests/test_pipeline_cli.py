@@ -9,14 +9,16 @@ import filecmp
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from innscore import data, neighbors, scorer
+from innscore import data, neighbors, scorer, tinynet
 from innscore.cli import main
 from innscore.pipeline import RunConfig, run_pipeline
 
@@ -292,6 +294,17 @@ class TestCli:
         assert main(["pipeline", "--threads", "1", "--out", str(tmp_path)]) == 0
         assert seen == {var: "1" for var in variables}
 
+    def test_parsing_loads_no_numpy(self):
+        """--threads sets the BLAS variables, so parsing must not load numpy."""
+        import innscore
+
+        code = ("import sys, innscore._records, innscore.cli as cli; "
+                "cli.build_parser().parse_args(['pipeline', '--threads', '1']); "
+                "assert 'numpy' not in sys.modules")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(innscore.__file__)))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["pipeline", "--noise", "sideways"])
@@ -312,6 +325,98 @@ class TestCli:
         assert manifest["config"]["seed"] == 9  # flag wins
 
 
+class TestMalformedInputsCli:
+    """Each malformed input exits 2 with one stderr line naming the file and the line."""
+
+    def test_exit_two_naming_file_and_line(self, world, tmp_path, capsys):
+        root, out = world["root"], str(tmp_path / "out")
+        scores = open(world["scores"]).read().splitlines()
+        nan_line = scores[2].rsplit(",", 1)[0] + ",nan"
+        ckpt = (root / "f.ckpt").read_bytes()
+        files = {
+            "nan_scores.csv": "\n".join(scores[:2] + [nan_line] + scores[3:]) + "\n",
+            "empty_scores.csv": scores[0] + "\n",
+            "nokey.json": '{"d": 2, "K": 2, "labels_file": "r.labels.i32"}\n',
+            "list.json": "[30, 2, 2]\n",
+            "a.ckpt": ckpt, "a.ckpt.json": "[3]\n",
+            "b.ckpt": ckpt, "b.ckpt.json": '{\n  "epoch": "x"\n}\n',
+            "c.ckpt": ckpt[:-8] + np.float64(np.nan).tobytes(),
+            "c.ckpt.json": (root / "f.ckpt.json").read_text(),
+            "run.cfg": "n = 60\nepochz = 3\n",
+        }
+        for name, content in files.items():
+            mode = "wb" if isinstance(content, bytes) else "w"
+            with open(tmp_path / name, mode) as fh:
+                fh.write(content)
+
+        def score(model):
+            return ["score", "--data", world["csv"], "--model", str(tmp_path / model),
+                    "--features-from", str(root / "h.ckpt"), "--l", "3", "--out", out]
+
+        cases = [
+            (["split", "--scores", str(tmp_path / "nan_scores.csv"), "--out", out],
+             "nan_scores.csv: line 3: 'nan' is not a finite number"),
+            (["eval", "--scores", str(tmp_path / "nan_scores.csv"), "--data", world["csv"],
+              "--out", out], "nan_scores.csv: line 3: 'nan' is not a finite number"),
+            (["split", "--scores", str(tmp_path / "empty_scores.csv"), "--out", out],
+             "empty_scores.csv: line 2: no rows after the header"),
+            (["eval", "--scores", str(tmp_path / "empty_scores.csv"), "--data", world["csv"],
+              "--out", out], "empty_scores.csv: line 2: no rows after the header"),
+            (["train", "--data", str(tmp_path / "nokey.json"), "--out", out],
+             "nokey.json: line 1: the object has no 'n' key"),
+            (["train", "--data", str(tmp_path / "list.json"), "--out", out],
+             "list.json: line 1: a JSON list, not an object"),
+            (score("a.ckpt"), "a.ckpt.json: line 1: a JSON list, not an object"),
+            (score("b.ckpt"), "b.ckpt.json: line 2: 'epoch' is 'x', not int or null"),
+            (score("c.ckpt"), "c.ckpt: layer 2 has a non-finite weight or bias"),
+            (["pipeline", "--config", str(tmp_path / "run.cfg"), "--out", out],
+             "run.cfg: line 2: unknown key 'epochz'"),
+        ]
+        for argv, shown in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and shown in err, err
+        assert not os.path.exists(os.path.join(out, "scores.csv"))
+
+
+def _corrupt_line(lines, line, other, col, edit):
+    """Edit line `line` (1-based, after the header) of `lines` in place;
+    returns the line a reader should name, or None if the text is unchanged."""
+    cells = lines[line - 1].split(",")
+    col %= len(cells)
+    bad_line = line
+    if edit == "drop":
+        del cells[col]
+    elif edit == "extra":
+        cells.insert(col, "0")
+    elif edit == "dup_id":
+        other = other if other != line else 2 + (line - 1) % (len(lines) - 1)
+        cells[0] = lines[other - 1].split(",")[0]
+        bad_line = max(line, other)
+    else:
+        cells[col] = {"word": "abc"}.get(edit, edit)
+    edited = ",".join(cells)
+    if edited == lines[line - 1]:
+        return None
+    lines[line - 1] = edited
+    return bad_line
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of one CLI call; a failure is one clean stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    shown = err.getvalue()
+    if rc != 0:
+        assert rc in (2, 3, 4), (argv[0], shown)
+        assert shown.count("\n") == 1 and "Traceback" not in shown, shown
+    return rc, shown
+
+
+_LINE_EDITS = st.sampled_from(["drop", "extra", "nan", "inf", "-inf", "word", "dup_id"])
+
+
 class TestCorruptDatasetCli:
     """One corrupted line of a dataset CSV is a configuration error: the
     commands that read it exit with a code in {2, 3, 4} and one stderr line."""
@@ -321,25 +426,13 @@ class TestCorruptDatasetCli:
         line=st.integers(2, 31),
         other=st.integers(2, 31),
         col=st.integers(0, 4),
-        edit=st.sampled_from(["drop", "extra", "nan", "inf", "-inf", "word", "dup_id"]),
+        edit=_LINE_EDITS,
     )
     def test_one_bad_line_exits_cleanly(self, line, other, col, edit):
         with tempfile.TemporaryDirectory() as tmp:
             ds = data.corrupt_symmetric(data.synth("blobs", 30, 2, 2, 0.5, seed=0), 0.3, seed=1)
             lines = open(data.write_csv(ds, os.path.join(tmp, "d.csv"))).read().splitlines()
-            cells = lines[line - 1].split(",")  # id,f0,f1,label,true_label
-            bad_line = line
-            if edit == "drop":
-                del cells[col]
-            elif edit == "extra":
-                cells.insert(col, "0")
-            elif edit == "dup_id":
-                other = other if other != line else 2 + (line - 1) % 30
-                cells[0] = lines[other - 1].split(",")[0]
-                bad_line = max(line, other)
-            else:
-                cells[col] = {"word": "abc"}.get(edit, edit)
-            lines[line - 1] = ",".join(cells)
+            bad_line = _corrupt_line(lines, line, other, col, edit)
             path = os.path.join(tmp, "bad.csv")
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -350,10 +443,106 @@ class TestCorruptDatasetCli:
                  "--h-epochs", "1", "--hidden", "4,4", "--h-hidden", "4,2", "--l", "2",
                  "--trapezoids", "2", "--out", os.path.join(tmp, "p")],
             ):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    rc = main(argv)
-                shown = err.getvalue()
-                assert rc in (2, 3, 4), (argv[0], shown)
-                assert shown.count("\n") == 1 and "Traceback" not in shown, shown
+                rc, shown = _run_quietly(argv)
+                assert rc != 0, argv[0]
                 assert f"line {bad_line}:" in shown, shown
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """Valid input files of every format the CLI reads, for 30 samples."""
+    root = tmp_path_factory.mktemp("world")
+    ds = data.corrupt_symmetric(data.synth("blobs", 30, 2, 2, 0.5, seed=0), 0.3, seed=1)
+    h = tinynet.init_model([2, 4, 2, 2], seed=0)
+    f = tinynet.init_model([2, 8, 4, 2], seed=1, lift_freq=2.0)
+    tinynet.save_checkpoint(h, root / "h.ckpt", epoch=3)
+    tinynet.save_checkpoint(f, root / "f.ckpt", epoch=3)
+    ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+    tables, _ = scorer.score_models(ds, ids, scorer.ScorerConfig(2, 3), [(1, h), (2, f)])
+    data.write_raw(ds, root / "r")
+    return {
+        "root": root,
+        "csv": str(data.write_csv(ds, root / "d.csv")),
+        "cache": str(neighbors.write_cache(ids, dist, ds.ids, root / "nn.csv")),
+        "scores": str(scorer.write_score_csv(tables, root / "scores.csv")),
+    }
+
+
+def _copy_and_damage(world, tmp, names, damaged, at, flip):
+    """Copy `names` from the world into tmp, then truncate file `damaged` at
+    fraction `at` of its length (flip 0) or xor the byte there with flip."""
+    for name in names:
+        blob = bytearray((world["root"] / name).read_bytes())
+        if name == damaged:
+            pos = int(at * len(blob))
+            if flip:
+                blob[pos] ^= flip
+            else:
+                del blob[pos:]
+        with open(os.path.join(tmp, name), "wb") as fh:
+            fh.write(bytes(blob))
+
+
+class TestCorruptFilesCli:
+    """Every other format the CLI reads, corrupted: a command either exits 0
+    having written only finite values, or exits in {2, 3, 4} with one stderr
+    line. A flip inside a weight or feature payload can leave valid input."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(line=st.integers(2, 121), other=st.integers(2, 121), col=st.integers(0, 3),
+           edit=_LINE_EDITS)
+    def test_score_csv(self, world, line, other, col, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = open(world["scores"]).read().splitlines()
+            assume(_corrupt_line(lines, line, other, col, edit))
+            path = os.path.join(tmp, "scores.csv")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            for argv in (["split", "--scores", path, "--out", tmp],
+                         ["eval", "--scores", path, "--data", world["csv"], "--out", tmp]):
+                rc, shown = _run_quietly(argv)
+                assert rc != 0 and "line " in shown, (argv[0], shown)
+
+    @settings(max_examples=30, deadline=None)
+    @given(line=st.integers(2, 31), other=st.integers(2, 31), col=st.integers(0, 6),
+           edit=_LINE_EDITS)
+    def test_neighbor_cache(self, world, line, other, col, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = open(world["cache"]).read().splitlines()
+            assume(_corrupt_line(lines, line, other, col, edit))
+            path = os.path.join(tmp, "nn.csv")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            rc, shown = _run_quietly(
+                ["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
+                 "--features-from", str(world["root"] / "h.ckpt"), "--neighbors", path,
+                 "--l", "3", "--h", "2", "--out", tmp])
+            assert rc != 0 and "line " in shown, shown
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(["f.ckpt", "h.ckpt"]), at=st.floats(0, 1, exclude_max=True),
+           flip=st.integers(0, 255))
+    def test_checkpoint(self, world, name, at, flip):
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy_and_damage(world, tmp, ("f.ckpt", "f.ckpt.json", "h.ckpt", "h.ckpt.json"),
+                             name, at, flip)
+            rc, _ = _run_quietly(
+                ["score", "--data", world["csv"], "--model", os.path.join(tmp, "f.ckpt"),
+                 "--features-from", os.path.join(tmp, "h.ckpt"), "--l", "3", "--h", "2",
+                 "--kinds", "inn,midpoint,loss_ce", "--out", tmp])
+            if rc == 0:
+                rows = open(os.path.join(tmp, "scores.csv")).read().splitlines()[1:]
+                assert np.isfinite([float(row.rsplit(",", 1)[1]) for row in rows]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(["r.json", "r.f32", "r.labels.i32", "r.true.i32"]),
+           at=st.floats(0, 1, exclude_max=True), flip=st.integers(0, 255))
+    def test_raw_dataset(self, world, name, at, flip):
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy_and_damage(world, tmp, ("r.json", "r.f32", "r.labels.i32", "r.true.i32"),
+                             name, at, flip)
+            rc, _ = _run_quietly(["train", "--data", os.path.join(tmp, "r.json"),
+                                  "--epochs", "1", "--hidden", "4", "--out", tmp])
+            if rc == 0:
+                model, _ = tinynet.load_checkpoint(os.path.join(tmp, "model_final.ckpt"))
+                assert all(np.isfinite(w).all() for w in model.weights + model.biases)

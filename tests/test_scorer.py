@@ -323,3 +323,22 @@ class TestScoreCSV:
         path.write_text("id,value\n1,0.5\n")
         with pytest.raises(ValueError):
             scorer.read_score_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,epoch,score_kind,value\n0,1,inn,0.5\n1,1,inn,{value}\n")
+        with pytest.raises(ValueError, match="line 3: .* is not a finite number"):
+            scorer.read_score_csv(path)
+
+    @pytest.mark.parametrize("body, shown", [
+        ("\n\n", "line 4: no rows after the header"),
+        ("0,1,inn,0.5\n0,1,inn,0.6\n", "line 3: id 0 already on line 2"),
+        ("0,1,inn,0.5\n1,1,inn,0.6\n1,2,inn,0.5\n0,2,inn,0.6\n", "line 4: inn at epoch 2"),
+        ("0,1,inn,0.5\n1,1,inn,0.6\n0,1,midpoint,0.5\n", "line 4: midpoint at epoch 1"),
+    ])
+    def test_rejects_columns_out_of_step(self, tmp_path, body, shown):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,epoch,score_kind,value\n" + body)
+        with pytest.raises(ValueError, match=shown):
+            scorer.read_score_csv(path)

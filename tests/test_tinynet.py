@@ -400,3 +400,26 @@ class TestCheckpointIO:
         bad.write_bytes(raw + bytes(8))
         with pytest.raises(ValueError, match="trailing"):
             tinynet.load_checkpoint(bad)
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        m = tinynet.init_model([2, 3, 2], seed=4)
+        for layer, bad in ((0, np.nan), (1, np.inf)):
+            broken = m.copy()
+            broken.biases[layer][1] = bad
+            tinynet.save_checkpoint(broken, tmp_path / "m.ckpt")
+            with pytest.raises(ValueError, match=f"layer {layer} has a non-finite weight or bias"):
+                tinynet.load_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("sidecar, shown", [
+        ("[1, 2]", "line 1: a JSON list, not an object"),
+        ('{"layer_dims": [2, 3, 2]}', "line 1: the object has no 'epoch' key"),
+        ('{\n  "epoch": "x"\n}', "line 2: 'epoch' is 'x', not int or null"),
+        ('{"epoch": true}', "'epoch' is True, not int or null"),
+        ('{"epoch": 3', "line 1: Expecting ',' delimiter"),
+    ])
+    def test_sidecar_rejected(self, tmp_path, sidecar, shown):
+        tinynet.save_checkpoint(tinynet.init_model([2, 3, 2], seed=4), tmp_path / "m.ckpt", 7)
+        assert tinynet.load_checkpoint(tmp_path / "m.ckpt")[1]["epoch"] == 7
+        (tmp_path / "m.ckpt.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=shown):
+            tinynet.load_checkpoint(tmp_path / "m.ckpt")
