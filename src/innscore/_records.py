@@ -29,12 +29,20 @@ def _finite(cell):
     return value
 
 
+def _int64(cell):
+    value = int(cell)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{cell!r} is outside the int64 range")
+    return value
+
+
 def read_rows(path, header, columns):
     """(header names, [(line number, parsed cells)]) of a CSV file with rows.
 
     header: the column names, or a function from the file's names to the
     names its shape requires. columns: the parser of each name's cells, by
-    the name without its trailing digits; `float` cells must be finite.
+    the name without its trailing digits; `float` cells must be finite and
+    `int` cells must fit in int64.
     """
     lines = io.StringIO(_text(path), newline=None)
     names = lines.readline().strip().split(",")
@@ -43,7 +51,7 @@ def read_rows(path, header, columns):
         raise ValueError(f"{path}: line 1: header {','.join(names)!r}, "
                          f"expected {','.join(expected)!r}")
     parsers = [columns[name.rstrip("0123456789")] for name in names]
-    parsers = [_finite if parse is float else parse for parse in parsers]
+    parsers = [{float: _finite, int: _int64}.get(parse, parse) for parse in parsers]
     rows = []
     lineno = 1
     for lineno, line in enumerate(lines, 2):

@@ -23,6 +23,10 @@ from ._records import write_json
 from .errors import NumericError
 
 
+# the columns `score --kinds` can emit
+_SCORE_KINDS = ("inn", "midpoint", "loss_ce", "loss_cene")
+
+
 def _add_out(p):
     p.add_argument("--out", default="out", help="output directory (default: out)")
 
@@ -97,7 +101,7 @@ def build_parser():
     p.add_argument("--l", type=int, default=10, help="neighbor count")
     p.add_argument("--h", type=int, default=10, help="trapezoid count")
     p.add_argument("--kinds", default="inn,midpoint",
-                   help="columns to emit (inn,midpoint,loss_ce,loss_cene); "
+                   help=f"columns to emit ({','.join(_SCORE_KINDS)}); "
                         "loss columns use the scored checkpoint's own losses")
     p.add_argument("--neighbors", default=None, help="reuse a neighbor cache CSV")
     _add_out(p)
@@ -185,10 +189,12 @@ def _add_run_flags(p):
 def _apply_config_file(args, argv):
     """Parse the pipeline or timing flags `argv` again with the config file's
     `key = value` lines (a flag's dest, a JSON value or a bare string) as
-    defaults, so explicit flags win; an unknown key is a configuration error."""
+    defaults, so explicit flags win; an unknown key, or a value outside its
+    flag's choices, is a configuration error."""
     parser = argparse.ArgumentParser(prog=f"innscore {args.command}")
     _add_run_flags(parser)
     known = vars(parser.parse_args([]))
+    choices = {action.dest: action.choices for action in parser._actions if action.choices}
     values = {}
     with open(args.config, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -202,6 +208,9 @@ def _apply_config_file(args, argv):
                 values[key] = json.loads(raw)
             except json.JSONDecodeError:
                 values[key] = raw
+            if key in choices and values[key] not in choices[key]:
+                raise ValueError(f"{args.config}: line {lineno}: {key} is {values[key]!r}, "
+                                 f"not one of {', '.join(choices[key])}")
     parser.set_defaults(**values)
     return argparse.Namespace(command=args.command, **vars(parser.parse_args(argv)))
 
@@ -292,12 +301,16 @@ def _cmd_score(args):
     from . import neighbors, scorer, tinynet
     from .pipeline import load_dataset
 
+    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    for kind in kinds or [args.kinds]:
+        if kind not in _SCORE_KINDS:
+            raise ValueError(f"unknown score kind {kind!r}, expected some of "
+                             f"{','.join(_SCORE_KINDS)}")
     for path in [args.data, args.features_from, *args.model]:
         if not os.path.exists(path):
             raise ValueError(f"file not found: {path}")
     ds = load_dataset(args.data)
     h_model, _ = tinynet.load_checkpoint(args.features_from)
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
 
     if args.neighbors:
         nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, args.l)
@@ -319,7 +332,7 @@ def _cmd_score(args):
         for kind in kinds:
             if kind in full.values:
                 table.add(kind, full.values[kind])
-            elif kind.startswith("loss_"):
+            else:
                 table.add(kind, tinynet.per_sample_loss(model, ds, kind[len("loss_"):]))
         tables.append(table)
     os.makedirs(args.out, exist_ok=True)

@@ -241,7 +241,11 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     clock.lap("train_baselines")
 
     sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors)
-    tables, f_stats = scorer.score_models(ds, nbr, sc, f_ckpts)
+    # one pass at the widest L serves both the tables and the L-sweep
+    f_segments = scorer.segment_scores(
+        ds, nbr, scorer.ScorerConfig(cfg.trapezoids, l_max), f_ckpts
+    )
+    tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
     for loss_kind, ckpts in base_ckpts.items():
         if [e for e, _ in ckpts] != [e for e, _ in f_ckpts]:
             raise ValueError("baseline checkpoints out of step with f checkpoints")
@@ -306,7 +310,7 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         clean = ds.clean_mask()
         report = evaluate.sweep_report(tables, clean)
         if cfg.l_sweep:
-            report.flags["l_sweep"] = _l_sweep_aucs(f_ckpts[-1], ds, nbr, cfg, clean)
+            report.flags["l_sweep"] = _l_sweep_aucs(f_segments[-1].inn, cfg.l_sweep, clean)
             if write_outputs:
                 paths["lsweep"] = write_rows(
                     os.path.join(out, "lsweep.csv"), ("L", "auc"),
@@ -339,14 +343,14 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     )
 
 
-def _l_sweep_aucs(checkpoint, ds, nbr, cfg, clean_mask):
-    """Final-checkpoint integral AUC per neighbor count; trend is reported,
-    not asserted."""
-    rows = []
-    for L in sorted(set(cfg.l_sweep)):
-        sub = scorer.ScorerConfig(cfg.trapezoids, L)
-        (table,), _ = scorer.score_models(ds, nbr, sub, [checkpoint])
-        rows.append({"L": L, "auc": evaluate.auc(table.values["inn"], clean_mask)})
+def _l_sweep_aucs(segments, l_sweep, clean_mask):
+    """Final-checkpoint integral AUC per neighbor count, from the prefix
+    means of its (n, >= max L) per-neighbor integrals; the trend is
+    reported, not asserted."""
+    rows = [
+        {"L": L, "auc": evaluate.auc(segments[:, :L].mean(axis=1), clean_mask)}
+        for L in sorted(set(l_sweep))
+    ]
     values = [r["auc"] for r in rows]
     return {
         "aucs": rows,

@@ -7,15 +7,21 @@ endpoints. The midpoint variant evaluates f_y once per neighbor at
 (x + x~)/2. Any object with a predict_proba(points) -> (n, K) method can
 serve as the model.
 
-`score_models` computes both scores and the consistency means for
-every checkpoint of a model in one chunked pass. It evaluates f once at
-the n samples, whose probabilities serve as every segment's endpoint
-nodes, and evaluates only the interior nodes per segment. Because the
-first layer of a network is affine, its pre-activation at (1-t)x + t x~
-is (1-t)z(x) + t z(x~), so interior nodes are interpolated from the
-endpoint pre-activations and no probe coordinates are built. The
-midpoint is node H/2 when H is even; for odd H it is evaluated as one
-more interior node.
+`segment_scores` computes every checkpoint's per-neighbor integrals and
+midpoints in one chunked pass, and `score_models` averages them into
+both scores and the consistency means. The pass evaluates f once at the
+n samples, whose probabilities serve as every segment's endpoint nodes,
+and evaluates only interior nodes. It runs over undirected edges: the
+segments i -> j and j -> i are one segment, evaluated once from its
+lower endpoint, and each node's K-vector of probabilities serves both
+directions. Because the first layer of a network is affine, its
+pre-activation at (1-t)x + t x~ is (1-t)z(x) + t z(x~), so no probe
+coordinates are built. For H > 2, a sin first layer (the frozen lift)
+is advanced along the segment by rotation, two transcendentals per
+segment and unit (see `rotate_sin`); ReLU and identity first layers, and
+a sin layer at H <= 2, interpolate the pre-activations and then
+activate. The midpoint is node H/2 when H is even; for odd H it is one
+more interior node, evaluated directly.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from .errors import NumericError
 
 # interior probe rows per chunk; bounds the scorer's working memory
 _CHUNK_PROBES = 4096
+# about as many (edge, unit) arrays as a rotating chunk holds besides its
+# probe rows: endpoints, sin and cos at a, the step, its phasor, the
+# running phasor; caps the edges per chunk when there are few nodes
+_EDGE_ROWS = 8
 
 
 @dataclass
@@ -102,12 +112,13 @@ def segment_integral(model, x, x_tilde, label, trapezoids):
 
 
 def _stages(model):
-    """(first affine map, its activation, the rest of the network).
+    """(first affine map, its activation, the rest of the network, sin?).
 
     For a network with hidden layers these are the first layer's
-    pre-activation, its activation and the remaining layers. Any other
-    model (an oracle, a stub with only predict_proba, a softmax without
-    hidden layers) takes the identity for the first two, so interpolated
+    pre-activation, its activation and the remaining layers, and the
+    flag tells whether that activation is sin. Any other model (an
+    oracle, a stub with only predict_proba, a softmax without hidden
+    layers) takes the identity for the first two, so interpolated
     pre-activations are the probe points themselves.
     """
     if len(getattr(model, "layer_dims", ())) > 2:
@@ -116,8 +127,9 @@ def _stages(model):
             lambda X: X @ W + b,
             lambda Z: model.activate(0, Z),
             lambda A: model.forward(A, start=1)[0],
+            model.activations[0] == "sin",
         )
-    return (lambda X: X), (lambda Z: Z), model.predict_proba
+    return (lambda X: X), (lambda Z: Z), model.predict_proba, False
 
 
 def _same_frozen_lift(a, b):
@@ -133,16 +145,97 @@ def _same_frozen_lift(a, b):
     )
 
 
-def score_models(dataset, neighbor_ids, config, checkpoints):
-    """Score every sample under every checkpoint in one chunked pass.
+def _edges(nbr):
+    """The undirected edges of an (n, L) neighbor table and the slots they serve.
+
+    Returns (a, b, slots, slot_edge): the endpoints a <= b of every
+    distinct segment, in (a, b) order; the flat slots i * L + l of the
+    table, grouped by edge; and the edge of each grouped slot. A segment
+    listed from both ends serves two slots.
+    """
+    n, L = nbr.shape
+    src = np.repeat(np.arange(n), L)
+    dst = nbr.ravel()
+    key = np.minimum(src, dst) * n + np.maximum(src, dst)
+    slots = np.argsort(key, kind="stable")
+    key = key[slots]
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    a, b = np.divmod(key[new], n)
+    return a, b, slots, np.cumsum(new) - 1
+
+
+def _phasor(cos, sin):
+    out = np.empty(cos.shape, dtype=np.complex128)
+    out.real, out.imag = cos, sin
+    return out
+
+
+def rotate_sin(sin_a, cos_a, z_a, z_b, steps, out):
+    """sin(z_a + k(z_b - z_a)/steps) for k = 1 .. steps - 1, by rotation.
+
+    sin_a and cos_a are sin z_a and cos z_a. With D = (z_b - z_a)/steps,
+    each step multiplies cos + i sin by e^{iD}, so the whole segment
+    costs the two transcendentals cos D and sin D. Node k goes to
+    out[:, k - 1], an array of shape z_a.shape[:1] + (>= steps - 1,) +
+    z_a.shape[1:]; returns out.
+
+    Drift. Let u = 2^-53 and assume sin and cos within one ulp (2u).
+    The computed D is within 2u|D| of the exact step, and the computed
+    e^{iD} is rho * e^{i phi} with |rho - 1| <= 2u and
+    |phi - D| <= 2u + 2u|D|. One complex product adds at most 4u to the
+    unit vector, and the start (cos z_a, sin z_a) is within 2u of
+    exact. After k steps the phasor is therefore within
+    2u + k(2u + 2u + 2u|D| + 4u) = u(2 + 8k + 2k|D|) of e^{i(z_a + kD)},
+    to first order in u. The direct argument fl((1 - t)z_a + t z_b),
+    t = k/steps, is within 4u(|z_a| + |z_b|) of the exact one, and
+    np.sin adds 2u. As k|D| <= |z_a| + |z_b|, the difference from
+    np.sin of the interpolated argument is at most
+    u(4 + 8k + 6(|z_a| + |z_b|)). At k = 9 and |z| <= 150 that is
+    2.1e-13; near z = 0 it is a few ulp. The three-term recurrence
+    sin(z + (k+1)D) = 2 cos D sin(z + kD) - sin(z + (k-1)D) would
+    amplify rounding by 1/|sin D| instead, which is unbounded at D = 0.
+    """
+    z_a = np.asarray(z_a, dtype=np.float64)
+    rot = (np.asarray(z_b, dtype=np.float64) - z_a) / steps
+    rot = _phasor(np.cos(rot), np.sin(rot))
+    v = _phasor(cos_a, sin_a)
+    for k in range(steps - 1):
+        v *= rot
+        out[:, k] = v.imag
+    return out
+
+
+@dataclass
+class Segments:
+    """One checkpoint's values per neighbor, before the mean over L.
+
+    inn[i, l] is the trapezoid integral of f_y(i) along the segment from
+    sample i to its l-th neighbor, midpoint[i, l] is f_y(i) at the
+    segment's midpoint, and p_self[i] is f_y(i) at sample i.
+    """
+
+    inn: np.ndarray
+    midpoint: np.ndarray
+    p_self: np.ndarray
+
+
+def segment_scores(dataset, neighbor_ids, config, checkpoints):
+    """Every checkpoint's per-neighbor integrals and midpoints, in one pass.
 
     neighbor_ids is the (n, >= L) row-index table of `neighbors.search`,
     nearest first; only its first config.n_neighbors columns are used.
-    checkpoints is a list of (epoch, model). Returns (tables, stats):
-    one ScoreTable per checkpoint with columns "inn" and "midpoint", and
-    one ConsistencyStats per checkpoint, or None for each when the
-    dataset has no true labels. Checkpoints whose frozen first layer is
-    identical share its activations, which are computed once per chunk.
+    checkpoints is a list of (epoch, model). Returns one Segments per
+    checkpoint. Checkpoints whose frozen first layer is identical share
+    its activations, which are computed once per chunk.
+
+    The pass runs over undirected edges: a segment listed by both of its
+    ends is evaluated once, from its lower endpoint a, and the full
+    K-vector at each interior node serves both directions. The b -> a
+    direction reads the nodes in reverse order, which changes neither
+    the trapezoid sum (its weights are symmetric) nor the midpoint
+    (t = 1/2 maps to itself).
     """
     config.validate()
     H, L = config.trapezoids, config.n_neighbors
@@ -161,8 +254,11 @@ def score_models(dataset, neighbor_ids, config, checkpoints):
     mid = H // 2 - 1 if H % 2 == 0 else H - 1
     T = t_in.size
     w = trapezoid_weights(H)
-    left = (1.0 - t_in)[None, None, :, None]
-    right = t_in[None, None, :, None]
+    left = (1.0 - t_in)[None, :, None]
+    right = t_in[None, :, None]
+    a, b, slots, slot_edge = _edges(nbr)
+    chunk = max(1, _CHUNK_PROBES // max(T, _EDGE_ROWS))
+    bounds = np.searchsorted(slot_edge, np.arange(0, a.size + chunk, chunk))
 
     groups = []  # positions of checkpoints that share one frozen lift
     for c, (_, model) in enumerate(checkpoints):
@@ -173,49 +269,72 @@ def score_models(dataset, neighbor_ids, config, checkpoints):
         else:
             groups.append([c])
 
-    inn = np.empty((len(checkpoints), n))
-    midpoint = np.empty((len(checkpoints), n))
-    mid_nearest = np.empty((len(checkpoints), n))
-    p_self = np.empty((len(checkpoints), n))
-    chunk = max(1, _CHUNK_PROBES // (L * T))
+    out = [None] * len(checkpoints)
     for members in groups:
         stages = [_stages(checkpoints[c][1]) for c in members]
-        affine, activate, _ = stages[0]
-        tails = [tail for _, _, tail in stages]
+        affine, activate, _, sin_lift = stages[0]
+        rotate = sin_lift and H > 2  # else the only interior node is t = 1/2
+        tails = [tail for _, _, tail, _ in stages]
         Z = affine(X)
         A = activate(Z)
-        # every segment's endpoint nodes, f at the n samples
-        probs = [tail(A) for tail in tails]
-        for c, P in zip(members, probs):
-            p_self[c] = P[rows, y]
-        for start in range(0, n, chunk):
-            r = rows[start : start + chunk]
-            m = r.size
-            Z_in = left * Z[r][:, None, None, :] + right * Z[nbr[r]][:, :, None, :]
-            A_in = activate(Z_in.reshape(m * L * T, -1))
-            labels = np.repeat(y[r], L * T)
-            nodes = np.empty((m, L, H + 1))
-            for c, tail, P in zip(members, tails, probs):
-                p_in = tail(A_in)[np.arange(m * L * T), labels].reshape(m, L, T)
-                nodes[:, :, 0] = P[r, y[r]][:, None]
-                nodes[:, :, H] = P[nbr[r], y[r][:, None]]
-                nodes[:, :, 1:H] = p_in[:, :, : H - 1]
-                inn[c, r] = (nodes @ w).mean(axis=1)
-                midpoint[c, r] = p_in[:, :, mid].mean(axis=1)
-                mid_nearest[c, r] = p_in[:, 0, mid]
+        C = np.cos(Z) if rotate else None
+        for c, tail in zip(members, tails):
+            P = tail(A)  # f at the n samples: every segment's endpoint nodes
+            p_self = P[rows, y]
+            # the endpoint terms of each slot's trapezoid sum
+            ends = w[0] * p_self[:, None] + w[H] * P[nbr, y[:, None]]
+            out[c] = Segments(ends, np.empty((n, L)), p_self)
+        for e0, lo, hi in zip(range(0, a.size, chunk), bounds[:-1], bounds[1:]):
+            ea = a[e0 : e0 + chunk]
+            za, zb = Z[ea], Z[b[e0 : e0 + chunk]]
+            m = ea.size
+            if rotate:
+                A_in = np.empty((m, T, Z.shape[1]))
+                rotate_sin(A[ea], C[ea], za, zb, H, out=A_in)
+                if H % 2:
+                    A_in[:, H - 1] = np.sin(0.5 * za + 0.5 * zb)
+            else:
+                A_in = activate(left * za[:, None, :] + right * zb[:, None, :])
+            A_in = A_in.reshape(m * T, -1)
+            s = slots[lo:hi]
+            at, label = slot_edge[lo:hi] - e0, y[s // L]
+            for c, tail in zip(members, tails):
+                # f_y of each slot's own sample, at its edge's interior nodes
+                nodes = tail(A_in).reshape(m, T, -1)[at, :, label]
+                out[c].inn.reshape(-1)[s] += nodes[:, : H - 1] @ w[1:H]
+                out[c].midpoint.reshape(-1)[s] = nodes[:, mid]
+    return out
 
+
+def summarize(dataset, checkpoints, segments, n_neighbors):
+    """(tables, stats) from segment_scores' output, averaging the first
+    n_neighbors neighbors: one ScoreTable per checkpoint with columns
+    "inn" and "midpoint", and one ConsistencyStats per checkpoint, or
+    None for each when the dataset has no true labels."""
     tables = [
-        ScoreTable(epoch, dataset.ids.copy()).add("inn", inn[c]).add("midpoint", midpoint[c])
-        for c, (epoch, _) in enumerate(checkpoints)
+        ScoreTable(epoch, dataset.ids.copy())
+        .add("inn", seg.inn[:, :n_neighbors].mean(axis=1))
+        .add("midpoint", seg.midpoint[:, :n_neighbors].mean(axis=1))
+        for seg, (epoch, _) in zip(segments, checkpoints)
     ]
     if dataset.true_labels is None:
         return tables, [None] * len(checkpoints)
     clean = dataset.clean_mask()
     stats = [
-        _consistency(p_self[c], mid_nearest[c], clean, epoch)
-        for c, (epoch, _) in enumerate(checkpoints)
+        _consistency(seg.p_self, seg.midpoint[:, 0], clean, epoch)
+        for seg, (epoch, _) in zip(segments, checkpoints)
     ]
     return tables, stats
+
+
+def score_models(dataset, neighbor_ids, config, checkpoints):
+    """Score every sample under every checkpoint in one chunked pass.
+
+    Arguments as for segment_scores. Returns (tables, stats) as
+    summarize does, averaging over config.n_neighbors neighbors.
+    """
+    segments = segment_scores(dataset, neighbor_ids, config, checkpoints)
+    return summarize(dataset, checkpoints, segments, config.n_neighbors)
 
 
 def _consistency(p_self, p_mid, clean, epoch):

@@ -378,6 +378,37 @@ class TestMalformedInputsCli:
             assert err.count("\n") == 1 and shown in err, err
         assert not os.path.exists(os.path.join(out, "scores.csv"))
 
+    def test_exit_two_naming_the_value(self, world, tmp_path, capsys, monkeypatch):
+        root, out = world["root"], str(tmp_path / "out")
+        lines = open(world["csv"]).read().splitlines()
+        big = "99999999999999999999"
+        (tmp_path / "big_id.csv").write_text(
+            "\n".join(lines[:3] + [big + "," + lines[3].split(",", 1)[1]] + lines[4:]) + "\n")
+        (tmp_path / "mode.cfg").write_text("n = 60\n\nmode = foo\n")
+        (tmp_path / "loss.cfg").write_text('f_loss = "hinge"\n')
+        searched = []
+        monkeypatch.setattr(neighbors, "search", lambda *a: searched.append(a))
+        cases = [
+            (["train", "--data", str(tmp_path / "big_id.csv"), "--out", out],
+             f"big_id.csv: line 4: '{big}' is outside the int64 range"),
+            (["pipeline", "--config", str(tmp_path / "mode.cfg"), "--out", out],
+             "mode.cfg: line 3: mode is 'foo', not one of integral, midpoint"),
+            (["timing", "--config", str(tmp_path / "loss.cfg"), "--out", out],
+             "loss.cfg: line 1: f_loss is 'hinge', not one of ce, cene, mixup"),
+            (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
+              "--features-from", str(root / "h.ckpt"), "--kinds", "inn,foo", "--out", out],
+             "unknown score kind 'foo'"),
+            (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
+              "--features-from", str(root / "h.ckpt"), "--kinds", ",", "--out", out],
+             "unknown score kind ','"),
+        ]
+        for argv, shown in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and shown in err, err
+        assert not searched
+        assert not os.path.exists(out)
+
 
 def _corrupt_line(lines, line, other, col, edit):
     """Edit line `line` (1-based, after the header) of `lines` in place;

@@ -256,6 +256,77 @@ class TestScoreModels:
         assert large < 2 * small, (small, large)
 
 
+class CountingModel:
+    """Linear softmax that records how many rows each call evaluates."""
+
+    def __init__(self, d, K, seed):
+        self.coef = np.random.default_rng(seed).normal(size=(d, K))
+        self.calls = []
+
+    def predict_proba(self, X):
+        X = np.atleast_2d(X)
+        self.calls.append(X.shape[0])
+        logits = X @ self.coef
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+
+class TestEdges:
+    def test_symmetric_table_evaluates_each_segment_once(self):
+        # a ring: i lists i + 1 and i - 1, so every segment is listed from both ends
+        n, L, H = 10, 2, 10
+        rng = np.random.default_rng(17)
+        ds = data.Dataset(rng.normal(size=(n, 3)), rng.integers(0, 3, n),
+                          rng.integers(0, 3, n), 3, np.arange(n))
+        rows = np.arange(n)
+        nbr = np.column_stack([(rows + 1) % n, (rows - 1) % n])
+        model = CountingModel(3, 3, seed=18)
+        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(H, L), [(0, model)])
+        E, T = n, H - 1
+        assert model.calls[0] == n  # the samples, every segment's endpoints
+        assert sum(model.calls[1:]) == E * T == n * L * T // 2
+        assert_matches_reference(tables, stats, [(0, model)], ds, nbr, H, L)
+
+
+class TestRotateSin:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z_a=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+        step=st.one_of(st.just(0.0), st.floats(-3.0, 3.0), st.floats(-1e3, 1e3)),
+        H=st.integers(1, 12),
+    )
+    def test_matches_sin_of_interpolated_argument(self, z_a, step, H):
+        """Within u(4 + 8k + 6(|z_a| + |z_b|)) at node k, u = 2^-53, as
+        derived in the docstring of scorer.rotate_sin."""
+        z_a = np.array(z_a)
+        z_b = np.clip(z_a + step, -1e3, 1e3)
+        # one spare node: the engine keeps t = 1/2 there for odd H
+        out = np.full((z_a.size, H), 7.0)
+        assert scorer.rotate_sin(np.sin(z_a), np.cos(z_a), z_a, z_b, H, out) is out
+        np.testing.assert_array_equal(out[:, H - 1], 7.0)
+        t = np.arange(H + 1) / H
+        for k in range(1, H):
+            direct = np.sin((1.0 - t[k]) * z_a + t[k] * z_b)
+            bound = 2.0**-53 * (4 + 8 * k + 6 * (np.abs(z_a) + np.abs(z_b)))
+            assert (np.abs(out[:, k - 1] - direct) <= bound).all()
+
+
+class TestSegmentScores:
+    @pytest.mark.parametrize("lift", [False, True])
+    def test_prefix_means_match_separate_passes(self, lift):
+        ds, nbr = tiny_world(n=60, seed=19, L=6)
+        dims = [3, 8, 5, 3] if lift else [3, 6, 3]
+        model = tinynet.init_model(dims, seed=4, lift_freq=2.0 if lift else 0.0)
+        (seg,) = scorer.segment_scores(ds, nbr, scorer.ScorerConfig(7, 6), [(0, model)])
+        assert seg.inn.shape == seg.midpoint.shape == (ds.n, 6)
+        for L in range(1, 7):
+            (table,), _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(7, L), [(0, model)])
+            np.testing.assert_allclose(seg.inn[:, :L].mean(axis=1), table.values["inn"],
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(seg.midpoint[:, :L].mean(axis=1),
+                                       table.values["midpoint"], rtol=0, atol=1e-15)
+
+
 class TestConsistencyStats:
     def test_one_hot_observed_predictor(self):
         ds, nbr = tiny_world(n=20, seed=11)
