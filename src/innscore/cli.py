@@ -17,9 +17,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 # stdlib-only modules, safe to import before --threads takes effect
 from ._records import write_json
+from .config import RunConfig, TrainConfig, boolean, field_parser, fields_from, label_map
 from .errors import NumericError
 
 
@@ -31,18 +33,10 @@ def _add_out(p):
     p.add_argument("--out", default="out", help="output directory (default: out)")
 
 
-def _parse_int_list(text):
-    return tuple(int(v) for v in str(text).split(",") if v != "")
-
-
-def _parse_map(text):
-    mapping = {}
-    for part in str(text).split(","):
-        if not part:
-            continue
-        src, dst = part.split(":")
-        mapping[int(src)] = int(dst)
-    return mapping
+def imbalance(text):
+    """'class_a,class_b,keep_frac,flip_p' -> (int, int, float, float)."""
+    a, b, keep, flip = text.split(",")
+    return int(a), int(b), float(keep), float(flip)
 
 
 def build_parser():
@@ -54,12 +48,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--kind", default="blobs", choices=["blobs", "two_moons"])
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--k", type=int, default=4, help="number of classes")
-    p.add_argument("--d", type=int, default=2, help="feature dimension")
-    p.add_argument("--spread", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, RunConfig, ("synth_kind", "n", "n_classes", "dim", "spread", "seed"))
     p.add_argument("--name", default="dataset.csv")
     p.add_argument("--format", default="csv", choices=["csv", "raw"])
     _add_out(p)
@@ -69,8 +58,9 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--sym", type=float, help="symmetric noise rate")
     g.add_argument("--chain", type=float, help="next-class chain noise rate")
-    g.add_argument("--map", dest="label_map", help="label map 'src:dst,...' (with --rate)")
-    g.add_argument("--imbalanced", help="'class_a,class_b,keep_frac,flip_p'")
+    g.add_argument("--map", dest="label_map", type=label_map,
+                   help="label map 'src:dst,...' (with --rate)")
+    g.add_argument("--imbalanced", type=imbalance, help="'class_a,class_b,keep_frac,flip_p'")
     p.add_argument("--rate", type=float, default=1.0, help="rate for --map")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="dataset.csv")
@@ -78,18 +68,10 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a classifier on a dataset file")
     p.add_argument("--data", required=True)
-    p.add_argument("--loss", default="ce", choices=["ce", "cene", "mixup"])
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--hidden", default="256,128")
+    _add_flags(p, TrainConfig)
+    _add_flags(p, RunConfig, ("hidden",))
     p.add_argument("--lift-freq", type=float, default=0.0,
                    help="frozen sinusoidal first layer frequency; 0 = plain ReLU MLP")
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr0", type=float, default=0.02)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--lr-drop-factor", type=float, default=5.0)
-    p.add_argument("--mixup-alpha", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     _add_out(p)
 
     p = sub.add_parser("score", help="score dataset samples with saved checkpoints")
@@ -117,14 +99,13 @@ def build_parser():
     p.add_argument("--kind", default="inn")
     p.add_argument("--epoch", type=int, default=None, help="default: last epoch")
     p.add_argument("--mixture", default="beta", choices=["beta", "gaussian"])
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--no-normalize", action="store_true")
+    _add_flags(p, RunConfig, ("normalize", "threshold"))
     _add_out(p)
 
     p = sub.add_parser("eval", help="AUC sweep report and grouped histograms")
     p.add_argument("--scores", required=True)
     p.add_argument("--data", required=True, help="dataset with true labels")
-    p.add_argument("--bins", type=int, default=20)
+    _add_flags(p, RunConfig, ("bins",))
     _add_out(p)
 
     for name, help_text in (
@@ -136,65 +117,40 @@ def build_parser():
     return parser
 
 
+def _add_flags(p, cls, names=None):
+    """One flag per field of dataclass `cls` (of those in `names`, if given),
+    from the field's name, type, default and metadata."""
+    for f in fields(cls):
+        if names is not None and f.name not in names:
+            continue
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        shown = {k: v for k, v in f.metadata.items() if k != "flag"}
+        if f.type == "bool":  # the flag turns the default over
+            p.add_argument(flag, dest=f.name, action="store_false" if f.default else "store_true",
+                           **shown)
+        else:
+            p.add_argument(flag, dest=f.name, type=field_parser(f), default=f.default, **shown)
+
+
 def _add_run_flags(p):
-    """The flags of `pipeline` and `timing`."""
-    p.add_argument("--config", default=None, help="flat key=value config file; flags win")
-    p.add_argument("--data", dest="data_path", default=None,
-                   help="dataset file (csv or raw sidecar json); default: synthesize")
-    p.add_argument("--kind", dest="synth_kind", default="blobs",
-                   choices=["blobs", "two_moons"])
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--k", dest="n_classes", type=int, default=4)
-    p.add_argument("--d", dest="dim", type=int, default=2)
-    p.add_argument("--spread", type=float, default=0.3)
-    p.add_argument("--noise", dest="noise_kind", default="none",
-                   choices=["none", "symmetric", "chain", "map", "imbalanced"])
-    p.add_argument("--rate", dest="noise_rate", type=float, default=0.0)
-    p.add_argument("--map", dest="noise_map", default=None, help="'src:dst,...'")
-    p.add_argument("--imb-keep", type=float, default=0.1)
-    p.add_argument("--imb-flip", type=float, default=0.3)
-    p.add_argument("--hidden", default="256,128")
-    p.add_argument("--lift-freq", type=float, default=4.0,
-                   help="frequency of the frozen sinusoidal first layer of the "
-                        "scored/baseline models; 0 disables the lift")
-    p.add_argument("--h-hidden", default="64,4",
-                   help="hidden stack of the feature model (narrow penultimate)")
-    p.add_argument("--h-loss", default="ce", choices=["ce", "cene", "mixup"])
-    p.add_argument("--h-epochs", type=int, default=50)
-    p.add_argument("--f-loss", default="mixup", choices=["ce", "cene", "mixup"])
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--checkpoint-every", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr0", type=float, default=0.02)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--lr-drop-factor", type=float, default=5.0)
-    p.add_argument("--mixup-alpha", type=float, default=1.0)
-    p.add_argument("--l", dest="n_neighbors", type=int, default=10)
-    p.add_argument("--trapezoids", type=int, default=10)
-    p.add_argument("--mode", default="integral", choices=["integral", "midpoint"])
-    p.add_argument("--no-baselines", action="store_true")
-    p.add_argument("--l-sweep", default=None, help="e.g. '1,2,5,10'")
-    p.add_argument("--epoch-scale", type=float, default=1.0)
-    p.add_argument("--share-epochs", action="store_true")
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    """The flags of `pipeline` and `timing`: one per `RunConfig` field, and
+    `--config`, `--threads` and `--quiet`."""
+    _add_flags(p, RunConfig)
+    p.add_argument("--config", default=None, help="flat key = value config file; flags win")
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS worker pools (best effort)")
     p.add_argument("--quiet", action="store_true")
-    _add_out(p)
 
 
 def _apply_config_file(args, argv):
     """Parse the pipeline or timing flags `argv` again with the config file's
-    `key = value` lines (a flag's dest, a JSON value or a bare string) as
-    defaults, so explicit flags win; an unknown key, or a value outside its
-    flag's choices, is a configuration error."""
+    `key = value` lines as defaults, so explicit flags win. A key is a flag's
+    dest: a `RunConfig` field, `threads` or `quiet`. Its value goes through
+    the flag's parser and choices. An unknown or repeated key, or a value
+    either rejects, is a configuration error naming the file and line."""
     parser = argparse.ArgumentParser(prog=f"innscore {args.command}")
     _add_run_flags(parser)
-    known = vars(parser.parse_args([]))
-    choices = {action.dest: action.choices for action in parser._actions if action.choices}
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     values = {}
     with open(args.config, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -202,45 +158,29 @@ def _apply_config_file(args, argv):
             if not line:
                 continue
             key, eq, raw = (part.strip() for part in line.partition("="))
-            if not eq or key not in known:
-                raise ValueError(f"{args.config}: line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                values[key] = raw
-            if key in choices and values[key] not in choices[key]:
-                raise ValueError(f"{args.config}: line {lineno}: {key} is {values[key]!r}, "
-                                 f"not one of {', '.join(choices[key])}")
+            where = f"{args.config}: line {lineno}"
+            if not eq or key not in actions:
+                raise ValueError(f"{where}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{where}: {key} is given twice")
+            parse = actions[key].type or boolean  # the store_true / store_false flags
+            try:  # the value is flag text, or a JSON string of it
+                values[key] = parse(json.loads(raw) if raw.startswith('"') else raw)
+            except ValueError:  # JSONDecodeError is one too
+                raise ValueError(f"{where}: {key} = {raw}: "
+                                 f"invalid {parse.__name__} value") from None
+            choices = actions[key].choices
+            if choices and values[key] not in choices:
+                raise ValueError(f"{where}: {key} is {values[key]!r}, "
+                                 f"not one of {', '.join(choices)}")
     parser.set_defaults(**values)
     return argparse.Namespace(command=args.command, **vars(parser.parse_args(argv)))
-
-
-def _fields_from(cls, args):
-    """The parsed flags whose dest names a field of dataclass `cls`."""
-    from dataclasses import fields
-
-    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
-
-
-def _run_config_from_args(args):
-    from .pipeline import RunConfig
-
-    return RunConfig(**{
-        **_fields_from(RunConfig, args),
-        "noise_map": _parse_map(args.noise_map) if args.noise_map else None,
-        "hidden": _parse_int_list(args.hidden),
-        "h_hidden": _parse_int_list(args.h_hidden),
-        "baselines": not args.no_baselines,
-        "l_sweep": _parse_int_list(args.l_sweep) if args.l_sweep else None,
-        "normalize": not args.no_normalize,
-        "out_dir": args.out,
-    })
 
 
 def _cmd_synth(args):
     from . import data
 
-    ds = data.synth(args.kind, args.n, args.k, args.d, args.spread, args.seed)
+    ds = data.synth(args.synth_kind, args.n, args.n_classes, args.dim, args.spread, args.seed)
     os.makedirs(args.out, exist_ok=True)
     target = os.path.join(args.out, args.name)
     if args.format == "raw":
@@ -255,8 +195,6 @@ def _cmd_corrupt(args):
     from . import data
     from .pipeline import load_dataset
 
-    if not os.path.exists(args.data):
-        raise ValueError(f"dataset file not found: {args.data}")
     ds = load_dataset(args.data)
     if args.sym is not None:
         out_ds = data.corrupt_symmetric(ds, args.sym, args.seed)
@@ -264,11 +202,10 @@ def _cmd_corrupt(args):
         spec = data.NoiseSpec("asymmetric_chain", args.chain, None, args.seed)
         out_ds = data.corrupt_asymmetric(ds, spec)
     elif args.label_map is not None:
-        spec = data.NoiseSpec("asymmetric_map", args.rate, _parse_map(args.label_map), args.seed)
+        spec = data.NoiseSpec("asymmetric_map", args.rate, args.label_map, args.seed)
         out_ds = data.corrupt_asymmetric(ds, spec)
     else:
-        a, b, keep, flip = args.imbalanced.split(",")
-        out_ds = data.build_imbalanced(ds, int(a), int(b), float(keep), float(flip), args.seed)
+        out_ds = data.build_imbalanced(ds, *args.imbalanced, args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = data.write_csv(out_ds, os.path.join(args.out, args.name))
     print(f"wrote {path} (n={out_ds.n}, realized noisy fraction "
@@ -280,12 +217,10 @@ def _cmd_train(args):
     from . import tinynet
     from .pipeline import load_dataset
 
-    if not os.path.exists(args.data):
-        raise ValueError(f"dataset file not found: {args.data}")
     ds = load_dataset(args.data)
-    dims = [ds.d, *_parse_int_list(args.hidden), ds.n_classes]
+    dims = [ds.d, *args.hidden, ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
-    tc = tinynet.TrainConfig(loss_kind=args.loss, **_fields_from(tinynet.TrainConfig, args))
+    tc = TrainConfig(**fields_from(TrainConfig, args))
     result = tinynet.train(model, ds, tc)
     os.makedirs(args.out, exist_ok=True)
     for epoch, snap in result.checkpoints:
@@ -356,6 +291,7 @@ def _cmd_oracle(args):
 def _cmd_split(args):
     from . import mixture, scorer
 
+    RunConfig(**fields_from(RunConfig, args))  # rejects a threshold outside [0, 1]
     if not os.path.exists(args.scores):
         raise ValueError(f"score file not found: {args.scores}")
     tables = scorer.read_score_csv(args.scores)
@@ -365,7 +301,7 @@ def _cmd_split(args):
         raise ValueError(f"no {args.kind!r} scores at epoch {wanted}")
     raw = table.values[args.kind]
     if args.mixture == "beta":
-        x, degenerate = (raw, False) if args.no_normalize else mixture.normalize_scores(raw)
+        x, degenerate = mixture.normalize_scores(raw) if args.normalize else (raw, False)
         fit = mixture.degenerate_fit("beta", x) if degenerate else mixture.fit_beta_mixture(x)
     else:
         x = raw
@@ -408,9 +344,7 @@ def _cmd_eval(args):
 def _cmd_pipeline(args, print_timing=False):
     from .pipeline import run_pipeline
 
-    if args.data_path and not os.path.exists(args.data_path):
-        raise ValueError(f"dataset file not found: {args.data_path}")
-    cfg = _run_config_from_args(args)
+    cfg = RunConfig(**fields_from(RunConfig, args))
     result = run_pipeline(cfg, quiet=args.quiet)
     if result.report is not None:
         for epoch, kind, value in result.report.aucs:

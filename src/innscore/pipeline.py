@@ -18,77 +18,17 @@ score CSVs.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet
 from ._records import write_json, write_rows
-
-
-@dataclass
-class RunConfig:
-    # data source: a file path or a synthetic spec
-    data_path: str | None = None
-    synth_kind: str = "blobs"
-    n: int = 2000
-    n_classes: int = 4
-    dim: int = 2
-    spread: float = 0.3
-    # label corruption applied on top (none | symmetric | chain | map | imbalanced)
-    noise_kind: str = "none"
-    noise_rate: float = 0.0
-    noise_map: dict | None = None
-    imb_class_a: int = 0
-    imb_class_b: int = 1
-    imb_keep: float = 0.1
-    imb_flip: float = 0.3
-    # models; f and the loss baselines share `hidden` and the sinusoidal
-    # lift, the feature model h gets its own stack (narrow penultimate,
-    # no lift) so its embedding stays smooth
-    hidden: tuple = (256, 128)
-    lift_freq: float = 4.0
-    h_hidden: tuple = (64, 4)
-    h_loss: str = "ce"
-    h_epochs: int = 50
-    f_loss: str = "mixup"
-    epochs: int = 300
-    checkpoint_every: int | None = 50
-    batch_size: int = 128
-    lr0: float = 0.02
-    momentum: float = 0.9
-    lr_drop_factor: float = 5.0
-    mixup_alpha: float = 1.0
-    # scorer
-    trapezoids: int = 10
-    n_neighbors: int = 10
-    mode: str = "integral"
-    # extras
-    baselines: bool = True
-    l_sweep: tuple | None = None
-    epoch_scale: float = 1.0
-    share_epochs: bool = False
-    normalize: bool = True
-    threshold: float = 0.5
-    bins: int = 20
-    seed: int = 0
-    out_dir: str = "out"
-
-    def scaled(self, value):
-        return max(1, int(round(value * self.epoch_scale)))
-
-    def to_dict(self):
-        return asdict(self)  # JSON writes the tuple fields as lists
-
-    def config_hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+from .config import RunConfig, fields_from
 
 
 @dataclass
@@ -125,6 +65,8 @@ def _log(msg, quiet):
 
 
 def load_dataset(path):
+    if not os.path.exists(path):
+        raise ValueError(f"dataset file not found: {path}")
     if str(path).endswith(".json"):
         return data_mod.read_raw(path)
     return data_mod.read_csv(path)
@@ -167,17 +109,9 @@ def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, featur
     else:
         dims = [ds.d, *cfg.hidden, ds.n_classes]
         model = tinynet.init_model(dims, seed, lift_freq=cfg.lift_freq)
-    tc = tinynet.TrainConfig(
-        loss_kind=loss_kind,
-        epochs=epochs,
-        batch_size=cfg.batch_size,
-        lr0=cfg.lr0,
-        momentum=cfg.momentum,
-        lr_drop_factor=cfg.lr_drop_factor,
-        mixup_alpha=cfg.mixup_alpha,
-        seed=seed,
-        checkpoint_every=checkpoint_every,
-    )
+    tc = tinynet.TrainConfig(**{**fields_from(tinynet.TrainConfig, cfg), "loss_kind": loss_kind,
+                                "epochs": epochs, "seed": seed,
+                                "checkpoint_every": checkpoint_every})
     return tinynet.train(model, ds, tc), tc
 
 
@@ -185,10 +119,9 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     clock = _PhaseClock()
     out = cfg.out_dir
     paths = {}
+    ds = make_dataset(cfg)
     if write_outputs:
         os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
-
-    ds = make_dataset(cfg)
     if ds.true_labels is not None and cfg.noise_kind != "none":
         _log(f"dataset: n={ds.n} d={ds.d} K={ds.n_classes} "
              f"noisy_fraction={ds.noisy_fraction():.4f}", quiet)
@@ -324,7 +257,7 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     timing = clock.table()
     if write_outputs:
         write_json(os.path.join(out, "manifest.json"), {
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),  # JSON writes the tuple fields as lists
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
             "versions": _versions(),

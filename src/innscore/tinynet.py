@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._records import read_json, write_json
+from .config import LOSS_KINDS, TrainConfig  # re-exported
 from .errors import NumericError
 
 # log() arguments are clamped here to keep losses finite
@@ -21,8 +22,6 @@ PROB_FLOOR = 1e-12
 
 CHECKPOINT_MAGIC = b"INNM"
 CHECKPOINT_VERSION = 1
-
-LOSS_KINDS = ("ce", "cene", "mixup")
 
 
 @dataclass
@@ -105,36 +104,6 @@ class Model:
 
     def penultimate(self, inputs):
         return self.forward(inputs)[1]
-
-
-@dataclass
-class TrainConfig:
-    loss_kind: str = "ce"
-    epochs: int = 100
-    batch_size: int = 128
-    lr0: float = 0.02
-    momentum: float = 0.9
-    lr_drop_factor: float = 5.0
-    mixup_alpha: float = 1.0
-    seed: int = 0
-    checkpoint_every: int | None = None
-
-    def validate(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.lr0 <= 0 or self.lr_drop_factor <= 0 or self.mixup_alpha <= 0:
-            raise ValueError("lr0, lr_drop_factor and mixup_alpha must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive or None")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -399,7 +368,7 @@ def save_checkpoint(model, path, epoch=None, config=None):
         "layer_dims": list(model.layer_dims),
         "activations": list(model.activations),
         "frozen_layers": list(model.frozen_layers),
-        "config": config.to_dict() if isinstance(config, TrainConfig) else config,
+        "config": asdict(config) if isinstance(config, TrainConfig) else config,
     })
     return str(path)
 

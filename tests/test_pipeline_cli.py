@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -294,12 +295,16 @@ class TestCli:
         assert main(["pipeline", "--threads", "1", "--out", str(tmp_path)]) == 0
         assert seen == {var: "1" for var in variables}
 
-    def test_parsing_loads_no_numpy(self):
+    def test_parsing_loads_no_numpy(self, tmp_path):
         """--threads sets the BLAS variables, so parsing must not load numpy."""
         import innscore
 
-        code = ("import sys, innscore._records, innscore.cli as cli; "
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+        code = ("import argparse, sys, innscore._records, innscore.cli as cli; "
                 "cli.build_parser().parse_args(['pipeline', '--threads', '1']); "
+                f"args = argparse.Namespace(command='pipeline', config={str(cfg)!r}); "
+                "assert cli._apply_config_file(args, []).threads == 1; "
                 "assert 'numpy' not in sys.modules")
         src = os.path.dirname(os.path.dirname(os.path.abspath(innscore.__file__)))
         subprocess.run([sys.executable, "-c", code], check=True,
@@ -309,6 +314,88 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["pipeline", "--noise", "sideways"])
         assert err.value.code == 2
+
+    def test_flags_and_config_file_set_every_field(self, tmp_path, monkeypatch):
+        """Each RunConfig field has a flag and a config key, and the two agree."""
+        from innscore import pipeline
+
+        data_file = tmp_path / "d.csv"
+        data_file.write_text("")
+        settings = [  # (field, flag, text); a bool flag takes no text
+            ("data_path", "--data", str(data_file)), ("synth_kind", "--kind", "two_moons"),
+            ("n", "--n", "123"), ("n_classes", "--k", "3"), ("dim", "--d", "5"),
+            ("spread", "--spread", "0.7"), ("noise_kind", "--noise", "map"),
+            ("noise_rate", "--rate", "0.25"), ("noise_map", "--map", "0:1,2:0"),
+            ("imb_class_a", "--imb-class-a", "2"), ("imb_class_b", "--imb-class-b", "0"),
+            ("imb_keep", "--imb-keep", "0.2"), ("imb_flip", "--imb-flip", "0.4"),
+            ("hidden", "--hidden", "8,4"), ("lift_freq", "--lift-freq", "2.5"),
+            ("h_hidden", "--h-hidden", "6,2"), ("h_loss", "--h-loss", "cene"),
+            ("h_epochs", "--h-epochs", "7"), ("f_loss", "--f-loss", "ce"),
+            ("epochs", "--epochs", "9"), ("checkpoint_every", "--checkpoint-every", "3"),
+            ("batch_size", "--batch-size", "32"), ("lr0", "--lr0", "0.05"),
+            ("momentum", "--momentum", "0.5"), ("lr_drop_factor", "--lr-drop-factor", "2"),
+            ("mixup_alpha", "--mixup-alpha", "0.5"), ("trapezoids", "--trapezoids", "4"),
+            ("n_neighbors", "--l", "6"), ("mode", "--mode", "midpoint"),
+            ("baselines", "--no-baselines", None), ("l_sweep", "--l-sweep", "1,3"),
+            ("epoch_scale", "--epoch-scale", "0.5"), ("share_epochs", "--share-epochs", None),
+            ("normalize", "--no-normalize", None), ("threshold", "--threshold", "0.4"),
+            ("bins", "--bins", "7"), ("seed", "--seed", "11"),
+            ("out_dir", "--out", str(tmp_path / "out")),
+        ]
+        assert [name for name, _, _ in settings] == [f.name for f in fields(RunConfig)]
+        flags = [arg for _, flag, text in settings for arg in (flag, text) if arg is not None]
+        lines = [f"{name} = {text if text is not None else json.dumps(name == 'share_epochs')}"
+                 for name, _, text in settings]
+        (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+
+        class Built(Exception):
+            """Carries the RunConfig out before any work."""
+
+        def fake_run(cfg, quiet=False):
+            raise Built(cfg)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
+        seen = []
+        for argv in (flags, ["--config", str(tmp_path / "run.cfg")]):
+            with pytest.raises(Built) as built:
+                main(["pipeline", *argv])
+            seen.append(built.value.args[0])
+        by_flags, by_file = seen
+        assert by_flags == by_file
+        assert all(getattr(by_flags, f.name) != f.default for f in fields(RunConfig))
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--epochs", "-1"], "epochs"),
+        (["--checkpoint-every", "0"], "checkpoint_every"),
+        (["--epoch-scale", "-3"], "epoch_scale"),
+        (["--l-sweep", "0,2"], "l_sweep"),
+        (["--l", "0"], "n_neighbors"),
+        (["--trapezoids", "0"], "trapezoids"),
+        (["--h-epochs", "0"], "h_epochs"),
+        (["--bins", "0"], "bins"),
+        (["--threshold", "7"], "threshold"),
+    ])
+    def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--n", "60", "--quiet", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"error: {name} is " in err, err
+        assert not (out / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["train", "--data", "d.csv", "--hidden", "8,x"],
+         "argument --hidden: invalid int_list value: '8,x'"),
+        (["corrupt", "--data", "d.csv", "--map", "0-1"],
+         "argument --map: invalid label_map value: '0-1'"),
+        (["corrupt", "--data", "d.csv", "--imbalanced", "0,1,0.5"],
+         "argument --imbalanced: invalid imbalance value: '0,1,0.5'"),
+        (["pipeline", "--l-sweep", "1,two"], "argument --l-sweep: invalid int_list value"),
+    ])
+    def test_malformed_list_flag_named(self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert shown in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -386,6 +473,11 @@ class TestMalformedInputsCli:
             "\n".join(lines[:3] + [big + "," + lines[3].split(",", 1)[1]] + lines[4:]) + "\n")
         (tmp_path / "mode.cfg").write_text("n = 60\n\nmode = foo\n")
         (tmp_path / "loss.cfg").write_text('f_loss = "hinge"\n')
+        typed = {"n.cfg": "n = abc\n", "epochs.cfg": "seed = 1\nepochs = 1.5\n",
+                 "base.cfg": "baselines = 3\n", "hidden.cfg": "hidden = [16, 8]\n",
+                 "twice.cfg": "seed = 1\nn = 60\nseed = 2\n"}
+        for name, text in typed.items():
+            (tmp_path / name).write_text(text)
         searched = []
         monkeypatch.setattr(neighbors, "search", lambda *a: searched.append(a))
         cases = [
@@ -395,6 +487,20 @@ class TestMalformedInputsCli:
              "mode.cfg: line 3: mode is 'foo', not one of integral, midpoint"),
             (["timing", "--config", str(tmp_path / "loss.cfg"), "--out", out],
              "loss.cfg: line 1: f_loss is 'hinge', not one of ce, cene, mixup"),
+            (["pipeline", "--config", str(tmp_path / "n.cfg"), "--out", out],
+             "n.cfg: line 1: n = abc: invalid int value"),
+            (["timing", "--config", str(tmp_path / "epochs.cfg"), "--out", out],
+             "epochs.cfg: line 2: epochs = 1.5: invalid int value"),
+            (["pipeline", "--config", str(tmp_path / "base.cfg"), "--out", out],
+             "base.cfg: line 1: baselines = 3: invalid boolean value"),
+            (["pipeline", "--config", str(tmp_path / "hidden.cfg"), "--out", out],
+             "hidden.cfg: line 1: hidden = [16, 8]: invalid int_list value"),
+            (["pipeline", "--config", str(tmp_path / "twice.cfg"), "--out", out],
+             "twice.cfg: line 3: seed is given twice"),
+            (["split", "--scores", world["scores"], "--threshold", "7", "--out", out],
+             "threshold is 7.0, not in [0, 1]"),
+            (["split", "--scores", world["scores"], "--threshold", "-1", "--out", out],
+             "threshold is -1.0, not in [0, 1]"),
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--kinds", "inn,foo", "--out", out],
              "unknown score kind 'foo'"),
