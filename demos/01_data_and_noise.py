@@ -24,14 +24,12 @@ for rate in (0.1, 0.3, 0.8):
 
 # class-conditional map in the style of visually-confusable pairs
 # (e.g. indices for truck->automobile, bird->airplane, deer->horse, cat<->dog)
-mapped = data.corrupt_asymmetric(
-    ds, data.NoiseSpec("asymmetric_map", rate=0.4, mapping={3: 1, 2: 0}), seed=2
-)
+mapped = data.corrupt_asymmetric(ds, rate=0.4, seed=2, mapping={3: 1, 2: 0})
 print(f"asym map r=0.4 on classes 2,3: realized {mapped.noisy_fraction():.4f}  "
       f"expected {0.4 * 0.5:.4f}")
 
 # cyclic chain: every class moves to (y*+1) mod K with probability r
-chain = data.corrupt_asymmetric(ds, data.NoiseSpec("asymmetric_chain", rate=0.2), seed=3)
+chain = data.corrupt_asymmetric(ds, rate=0.2, seed=3)
 print(f"asym chain r=0.2: realized {chain.noisy_fraction():.4f}  expected 0.2000")
 
 # two-class imbalanced: keep all of class 0, a tenth of class 1, flip 30%

@@ -47,9 +47,7 @@ for kind, st in report.stability.items():
 
 # posterior split from the final integral scores
 final = tables[-1]
-norm, _ = mixture.normalize_scores(final.values["inn"])
-fit = mixture.fit_beta_mixture(norm)
-split = mixture.split(fit, norm, ids=final.ids)
+_, split = mixture.split_column(final.values["inn"], "beta", ids=final.ids)
 picked = set(int(v) for v in split.labeled_ids)
 mask = [int(i) in picked for i in ds.ids]
 precision = clean[mask].mean()

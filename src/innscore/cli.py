@@ -61,7 +61,7 @@ def build_parser():
     g.add_argument("--map", dest="label_map", type=label_map,
                    help="label map 'src:dst,...' (with --rate)")
     g.add_argument("--imbalanced", type=imbalance, help="'class_a,class_b,keep_frac,flip_p'")
-    p.add_argument("--rate", type=float, default=1.0, help="rate for --map")
+    p.add_argument("--rate", type=float, default=None, help="rate for --map (default 1.0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="dataset.csv")
     _add_out(p)
@@ -195,17 +195,17 @@ def _cmd_corrupt(args):
     from . import data
     from .pipeline import load_dataset
 
-    ds = load_dataset(args.data)
-    if args.sym is not None:
-        out_ds = data.corrupt_symmetric(ds, args.sym, args.seed)
-    elif args.chain is not None:
-        spec = data.NoiseSpec("asymmetric_chain", args.chain, None, args.seed)
-        out_ds = data.corrupt_asymmetric(ds, spec)
-    elif args.label_map is not None:
-        spec = data.NoiseSpec("asymmetric_map", args.rate, args.label_map, args.seed)
-        out_ds = data.corrupt_asymmetric(ds, spec)
-    else:
-        out_ds = data.build_imbalanced(ds, *args.imbalanced, args.seed)
+    if args.rate is not None and args.label_map is None:
+        raise ValueError("--rate is the rate of --map and goes only with it")
+    if args.rate is None:
+        args.rate = 1.0  # the rate of --map, also recorded in manifest.json
+    # the four exclusive flags, each naming a noise kind
+    kind, rate = next((kind, rate) for kind, given, rate in (
+        ("symmetric", args.sym, args.sym), ("chain", args.chain, args.chain),
+        ("map", args.label_map, args.rate), ("imbalanced", args.imbalanced, None),
+    ) if given is not None)
+    out_ds = data.corrupt(load_dataset(args.data), kind, rate, args.seed, args.label_map,
+                          args.imbalanced)
     os.makedirs(args.out, exist_ok=True)
     path = data.write_csv(out_ds, os.path.join(args.out, args.name))
     print(f"wrote {path} (n={out_ds.n}, realized noisy fraction "
@@ -217,10 +217,11 @@ def _cmd_train(args):
     from . import tinynet
     from .pipeline import load_dataset
 
+    tc = TrainConfig(**fields_from(TrainConfig, args))
+    tc.validate()
     ds = load_dataset(args.data)
     dims = [ds.d, *args.hidden, ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
-    tc = TrainConfig(**fields_from(TrainConfig, args))
     result = tinynet.train(model, ds, tc)
     os.makedirs(args.out, exist_ok=True)
     for epoch, snap in result.checkpoints:
@@ -236,6 +237,7 @@ def _cmd_score(args):
     from . import neighbors, scorer, tinynet
     from .pipeline import load_dataset
 
+    RunConfig(trapezoids=args.h, n_neighbors=args.l)  # rejects --h or --l below 1
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     for kind in kinds or [args.kinds]:
         if kind not in _SCORE_KINDS:
@@ -299,14 +301,9 @@ def _cmd_split(args):
     table = next((t for t in tables if t.epoch == wanted), None)
     if table is None or args.kind not in table.values:
         raise ValueError(f"no {args.kind!r} scores at epoch {wanted}")
-    raw = table.values[args.kind]
-    if args.mixture == "beta":
-        x, degenerate = mixture.normalize_scores(raw) if args.normalize else (raw, False)
-        fit = mixture.degenerate_fit("beta", x) if degenerate else mixture.fit_beta_mixture(x)
-    else:
-        x = raw
-        fit = mixture.fit_gaussian_mixture(x)
-    result = mixture.split(fit, x, args.threshold, ids=table.ids)
+    fit, result = mixture.split_column(
+        table.values[args.kind], args.mixture, args.normalize, args.threshold, table.ids
+    )
     os.makedirs(args.out, exist_ok=True)
     fit.to_json(os.path.join(args.out, f"{args.mixture}_fit.json"))
     path = result.to_csv(os.path.join(args.out, "split.csv"))
@@ -321,6 +318,7 @@ def _cmd_eval(args):
     from . import evaluate, scorer
     from .pipeline import load_dataset
 
+    RunConfig(**fields_from(RunConfig, args))  # rejects --bins below 1
     for path in (args.scores, args.data):
         if not os.path.exists(path):
             raise ValueError(f"file not found: {path}")

@@ -59,6 +59,7 @@ def _setting(default, **metadata):
 
 
 LOSS_KINDS = ("ce", "cene", "mixup")
+NOISE_KINDS = ("none", "symmetric", "chain", "map", "imbalanced")  # `data.corrupt`'s protocols
 
 
 @dataclass
@@ -80,8 +81,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.lr0 <= 0 or self.lr_drop_factor <= 0 or self.mixup_alpha <= 0:
-            raise ValueError("lr0, lr_drop_factor and mixup_alpha must be positive")
+        for name in ("lr0", "lr_drop_factor", "mixup_alpha"):
+            if not getattr(self, name) > 0:  # false for nan too
+                raise ValueError(f"{name} is {getattr(self, name)}, not positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
@@ -99,8 +101,7 @@ class RunConfig:
     dim: int = _setting(2, flag="--d", help="feature dimension")
     spread: float = 0.3
     # label corruption applied on top
-    noise_kind: str = _setting("none", flag="--noise",
-                               choices=("none", "symmetric", "chain", "map", "imbalanced"))
+    noise_kind: str = _setting("none", flag="--noise", choices=NOISE_KINDS)
     noise_rate: float = _setting(0.0, flag="--rate")
     noise_map: dict[int, int] | None = _setting(None, flag="--map", help="'src:dst,...'")
     imb_class_a: int = 0
@@ -152,6 +153,7 @@ class RunConfig:
             raise ValueError(f"l_sweep is {self.l_sweep}, not all positive integers")
         if not 0.0 <= self.threshold <= 1.0:  # a clean posterior
             raise ValueError(f"threshold is {self.threshold}, not in [0, 1]")
+        TrainConfig(**fields_from(TrainConfig, self)).validate()  # the shared training settings
 
     def scaled(self, value):
         return max(1, int(round(value * self.epoch_scale)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._records import read_json, read_rows, write_json, write_rows
+from .config import NOISE_KINDS
 
 _U64 = np.uint64
 
@@ -79,26 +80,6 @@ class Dataset:
             self.n_classes,
             self.ids[rows],
         )
-
-
-@dataclass
-class NoiseSpec:
-    kind: str  # symmetric | asymmetric_map | asymmetric_chain | imbalanced_flip
-    rate: float = 0.0
-    mapping: dict | None = None
-    seed: int = 0
-
-    def validate(self, n_classes):
-        if self.kind not in ("symmetric", "asymmetric_map", "asymmetric_chain", "imbalanced_flip"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must lie in [0, 1]")
-        if self.kind == "asymmetric_map":
-            if not self.mapping:
-                raise ValueError("asymmetric_map requires a mapping")
-            for src, dst in self.mapping.items():
-                if not (0 <= src < n_classes and 0 <= dst < n_classes):
-                    raise ValueError("mapping references labels outside [0, K)")
 
 
 def _splitmix64(z):
@@ -169,27 +150,28 @@ def corrupt_symmetric(ds, rate, seed):
     return ds.with_observed(observed)
 
 
-def corrupt_asymmetric(ds, spec, seed=None):
-    """Class-conditional corruption from the true label.
+def corrupt_asymmetric(ds, rate, seed, mapping=None):
+    """Class-conditional corruption from the true label, each sample moving
+    with probability `rate`.
 
-    asymmetric_map: samples whose true class is in the mapping's domain
-    move to their mapped label with probability rate; other classes are
-    untouched. asymmetric_chain: every class moves to (y* + 1) mod K.
+    With a `mapping`, samples whose true class is in its domain move to
+    their mapped label; other classes are untouched. Without one (the
+    chain), every class moves to (y* + 1) mod K.
     """
     if ds.true_labels is None:
         raise ValueError("corruption requires true labels")
-    spec.validate(ds.n_classes)
-    if spec.kind not in ("asymmetric_map", "asymmetric_chain"):
-        raise ValueError("corrupt_asymmetric expects an asymmetric spec")
-    seed = spec.seed if seed is None else seed
-    flip = keyed_uniform(seed, ds.ids, _SALT_FLIP) < spec.rate
-    if spec.kind == "asymmetric_chain":
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    flip = keyed_uniform(seed, ds.ids, _SALT_FLIP) < rate
+    if mapping is None:
         target = (ds.true_labels + 1) % ds.n_classes
         eligible = np.ones(ds.n, dtype=bool)
     else:
+        if not all(0 <= label < ds.n_classes for pair in mapping.items() for label in pair):
+            raise ValueError("mapping references labels outside [0, K)")
         target = ds.true_labels.copy()
         eligible = np.zeros(ds.n, dtype=bool)
-        for src, dst in spec.mapping.items():
+        for src, dst in mapping.items():
             hit = ds.true_labels == src
             target[hit] = dst
             eligible |= hit
@@ -222,6 +204,26 @@ def build_imbalanced(ds, class_a, class_b, keep_frac, flip_p, seed):
     flip = keyed_uniform(seed, ds.ids[rows], _SALT_FLIP) < flip_p
     observed = np.where(flip, 1 - true, true)
     return Dataset(ds.features[rows], observed, true, 2, ds.ids[rows])
+
+
+def corrupt(ds, kind, rate, seed, mapping=None, imbalance=None):
+    """Apply noise protocol `kind`, one of `config.NOISE_KINDS`. `rate` is
+    the flip probability of symmetric, chain and map noise, `mapping` the
+    label map of map noise and `imbalance` the (class_a, class_b,
+    keep_frac, flip_p) of the imbalanced construction."""
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}, not one of {', '.join(NOISE_KINDS)}")
+    if kind == "symmetric":
+        return corrupt_symmetric(ds, rate, seed)
+    if kind == "chain":
+        return corrupt_asymmetric(ds, rate, seed)
+    if kind == "map":
+        if not mapping:
+            raise ValueError("map noise requires a label mapping")
+        return corrupt_asymmetric(ds, rate, seed, mapping)
+    if kind == "imbalanced":
+        return build_imbalanced(ds, *imbalance, seed)
+    return ds
 
 
 # --- file formats -----------------------------------------------------

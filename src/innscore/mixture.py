@@ -1,4 +1,6 @@
 """Two-component mixture EM on scores and losses, plus the posterior split.
+`split_column` is the one normalize -> fit -> split sequence, run by both
+`pipeline` and the `split` command.
 
 fit_beta_mixture models scores in (0, 1) with two beta components; the
 M-step is a weighted method-of-moments update (closed form, deterministic,
@@ -169,7 +171,7 @@ def fit_beta_mixture(scores, max_iters=200, tol=1e-8, init_resp=None):
     if x.min() <= 0.0 or x.max() >= 1.0:
         raise ValueError("beta mixture needs scores strictly inside (0, 1)")
     if x.max() - x.min() <= 0.0:
-        return degenerate_fit("beta", x)
+        return _degenerate_fit("beta", x)
 
     def m_step(x, resp):
         params = np.empty((2, 2))
@@ -200,7 +202,7 @@ def fit_gaussian_mixture(losses, max_iters=200, tol=1e-8, init_resp=None):
         raise ValueError("need at least 10 values to fit a mixture")
     spread = float(x.max() - x.min())
     if spread <= 0.0:
-        return degenerate_fit("gaussian", x)
+        return _degenerate_fit("gaussian", x)
     sigma_floor = max(1e-3 * spread, 1e-6)
 
     def m_step(x, resp):
@@ -222,7 +224,7 @@ def fit_gaussian_mixture(losses, max_iters=200, tol=1e-8, init_resp=None):
     return fit
 
 
-def degenerate_fit(kind, x):
+def _degenerate_fit(kind, x):
     # constant input: report a flagged fit instead of NaNs
     if kind == "beta":
         params = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -246,3 +248,20 @@ def split(fit, scores, threshold=0.5, ids=None):
         post = fit.posterior(x)[:, fit.clean_component]
     labeled = post >= threshold
     return SplitResult(ids[labeled], ids[~labeled], post, threshold, ids)
+
+
+def split_column(values, mixture="beta", normalize=True, threshold=0.5, ids=None):
+    """Fit a two-component `mixture` ("beta" or "gaussian") to a score or
+    loss column and split it at `threshold`; returns (fit, SplitResult).
+
+    `normalize` min-max scales the column for the beta mixture only. A
+    constant column then gets the degenerate all-labeled fit, whatever its
+    length.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if mixture == "gaussian":
+        fit = fit_gaussian_mixture(x)
+    else:
+        x, degenerate = normalize_scores(x) if normalize else (x, False)
+        fit = _degenerate_fit("beta", x) if degenerate else fit_beta_mixture(x)
+    return fit, split(fit, x, threshold, ids)

@@ -80,26 +80,9 @@ def make_dataset(cfg):
         ds = data_mod.synth(
             cfg.synth_kind, cfg.n, cfg.n_classes, cfg.dim, cfg.spread, cfg.seed
         )
-    return apply_noise(ds, cfg)
-
-
-def apply_noise(ds, cfg):
-    seed = cfg.seed + 1
-    if cfg.noise_kind == "none":
-        return ds
-    if cfg.noise_kind == "symmetric":
-        return data_mod.corrupt_symmetric(ds, cfg.noise_rate, seed)
-    if cfg.noise_kind == "chain":
-        spec = data_mod.NoiseSpec("asymmetric_chain", cfg.noise_rate, None, seed)
-        return data_mod.corrupt_asymmetric(ds, spec)
-    if cfg.noise_kind == "map":
-        spec = data_mod.NoiseSpec("asymmetric_map", cfg.noise_rate, cfg.noise_map, seed)
-        return data_mod.corrupt_asymmetric(ds, spec)
-    if cfg.noise_kind == "imbalanced":
-        return data_mod.build_imbalanced(
-            ds, cfg.imb_class_a, cfg.imb_class_b, cfg.imb_keep, cfg.imb_flip, seed
-        )
-    raise ValueError(f"unknown noise kind {cfg.noise_kind!r}")
+    imbalance = (cfg.imb_class_a, cfg.imb_class_b, cfg.imb_keep, cfg.imb_flip)
+    return data_mod.corrupt(ds, cfg.noise_kind, cfg.noise_rate, cfg.seed + 1, cfg.noise_map,
+                            imbalance)
 
 
 def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, feature_model=False):
@@ -115,18 +98,16 @@ def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, featur
     return tinynet.train(model, ds, tc), tc
 
 
-def run_pipeline(cfg, quiet=False, write_outputs=True):
+def run_pipeline(cfg, quiet=False):
     clock = _PhaseClock()
     out = cfg.out_dir
     paths = {}
     ds = make_dataset(cfg)
-    if write_outputs:
-        os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
+    os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     if ds.true_labels is not None and cfg.noise_kind != "none":
         _log(f"dataset: n={ds.n} d={ds.d} K={ds.n_classes} "
              f"noisy_fraction={ds.noisy_fraction():.4f}", quiet)
-    if write_outputs:
-        paths["dataset"] = data_mod.write_csv(ds, os.path.join(out, "dataset.csv"))
+    paths["dataset"] = data_mod.write_csv(ds, os.path.join(out, "dataset.csv"))
     clock.lap("data")
 
     f_epochs = cfg.scaled(cfg.epochs)
@@ -143,10 +124,9 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
     if cfg.l_sweep:
         l_max = max(l_max, max(cfg.l_sweep))
     nbr, dist = neighbors.search(index, l_max)
-    if write_outputs:
-        paths["neighbors"] = neighbors.write_cache(
-            nbr, dist, ds.ids, os.path.join(out, "neighbors.csv")
-        )
+    paths["neighbors"] = neighbors.write_cache(
+        nbr, dist, ds.ids, os.path.join(out, "neighbors.csv")
+    )
     zero = int((dist[:, cfg.n_neighbors - 1] == 0).sum())  # neighbors picked by the id tie-break
     _log(f"neighbor search done (L={l_max}; {zero} of {ds.n} rows have neighbor "
          f"{cfg.n_neighbors} at distance 0)", quiet)
@@ -165,12 +145,11 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
             base_ckpts[loss_kind] = res.checkpoints or [(f_epochs, res.model)]
             trained[loss_kind] = res
         _log("trained ce and cene baselines", quiet)
-    if write_outputs:
-        rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
-                for epoch, loss in enumerate(res.epoch_loss, 1))
-        paths["train_trace"] = write_rows(
-            os.path.join(out, "train_trace.csv"), ("epoch", "model", "mean_loss"), rows
-        )
+    rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
+            for epoch, loss in enumerate(res.epoch_loss, 1))
+    paths["train_trace"] = write_rows(
+        os.path.join(out, "train_trace.csv"), ("epoch", "model", "mean_loss"), rows
+    )
     clock.lap("train_baselines")
 
     sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors)
@@ -196,43 +175,35 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
             if ce_st is not None:
                 consistency.append((epoch, "ce", ce_st))
             consistency.append((epoch, "f", f_st))
-    if write_outputs:
-        paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
-        paths["scores_summary"] = scorer.write_score_summary(
-            tables, sc, os.path.join(out, "scores_summary.json")
+    paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
+    paths["scores_summary"] = scorer.write_score_summary(
+        tables, sc, os.path.join(out, "scores_summary.json")
+    )
+    if consistency:
+        paths["consistency"] = write_rows(
+            os.path.join(out, "consistency.csv"),
+            ("epoch", "model", "e_cor", "e_inc", "em_cor", "em_inc"),
+            ([str(epoch), tag] + ["" if v is None else repr(v)
+                                  for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc)]
+             for epoch, tag, st in consistency),
         )
-        if consistency:
-            paths["consistency"] = write_rows(
-                os.path.join(out, "consistency.csv"),
-                ("epoch", "model", "e_cor", "e_inc", "em_cor", "em_inc"),
-                ([str(epoch), tag] + ["" if v is None else repr(v)
-                                      for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc)]
-                 for epoch, tag, st in consistency),
-            )
     _log(f"scored {len(tables)} checkpoints", quiet)
     clock.lap("scoring")
 
     main_kind = "inn" if cfg.mode == "integral" else "midpoint"
     final = tables[-1]
-    raw_scores = final.values[main_kind]
-    fit_scores, degenerate = (
-        mixture.normalize_scores(raw_scores) if cfg.normalize else (raw_scores, False)
+    fit, score_split = mixture.split_column(
+        final.values[main_kind], "beta", cfg.normalize, cfg.threshold, final.ids
     )
-    if degenerate:
-        fit = mixture.degenerate_fit("beta", fit_scores)
-    else:
-        fit = mixture.fit_beta_mixture(fit_scores)
-    score_split = mixture.split(fit, fit_scores, cfg.threshold, ids=final.ids)
-    loss_split = loss_fit = None
+    fit.to_json(os.path.join(out, "bmm_fit.json"))
+    paths["split_scores"] = score_split.to_csv(os.path.join(out, "split_scores.csv"))
+    loss_split = None
     if "loss_ce" in final.values:
-        loss_fit = mixture.fit_gaussian_mixture(final.values["loss_ce"])
-        loss_split = mixture.split(loss_fit, final.values["loss_ce"], cfg.threshold, ids=final.ids)
-    if write_outputs:
-        fit.to_json(os.path.join(out, "bmm_fit.json"))
-        paths["split_scores"] = score_split.to_csv(os.path.join(out, "split_scores.csv"))
-        if loss_split is not None:
-            loss_fit.to_json(os.path.join(out, "gmm_fit.json"))
-            paths["split_loss"] = loss_split.to_csv(os.path.join(out, "split_loss.csv"))
+        loss_fit, loss_split = mixture.split_column(
+            final.values["loss_ce"], "gaussian", cfg.normalize, cfg.threshold, final.ids
+        )
+        loss_fit.to_json(os.path.join(out, "gmm_fit.json"))
+        paths["split_loss"] = loss_split.to_csv(os.path.join(out, "split_loss.csv"))
     clock.lap("mixture")
 
     report = None
@@ -244,32 +215,29 @@ def run_pipeline(cfg, quiet=False, write_outputs=True):
         report = evaluate.sweep_report(tables, clean)
         if cfg.l_sweep:
             report.flags["l_sweep"] = _l_sweep_aucs(f_segments[-1].inn, cfg.l_sweep, clean)
-            if write_outputs:
-                paths["lsweep"] = write_rows(
-                    os.path.join(out, "lsweep.csv"), ("L", "auc"),
-                    ([str(row["L"]), repr(row["auc"])] for row in report.flags["l_sweep"]["aucs"]),
-                )
-        if write_outputs:
-            kinds = [kind for kind in (main_kind, "loss_ce") if kind in final.values]
-            paths.update(report.write_outputs(out, final, ds, kinds, cfg.bins))
+            paths["lsweep"] = write_rows(
+                os.path.join(out, "lsweep.csv"), ("L", "auc"),
+                ([str(row["L"]), repr(row["auc"])] for row in report.flags["l_sweep"]["aucs"]),
+            )
+        kinds = [kind for kind in (main_kind, "loss_ce") if kind in final.values]
+        paths.update(report.write_outputs(out, final, ds, kinds, cfg.bins))
     clock.lap("eval")
 
     timing = clock.table()
-    if write_outputs:
-        write_json(os.path.join(out, "manifest.json"), {
-            "config": asdict(cfg),  # JSON writes the tuple fields as lists
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
-            "versions": _versions(),
-        })
-        write_json(os.path.join(out, "timing.json"), timing)
+    write_json(os.path.join(out, "manifest.json"), {
+        "config": asdict(cfg),  # JSON writes the tuple fields as lists
+        "config_hash": cfg.config_hash(),
+        "seed": cfg.seed,
+        "versions": _versions(),
+    })
+    write_json(os.path.join(out, "timing.json"), timing)
+    tinynet.save_checkpoint(
+        h_result.model, os.path.join(out, "checkpoints", "h_final.ckpt"), h_epochs, h_tc
+    )
+    for epoch, model in f_ckpts:
         tinynet.save_checkpoint(
-            h_result.model, os.path.join(out, "checkpoints", "h_final.ckpt"), h_epochs, h_tc
+            model, os.path.join(out, "checkpoints", f"f_epoch{epoch}.ckpt"), epoch, f_tc
         )
-        for epoch, model in f_ckpts:
-            tinynet.save_checkpoint(
-                model, os.path.join(out, "checkpoints", f"f_epoch{epoch}.ckpt"), epoch, f_tc
-            )
 
     return PipelineResult(
         cfg, ds, tables, report, consistency, score_split, loss_split, timing, paths

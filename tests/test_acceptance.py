@@ -27,7 +27,7 @@ def verdict(number, name, ok, detail):
     assert ok, f"criterion {number}: {name}: {detail}"
 
 
-def stability_config(seed, out_dir="unused"):
+def stability_config(seed, out_dir):
     """Frozen desk-scale protocol for the stability/consistency replication."""
     return RunConfig(
         n=2000, n_classes=4, dim=2, spread=1.6,
@@ -38,19 +38,21 @@ def stability_config(seed, out_dir="unused"):
 
 
 @pytest.fixture(scope="module")
-def stability_runs():
-    return [run_pipeline(stability_config(s), quiet=True, write_outputs=False) for s in SEEDS]
+def stability_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stability")
+    return [run_pipeline(stability_config(s, root / f"s{s}"), quiet=True) for s in SEEDS]
 
 
 @pytest.fixture(scope="module")
-def heavy_noise_runs():
+def heavy_noise_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("heavy_noise")
     cfgs = [
         RunConfig(n=5000, n_classes=10, dim=2, spread=0.6,
                   noise_kind="symmetric", noise_rate=0.8,
-                  epochs=300, checkpoint_every=50, seed=s, out_dir="unused")
+                  epochs=300, checkpoint_every=50, seed=s, out_dir=str(root / f"s{s}"))
         for s in SEEDS
     ]
-    return [run_pipeline(cfg, quiet=True, write_outputs=False) for cfg in cfgs]
+    return [run_pipeline(cfg, quiet=True) for cfg in cfgs]
 
 
 def test_criterion_1_gradient_correctness():
@@ -263,7 +265,7 @@ def test_criterion_11_imbalanced_separation(tmp_path):
             epochs=300, checkpoint_every=50, seed=seed,
             out_dir=str(tmp_path / f"imb{seed}"),
         )
-        res = run_pipeline(cfg, quiet=True, write_outputs=(seed == SEEDS[0]))
+        res = run_pipeline(cfg, quiet=True)
         rep = res.report
         inn_final.append(rep.series("inn")[-1][1])
         ce_final.append(rep.series("loss_ce")[-1][1])

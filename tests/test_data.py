@@ -90,34 +90,30 @@ class TestSymmetricNoise:
 class TestAsymmetricNoise:
     def test_chain_rate_one(self):
         ds = data.synth("blobs", 500, 5, 2, 0.3, seed=0)
-        spec = data.NoiseSpec("asymmetric_chain", 1.0)
-        out = data.corrupt_asymmetric(ds, spec, seed=3)
+        out = data.corrupt_asymmetric(ds, 1.0, seed=3)
         assert np.array_equal(out.observed_labels, (ds.true_labels + 1) % 5)
 
     def test_map_rate_one_moves_only_domain(self):
         ds = data.synth("blobs", 600, 3, 2, 0.3, seed=0)
-        spec = data.NoiseSpec("asymmetric_map", 1.0, {0: 1})
-        out = data.corrupt_asymmetric(ds, spec, seed=3)
+        out = data.corrupt_asymmetric(ds, 1.0, seed=3, mapping={0: 1})
         was_zero = ds.true_labels == 0
         assert np.all(out.observed_labels[was_zero] == 1)
         assert np.array_equal(out.observed_labels[~was_zero], ds.observed_labels[~was_zero])
 
     def test_chain_realized_rate(self):
         ds = data.synth("blobs", 100_000, 100, 2, 0.3, seed=0)
-        spec = data.NoiseSpec("asymmetric_chain", 0.2)
-        out = data.corrupt_asymmetric(ds, spec, seed=3)
+        out = data.corrupt_asymmetric(ds, 0.2, seed=3)
         assert abs(out.noisy_fraction() - 0.20) < 0.01
 
     def test_map_label_out_of_range(self):
         ds = data.synth("blobs", 50, 3, 2, 0.3, seed=0)
         with pytest.raises(ValueError):
-            data.corrupt_asymmetric(ds, data.NoiseSpec("asymmetric_map", 0.5, {0: 7}), seed=0)
+            data.corrupt_asymmetric(ds, 0.5, seed=0, mapping={0: 7})
 
     def test_pairwise_swap_map(self):
         # the cat<->dog style bidirectional mapping
         ds = data.synth("blobs", 2000, 4, 2, 0.3, seed=0)
-        spec = data.NoiseSpec("asymmetric_map", 1.0, {2: 3, 3: 2})
-        out = data.corrupt_asymmetric(ds, spec, seed=1)
+        out = data.corrupt_asymmetric(ds, 1.0, seed=1, mapping={2: 3, 3: 2})
         assert np.all(out.observed_labels[ds.true_labels == 2] == 3)
         assert np.all(out.observed_labels[ds.true_labels == 3] == 2)
 

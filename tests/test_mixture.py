@@ -133,12 +133,14 @@ class TestSplit:
         assert (labeled == (labels == 1)).mean() >= 0.9
 
     def test_degenerate_fit_falls_back_to_all_labeled(self):
-        scores, degenerate = mixture.normalize_scores(np.full(50, 0.2))
+        _, degenerate = mixture.normalize_scores(np.full(50, 0.2))
         assert degenerate
-        fit = mixture.degenerate_fit("beta", scores)
-        res = mixture.split(fit, scores)
-        assert len(res.labeled_ids) == 50
-        assert np.all(res.posterior == 1.0)
+        # also below the 10 scores a fit needs
+        for n in (50, 3):
+            fit, res = mixture.split_column(np.full(n, 0.2))
+            assert fit.degenerate and fit.stop_reason == "degenerate"
+            assert len(res.labeled_ids) == n
+            assert np.all(res.posterior == 1.0)
 
     def test_csv_roundtrip(self, tmp_path):
         fit, x, _ = self.make_fit()
@@ -180,7 +182,7 @@ class TestSplit:
             "tol": mixture.fit_beta_mixture(sample(0)),
             "ll_drop_reverted": mixture.fit_beta_mixture(sample(1)),
             "max_iters": mixture.fit_beta_mixture(sample(0), max_iters=1),
-            "degenerate": mixture.degenerate_fit("beta", np.full(20, 0.5)),
+            "degenerate": mixture.fit_beta_mixture(np.full(20, 0.5)),
         }
         for reason, fit in fits.items():
             assert fit.stop_reason == reason

@@ -101,7 +101,7 @@ class TestPipeline:
 
     def test_timing_phases_sum_to_total(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        result = run_pipeline(cfg, quiet=True, write_outputs=False)
+        result = run_pipeline(cfg, quiet=True)
         phases = result.timing["phases"]
         assert abs(sum(phases.values()) - result.timing["total"]) <= 0.01 * result.timing["total"]
         assert "neighbor_search" in phases and "scoring" in phases
@@ -130,25 +130,25 @@ class TestPipeline:
 
     def test_epoch_scale_and_share(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", epoch_scale=0.5, share_epochs=True)
-        result = run_pipeline(cfg, quiet=True, write_outputs=False)
+        result = run_pipeline(cfg, quiet=True)
         # epochs 10 -> 5, checkpoint grid 5 -> 2 (banker's rounding)
         assert [t.epoch for t in result.score_tables] == [2, 4]
 
     def test_chain_and_imbalanced_noise(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", noise_kind="chain", noise_rate=1.0)
-        result = run_pipeline(cfg, quiet=True, write_outputs=False)
+        result = run_pipeline(cfg, quiet=True)
         ds = result.dataset
         assert np.array_equal(ds.observed_labels, (ds.true_labels + 1) % 3)
 
         cfg = tiny_config(tmp_path / "run2", n_classes=2, noise_kind="imbalanced",
                           imb_keep=0.3, imb_flip=0.2)
-        result = run_pipeline(cfg, quiet=True, write_outputs=False)
+        result = run_pipeline(cfg, quiet=True)
         assert result.dataset.n_classes == 2
         assert result.dataset.n < 200
 
     def test_no_baselines(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", baselines=False)
-        result = run_pipeline(cfg, quiet=True, write_outputs=False)
+        result = run_pipeline(cfg, quiet=True)
         assert sorted(result.score_tables[0].values) == ["inn", "midpoint"]
         assert result.loss_split is None
 
@@ -206,6 +206,35 @@ class TestCli:
         assert main(["eval", "--scores", f"{out}/scores/scores.csv",
                      "--data", f"{out}/noisy.csv", "--out", f"{out}/eval"]) == 0
         assert os.path.exists(f"{out}/eval/report.json")
+
+    @pytest.mark.parametrize("noise, flag", [("symmetric", "--sym"), ("chain", "--chain")])
+    def test_steps_write_the_pipeline_files(self, tmp_path, noise, flag):
+        """The step commands run the pipeline's own stages: on its inputs they
+        write its files byte for byte."""
+        cfg = tiny_config(tmp_path / "run", noise_kind=noise)
+        run_pipeline(cfg, quiet=True)
+        run, steps = tmp_path / "run", tmp_path / "steps"
+        # the pipeline synthesizes at its seed and corrupts at seed + 1
+        assert main(["synth", "--n", str(cfg.n), "--k", str(cfg.n_classes), "--d", str(cfg.dim),
+                     "--spread", str(cfg.spread), "--seed", str(cfg.seed),
+                     "--out", str(steps), "--name", "clean.csv"]) == 0
+        assert main(["corrupt", "--data", str(steps / "clean.csv"), flag, str(cfg.noise_rate),
+                     "--seed", str(cfg.seed + 1), "--out", str(steps)]) == 0
+        scores = str(run / "scores.csv")
+        assert main(["split", "--scores", scores, "--kind", "inn",
+                     "--out", str(steps / "beta")]) == 0
+        assert main(["split", "--scores", scores, "--kind", "loss_ce", "--mixture", "gaussian",
+                     "--out", str(steps / "gauss")]) == 0
+        assert main(["eval", "--scores", scores, "--data", str(run / "dataset.csv"),
+                     "--out", str(steps / "eval")]) == 0
+        for ours, theirs in (
+            ("dataset.csv", "dataset.csv"),
+            ("split_scores.csv", "beta/split.csv"), ("bmm_fit.json", "beta/beta_fit.json"),
+            ("split_loss.csv", "gauss/split.csv"), ("gmm_fit.json", "gauss/gaussian_fit.json"),
+            ("auc.csv", "eval/auc.csv"), ("report.json", "eval/report.json"),
+            ("histograms_inn.csv", "eval/histograms_inn.csv"),
+        ):
+            assert filecmp.cmp(run / ours, steps / theirs, shallow=False), ours
 
     def test_corrupt_sym_zero_identical_labels(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -374,6 +403,9 @@ class TestCli:
         (["--h-epochs", "0"], "h_epochs"),
         (["--bins", "0"], "bins"),
         (["--threshold", "7"], "threshold"),
+        (["--lr0", "nan"], "lr0"),
+        (["--lr-drop-factor", "nan"], "lr_drop_factor"),
+        (["--mixup-alpha", "nan"], "mixup_alpha"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -507,6 +539,18 @@ class TestMalformedInputsCli:
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--kinds", ",", "--out", out],
              "unknown score kind ','"),
+            (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
+              "--features-from", str(root / "h.ckpt"), "--h", "0", "--out", out],
+             "trapezoids is 0, not a positive integer"),
+            (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
+              "--features-from", str(root / "h.ckpt"), "--l", "0", "--out", out],
+             "n_neighbors is 0, not a positive integer"),
+            (["train", "--data", world["csv"], "--lr0", "nan", "--out", out],
+             "lr0 is nan, not positive"),
+            (["eval", "--scores", world["scores"], "--data", world["csv"], "--bins", "0",
+              "--out", out], "bins is 0, not a positive integer"),
+            (["corrupt", "--data", world["csv"], "--sym", "0.2", "--rate", "0.5", "--out", out],
+             "--rate is the rate of --map and goes only with it"),
         ]
         for argv, shown in cases:
             assert main(argv) == 2, argv
