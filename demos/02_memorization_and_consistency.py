@@ -33,12 +33,13 @@ ce = tinynet.train(
 )
 
 print(f"{'epoch':>6} {'E_cor':>7} {'E_inc':>7} {'Em_cor':>7} {'Em_inc':>7}   sample gap vs midpoint gap")
-for epoch, model in ce.checkpoints:
-    st = scorer.consistency_stats(model, ds, nbr, epoch)
-    print(f"{epoch:6d} {st.e_cor:7.3f} {st.e_inc:7.3f} {st.em_cor:7.3f} {st.em_inc:7.3f}"
+# H = 1 on the 1-NN column evaluates only the samples and their 1-NN midpoints
+_, stats = scorer.score_models(ds, nbr[:, :1], 1, ce.checkpoints)
+for st in stats:
+    print(f"{st.epoch:6d} {st.e_cor:7.3f} {st.e_inc:7.3f} {st.em_cor:7.3f} {st.em_inc:7.3f}"
           f"   {st.e_cor - st.e_inc:.3f} vs {st.em_cor - st.em_inc:.3f}")
 
-last = scorer.consistency_stats(ce.checkpoints[-1][1], ds, nbr)
+last = stats[-1]
 print(
     "\nat the last checkpoint the sample-level gap has collapsed to "
     f"{last.e_cor - last.e_inc:.3f} while the midpoint gap is still "

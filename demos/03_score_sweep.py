@@ -31,7 +31,7 @@ cene = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=5, lift_freq=4.0)
                      ds, tinynet.TrainConfig("cene", seed=5, **train_cfg))
 
 # one pass scores inn and midpoint for every checkpoint of f
-tables, _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(H, L), f.checkpoints)
+tables, _ = scorer.score_models(ds, nbr, H, f.checkpoints)
 for table, (_, ce_model), (_, cene_model) in zip(tables, ce.checkpoints, cene.checkpoints):
     table.add("loss_ce", tinynet.per_sample_loss(ce_model, ds, "ce"))
     table.add("loss_cene", tinynet.per_sample_loss(cene_model, ds, "cene"))

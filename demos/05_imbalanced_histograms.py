@@ -26,7 +26,8 @@ f = tinynet.train(tinynet.init_model([2, 256, 128, 2], seed=3, lift_freq=4.0),
 ce = tinynet.train(tinynet.init_model([2, 256, 128, 2], seed=4, lift_freq=4.0),
                    ds, tinynet.TrainConfig("ce", epochs=150, seed=4))
 
-inn = scorer.inn_scores(f.model, ds, nbr, scorer.ScorerConfig(10, 10), epoch=150).values["inn"]
+(table,), _ = scorer.score_models(ds, nbr, 10, [(150, f.model)])
+inn = table.values["inn"]
 losses = tinynet.per_sample_loss(ce.model, ds, "ce")
 print(f"clean/noisy AUC: integral {evaluate.auc(inn, clean):.3f}, "
       f"negated CE loss {evaluate.auc(-losses, clean):.3f}")

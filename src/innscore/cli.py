@@ -218,7 +218,6 @@ def _cmd_train(args):
     from .pipeline import load_dataset
 
     tc = TrainConfig(**fields_from(TrainConfig, args))
-    tc.validate()
     ds = load_dataset(args.data)
     dims = [ds.d, *args.hidden, ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
@@ -261,8 +260,8 @@ def _cmd_score(args):
     for ckpt in args.model:
         model, sidecar = tinynet.load_checkpoint(ckpt)
         checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
-    config = scorer.ScorerConfig(args.h, args.l)
-    scored, _ = scorer.score_models(ds, nbr, config, checkpoints)
+    # a cache may hold more than --l columns
+    scored, _ = scorer.score_models(ds, nbr[:, :args.l], args.h, checkpoints)
     tables = []
     for (epoch, model), full in zip(checkpoints, scored):
         table = scorer.ScoreTable(epoch, ds.ids.copy())
@@ -274,7 +273,8 @@ def _cmd_score(args):
         tables.append(table)
     os.makedirs(args.out, exist_ok=True)
     path = scorer.write_score_csv(tables, os.path.join(args.out, "scores.csv"))
-    scorer.write_score_summary(tables, config, os.path.join(args.out, "scores_summary.json"))
+    scorer.write_score_summary(tables, args.h, args.l,
+                               os.path.join(args.out, "scores_summary.json"))
     print(f"wrote {path} ({len(tables)} checkpoints, kinds: {','.join(kinds)})")
     return 0
 

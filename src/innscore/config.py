@@ -60,6 +60,11 @@ def _setting(default, **metadata):
 
 LOSS_KINDS = ("ce", "cene", "mixup")
 NOISE_KINDS = ("none", "symmetric", "chain", "map", "imbalanced")  # `data.corrupt`'s protocols
+# the corruption settings that only some noise kinds read, and those kinds
+_NOISE_READERS = {
+    "noise_rate": ("symmetric", "chain", "map"), "noise_map": ("map",),
+    **dict.fromkeys(("imb_class_a", "imb_class_b", "imb_keep", "imb_flip"), ("imbalanced",)),
+}
 
 
 @dataclass
@@ -74,7 +79,8 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
+        """Reject a setting out of range before any work."""
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.epochs < 0:
@@ -153,7 +159,13 @@ class RunConfig:
             raise ValueError(f"l_sweep is {self.l_sweep}, not all positive integers")
         if not 0.0 <= self.threshold <= 1.0:  # a clean posterior
             raise ValueError(f"threshold is {self.threshold}, not in [0, 1]")
-        TrainConfig(**fields_from(TrainConfig, self)).validate()  # the shared training settings
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, kinds in _NOISE_READERS.items():
+            value = getattr(self, name)
+            if self.noise_kind not in kinds and value != defaults[name]:
+                raise ValueError(f"{name} is {value}, but noise_kind {self.noise_kind} "
+                                 "does not read it")
+        TrainConfig(**fields_from(TrainConfig, self))  # checks the shared training settings
 
     def scaled(self, value):
         return max(1, int(round(value * self.epoch_scale)))

@@ -237,15 +237,12 @@ def _degenerate_fit(kind, x):
 def split(fit, scores, threshold=0.5, ids=None):
     """Partition by clean-component posterior >= threshold.
 
-    Degenerate fits place every sample in the labeled set with posterior
-    one (there is nothing to separate).
+    A degenerate fit's posterior is one on its clean component, so every
+    sample is labeled (there is nothing to separate).
     """
     x = np.asarray(scores, dtype=np.float64)
     ids = np.arange(x.shape[0], dtype=np.int64) if ids is None else np.asarray(ids)
-    if fit.degenerate:
-        post = np.ones(x.shape[0])
-    else:
-        post = fit.posterior(x)[:, fit.clean_component]
+    post = fit.posterior(x)[:, fit.clean_component]
     labeled = post >= threshold
     return SplitResult(ids[labeled], ids[~labeled], post, threshold, ids)
 

@@ -152,11 +152,8 @@ def run_pipeline(cfg, quiet=False):
     )
     clock.lap("train_baselines")
 
-    sc = scorer.ScorerConfig(cfg.trapezoids, cfg.n_neighbors)
     # one pass at the widest L serves both the tables and the L-sweep
-    f_segments = scorer.segment_scores(
-        ds, nbr, scorer.ScorerConfig(cfg.trapezoids, l_max), f_ckpts
-    )
+    f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts)
     tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
     for loss_kind, ckpts in base_ckpts.items():
         if [e for e, _ in ckpts] != [e for e, _ in f_ckpts]:
@@ -168,16 +165,14 @@ def run_pipeline(cfg, quiet=False):
         ce_stats = [None] * len(f_ckpts)
         if "ce" in base_ckpts:
             # L = H = 1 evaluates only the samples and their 1-NN midpoints
-            _, ce_stats = scorer.score_models(
-                ds, nbr, scorer.ScorerConfig(1, 1), base_ckpts["ce"]
-            )
+            _, ce_stats = scorer.score_models(ds, nbr[:, :1], 1, base_ckpts["ce"])
         for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats):
             if ce_st is not None:
                 consistency.append((epoch, "ce", ce_st))
             consistency.append((epoch, "f", f_st))
     paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
     paths["scores_summary"] = scorer.write_score_summary(
-        tables, sc, os.path.join(out, "scores_summary.json")
+        tables, cfg.trapezoids, cfg.n_neighbors, os.path.join(out, "scores_summary.json")
     )
     if consistency:
         paths["consistency"] = write_rows(

@@ -42,18 +42,6 @@ _EDGE_ROWS = 8
 
 
 @dataclass
-class ScorerConfig:
-    trapezoids: int = 10  # H
-    n_neighbors: int = 10  # L
-
-    def validate(self):
-        if self.trapezoids < 1:
-            raise ValueError("trapezoids must be >= 1")
-        if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1")
-
-
-@dataclass
 class ScoreTable:
     """Per-sample score columns for one checkpoint epoch."""
 
@@ -92,6 +80,9 @@ class ConsistencyStats:
 
 
 def trapezoid_weights(trapezoids):
+    """Weights of the H-trapezoid rule on its H + 1 nodes, t = 0 .. 1."""
+    if trapezoids < 1:
+        raise ValueError(f"trapezoids is {trapezoids}, not a positive integer")
     w = np.full(trapezoids + 1, 1.0 / trapezoids)
     w[0] = w[-1] = 0.5 / trapezoids
     return w
@@ -99,8 +90,7 @@ def trapezoid_weights(trapezoids):
 
 def segment_integral(model, x, x_tilde, label, trapezoids):
     """Trapezoid approximation of the integral of f_label from x to x_tilde."""
-    if trapezoids < 1:
-        raise ValueError("trapezoids must be >= 1")
+    w = trapezoid_weights(trapezoids)
     x = np.asarray(x, dtype=np.float64)
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     if x.shape != x_tilde.shape:
@@ -108,7 +98,7 @@ def segment_integral(model, x, x_tilde, label, trapezoids):
     t = np.arange(trapezoids + 1) / trapezoids
     nodes = (1.0 - t)[:, None] * x + t[:, None] * x_tilde
     p = model.predict_proba(nodes)[:, label]
-    return float(trapezoid_weights(trapezoids) @ p)
+    return float(w @ p)
 
 
 def _stages(model):
@@ -221,14 +211,15 @@ class Segments:
     p_self: np.ndarray
 
 
-def segment_scores(dataset, neighbor_ids, config, checkpoints):
+def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints):
     """Every checkpoint's per-neighbor integrals and midpoints, in one pass.
 
-    neighbor_ids is the (n, >= L) row-index table of `neighbors.search`,
-    nearest first; only its first config.n_neighbors columns are used.
-    checkpoints is a list of (epoch, model). Returns one Segments per
-    checkpoint. Checkpoints whose frozen first layer is identical share
-    its activations, which are computed once per chunk.
+    neighbor_ids is an (n, L) row-index table as `neighbors.search`
+    returns it, nearest first, and every column is scored; pass
+    `nbr[:, :L]` to score fewer. trapezoids is H. checkpoints is a list
+    of (epoch, model). Returns one Segments per checkpoint. Checkpoints
+    whose frozen first layer is identical share its activations, which
+    are computed once per chunk.
 
     The pass runs over undirected edges: a segment listed by both of its
     ends is evaluated once, from its lower endpoint a, and the full
@@ -237,15 +228,15 @@ def segment_scores(dataset, neighbor_ids, config, checkpoints):
     the trapezoid sum (its weights are symmetric) nor the midpoint
     (t = 1/2 maps to itself).
     """
-    config.validate()
-    H, L = config.trapezoids, config.n_neighbors
+    H = trapezoids
+    w = trapezoid_weights(H)
     X = dataset.features
     y = dataset.observed_labels
     n = dataset.n
     nbr = np.asarray(neighbor_ids)
-    if nbr.ndim != 2 or nbr.shape[0] != n or nbr.shape[1] < L:
-        raise ValueError(f"need an (n={n}, >= L={L}) neighbor id table, got {nbr.shape}")
-    nbr = nbr[:, :L]
+    if nbr.ndim != 2 or nbr.shape[0] != n or nbr.shape[1] < 1:
+        raise ValueError(f"need an (n={n}, L >= 1) neighbor id table, got {nbr.shape}")
+    L = nbr.shape[1]
     rows = np.arange(n)
 
     t = np.arange(H + 1) / H
@@ -253,7 +244,6 @@ def segment_scores(dataset, neighbor_ids, config, checkpoints):
     t_in = t[1:-1] if H % 2 == 0 else np.append(t[1:-1], 0.5)
     mid = H // 2 - 1 if H % 2 == 0 else H - 1
     T = t_in.size
-    w = trapezoid_weights(H)
     left = (1.0 - t_in)[None, :, None]
     right = t_in[None, :, None]
     a, b, slots, slot_edge = _edges(nbr)
@@ -311,6 +301,9 @@ def summarize(dataset, checkpoints, segments, n_neighbors):
     n_neighbors neighbors: one ScoreTable per checkpoint with columns
     "inn" and "midpoint", and one ConsistencyStats per checkpoint, or
     None for each when the dataset has no true labels."""
+    for seg in segments:
+        if not 1 <= n_neighbors <= seg.inn.shape[1]:
+            raise ValueError(f"n_neighbors is {n_neighbors}, not in [1, {seg.inn.shape[1]}]")
     tables = [
         ScoreTable(epoch, dataset.ids.copy())
         .add("inn", seg.inn[:, :n_neighbors].mean(axis=1))
@@ -327,14 +320,16 @@ def summarize(dataset, checkpoints, segments, n_neighbors):
     return tables, stats
 
 
-def score_models(dataset, neighbor_ids, config, checkpoints):
+def score_models(dataset, neighbor_ids, trapezoids, checkpoints):
     """Score every sample under every checkpoint in one chunked pass.
 
     Arguments as for segment_scores. Returns (tables, stats) as
-    summarize does, averaging over config.n_neighbors neighbors.
+    summarize does, averaging over every column of neighbor_ids. The
+    consistency statistics read only the samples and their 1-NN
+    midpoints, which `nbr[:, :1]` at H = 1 evaluates alone.
     """
-    segments = segment_scores(dataset, neighbor_ids, config, checkpoints)
-    return summarize(dataset, checkpoints, segments, config.n_neighbors)
+    segments = segment_scores(dataset, neighbor_ids, trapezoids, checkpoints)
+    return summarize(dataset, checkpoints, segments, np.shape(neighbor_ids)[1])
 
 
 def _consistency(p_self, p_mid, clean, epoch):
@@ -357,21 +352,6 @@ def _consistency(p_self, p_mid, clean, epoch):
     )
 
 
-def inn_scores(model, dataset, neighbor_ids, config, epoch=None):
-    """One model's ScoreTable, with columns "inn" and "midpoint"."""
-    tables, _ = score_models(dataset, neighbor_ids, config, [(epoch, model)])
-    return tables[0]
-
-
-def consistency_stats(model, dataset, neighbor_ids, epoch=None):
-    """The four clean/noisy expectations of f_y at samples and 1-NN midpoints."""
-    if dataset.true_labels is None:
-        raise ValueError("consistency stats require true labels")
-    # L = H = 1 evaluates only the samples and their 1-NN midpoints
-    _, stats = score_models(dataset, neighbor_ids, ScorerConfig(1, 1), [(epoch, model)])
-    return stats[0]
-
-
 # --- score files --------------------------------------------------------
 
 
@@ -389,10 +369,10 @@ def write_score_csv(tables, path):
     return write_rows(path, _SCORE_HEADER, rows)
 
 
-def write_score_summary(tables, config, path):
-    """JSON companion to the score CSV: config echo plus table shape."""
+def write_score_summary(tables, trapezoids, n_neighbors, path):
+    """JSON companion to the score CSV: H and L plus table shape."""
     return write_json(path, {
-        "config": {"trapezoids": config.trapezoids, "n_neighbors": config.n_neighbors},
+        "config": {"trapezoids": trapezoids, "n_neighbors": n_neighbors},
         "epochs": [t.epoch for t in tables],
         "kinds": sorted({k for t in tables for k in t.values}),
         "n_samples": int(tables[0].ids.shape[0]) if tables else 0,

@@ -273,7 +273,6 @@ def train(model, dataset, config):
     call, or once per mixed batch for mixup, and gets no gradient; a later
     frozen layer is back-propagated through and skipped by the update.
     """
-    config.validate()
     X = dataset.features
     y = dataset.observed_labels
     if y.min() < 0 or y.max() >= model.n_classes:

@@ -110,7 +110,7 @@ def test_criterion_3_oracle_identity():
         model = oracle.SegmentInterpolantModel(points, labels, K)
         ds = data.Dataset(points, labels, labels.copy(), K, np.arange(L + 1))
         nbr = np.array([[j for j in range(L + 1) if j != i] for i in range(L + 1)])
-        table = scorer.inn_scores(model, ds, nbr, scorer.ScorerConfig(10, L))
+        table = scorer.score_models(ds, nbr[:, :L], 10, [(None, model)])[0][0]
         expected = float(oracle.oracle_inn(0, labels[1:]))
         assert expected == float(Fraction(1, 2) + Fraction(m, 2 * L))
         worst = max(worst, abs(table.values["inn"][0] - expected))

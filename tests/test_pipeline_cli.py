@@ -141,7 +141,7 @@ class TestPipeline:
         assert np.array_equal(ds.observed_labels, (ds.true_labels + 1) % 3)
 
         cfg = tiny_config(tmp_path / "run2", n_classes=2, noise_kind="imbalanced",
-                          imb_keep=0.3, imb_flip=0.2)
+                          noise_rate=0.0, imb_keep=0.3, imb_flip=0.2)
         result = run_pipeline(cfg, quiet=True)
         assert result.dataset.n_classes == 2
         assert result.dataset.n < 200
@@ -156,7 +156,8 @@ class TestPipeline:
         ds = data.synth("blobs", 120, 3, 2, 0.5, seed=0)
         stripped = data.Dataset(ds.features, ds.observed_labels, None, 3, ds.ids)
         path = data.write_csv(stripped, tmp_path / "plain.csv")
-        cfg = tiny_config(tmp_path / "run", data_path=str(path), noise_kind="none")
+        cfg = tiny_config(tmp_path / "run", data_path=str(path), noise_kind="none",
+                          noise_rate=0.0)
         result = run_pipeline(cfg, quiet=True)
         assert result.report is None
         assert (tmp_path / "run" / "scores.csv").exists()
@@ -272,6 +273,18 @@ class TestCli:
         shown = capsys.readouterr().out
         assert "total" in shown
 
+    def test_score_uses_l_columns_of_a_wider_cache(self, world, tmp_path):
+        ds = data.read_csv(world["csv"])
+        h, _ = tinynet.load_checkpoint(world["root"] / "h.ckpt")
+        ids, dist = neighbors.search(neighbors.build_index(h.penultimate(ds.features)), 3)
+        cache = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn3.csv")
+        args = ["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
+                "--features-from", str(world["root"] / "h.ckpt"), "--l", "2", "--h", "3"]
+        assert main([*args, "--neighbors", str(cache), "--out", str(tmp_path / "cached")]) == 0
+        assert main([*args, "--out", str(tmp_path / "searched")]) == 0
+        assert filecmp.cmp(tmp_path / "cached" / "scores.csv",
+                           tmp_path / "searched" / "scores.csv", shallow=False)
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["corrupt", "--data", "/no/such/file.csv", "--sym", "0.1",
                      "--out", str(tmp_path)]) == 2
@@ -372,10 +385,6 @@ class TestCli:
             ("out_dir", "--out", str(tmp_path / "out")),
         ]
         assert [name for name, _, _ in settings] == [f.name for f in fields(RunConfig)]
-        flags = [arg for _, flag, text in settings for arg in (flag, text) if arg is not None]
-        lines = [f"{name} = {text if text is not None else json.dumps(name == 'share_epochs')}"
-                 for name, _, text in settings]
-        (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
 
         class Built(Exception):
             """Carries the RunConfig out before any work."""
@@ -384,14 +393,26 @@ class TestCli:
             raise Built(cfg)
 
         monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
-        seen = []
-        for argv in (flags, ["--config", str(tmp_path / "run.cfg")]):
-            with pytest.raises(Built) as built:
-                main(["pipeline", *argv])
-            seen.append(built.value.args[0])
-        by_flags, by_file = seen
-        assert by_flags == by_file
-        assert all(getattr(by_flags, f.name) != f.default for f in fields(RunConfig))
+        # each noise kind takes only the corruption settings it reads
+        unread = {"map": ("imb_class_a", "imb_class_b", "imb_keep", "imb_flip"),
+                  "imbalanced": ("noise_rate", "noise_map")}
+        changed = set()
+        for kind, skipped in unread.items():
+            run = [(name, flag, kind if name == "noise_kind" else text)
+                   for name, flag, text in settings if name not in skipped]
+            flags = [arg for _, flag, text in run for arg in (flag, text) if arg is not None]
+            lines = [f"{name} = {text if text is not None else json.dumps(name == 'share_epochs')}"
+                     for name, _, text in run]
+            (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+            seen = []
+            for argv in (flags, ["--config", str(tmp_path / "run.cfg")]):
+                with pytest.raises(Built) as built:
+                    main(["pipeline", *argv])
+                seen.append(built.value.args[0])
+            by_flags, by_file = seen
+            assert by_flags == by_file
+            changed |= {f.name for f in fields(RunConfig) if getattr(by_flags, f.name) != f.default}
+        assert changed == {f.name for f in fields(RunConfig)}
 
     @pytest.mark.parametrize("argv, name", [
         (["--epochs", "-1"], "epochs"),
@@ -406,6 +427,8 @@ class TestCli:
         (["--lr0", "nan"], "lr0"),
         (["--lr-drop-factor", "nan"], "lr_drop_factor"),
         (["--mixup-alpha", "nan"], "mixup_alpha"),
+        (["--noise", "symmetric", "--rate", "0.2", "--map", "0:1", "--imb-keep", "0.5"],
+         "noise_map"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -639,7 +662,7 @@ def world(tmp_path_factory):
     tinynet.save_checkpoint(h, root / "h.ckpt", epoch=3)
     tinynet.save_checkpoint(f, root / "f.ckpt", epoch=3)
     ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
-    tables, _ = scorer.score_models(ds, ids, scorer.ScorerConfig(2, 3), [(1, h), (2, f)])
+    tables, _ = scorer.score_models(ds, ids[:, :3], 2, [(1, h), (2, f)])
     data.write_raw(ds, root / "r")
     return {
         "root": root,

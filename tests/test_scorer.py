@@ -71,26 +71,29 @@ class TestSegmentIntegral:
     def test_h_zero_rejected(self):
         with pytest.raises(ValueError):
             scorer.segment_integral(ConstantModel([1.0]), np.zeros(2), np.ones(2), 0, 0)
+        ds, nbr = tiny_world()
+        with pytest.raises(ValueError):
+            scorer.segment_scores(ds, nbr, 0, [(0, ConstantModel(np.full(3, 1 / 3)))])
 
 
 class TestInnScores:
     def test_constant_uniform_model_scores_one_over_k(self):
         ds, nbr = tiny_world()
         m = ConstantModel(np.full(3, 1 / 3))
-        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(10, 4), epoch=1)
+        table = scorer.score_models(ds, nbr[:, :4], 10, [(1, m)])[0][0]
         np.testing.assert_allclose(table.values["inn"], 1 / 3, atol=1e-12)
 
     def test_scores_within_unit_interval(self):
         ds, nbr = tiny_world(n=40, seed=3)
         m = tinynet.init_model([3, 6, 3], seed=1)
-        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(7, 4))
+        table = scorer.score_models(ds, nbr[:, :4], 7, [(None, m)])[0][0]
         s = table.values["inn"]
         assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_single_neighbor_reduces_to_segment_integral(self):
         ds, nbr = tiny_world(seed=5)
         m = tinynet.init_model([3, 6, 3], seed=2)
-        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(10, 1))
+        table = scorer.score_models(ds, nbr[:, :1], 10, [(None, m)])[0][0]
         for i, row in enumerate(nbr):
             ref = scorer.segment_integral(
                 m, ds.features[i], ds.features[row[0]], ds.observed_labels[i], 10
@@ -100,16 +103,15 @@ class TestInnScores:
     def test_neighbor_order_irrelevant(self):
         ds, nbr = tiny_world(seed=6)
         m = tinynet.init_model([3, 6, 3], seed=3)
-        cfg = scorer.ScorerConfig(5, 4)
-        a = scorer.inn_scores(m, ds, nbr, cfg).values["inn"]
+        a = scorer.score_models(ds, nbr[:, :4], 5, [(None, m)])[0][0].values["inn"]
         flipped = nbr[:, ::-1]
-        b = scorer.inn_scores(m, ds, flipped, cfg).values["inn"]
+        b = scorer.score_models(ds, flipped[:, :4], 5, [(None, m)])[0][0].values["inn"]
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_h1_equals_endpoint_average(self):
         ds, nbr = tiny_world(seed=7)
         m = tinynet.init_model([3, 6, 3], seed=4)
-        table = scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(1, 4))
+        table = scorer.score_models(ds, nbr[:, :4], 1, [(None, m)])[0][0]
         probs = m.predict_proba(ds.features)
         for i, row in enumerate(nbr):
             y = ds.observed_labels[i]
@@ -120,8 +122,8 @@ class TestInnScores:
         # odd H evaluates t = 1/2 explicitly, even H reuses node H/2
         ds, nbr = tiny_world(seed=8)
         m = tinynet.init_model([3, 6, 3], seed=5)
-        (a,), _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(1, 4), [(0, m)])
-        (b,), _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(50, 4), [(0, m)])
+        (a,), _ = scorer.score_models(ds, nbr[:, :4], 1, [(0, m)])
+        (b,), _ = scorer.score_models(ds, nbr[:, :4], 50, [(0, m)])
         np.testing.assert_array_equal(a.values["midpoint"], b.values["midpoint"])
 
     def test_oracle_identity_on_interpolant_model(self):
@@ -135,7 +137,7 @@ class TestInnScores:
             ds = data.Dataset(points, labels, labels.copy(), K, np.arange(L + 1))
             nbr, _ = neighbors.search(neighbors.build_index(points), L)
             nbr[0] = np.arange(1, L + 1)
-            table = scorer.inn_scores(model, ds, nbr, scorer.ScorerConfig(10, L))
+            table = scorer.score_models(ds, nbr[:, :L], 10, [(None, model)])[0][0]
             expected = float(oracle_inn(0, labels[1:]))
             assert table.values["inn"][0] == pytest.approx(expected, abs=1e-9)
 
@@ -143,9 +145,10 @@ class TestInnScores:
         ds, nbr = tiny_world(seed=10)
         m = tinynet.init_model([3, 6, 3], seed=6)
         with pytest.raises(ValueError):
-            scorer.inn_scores(m, ds, nbr[:-1], scorer.ScorerConfig(5, 4))
+            scorer.score_models(ds, nbr[:-1, :4], 5, [(None, m)])
+        segments = scorer.segment_scores(ds, nbr, 5, [(None, m)])
         with pytest.raises(ValueError):
-            scorer.inn_scores(m, ds, nbr, scorer.ScorerConfig(5, 9))
+            scorer.summarize(ds, [(None, m)], segments, 9)
 
 
 def reference_scores(model, ds, nbr, H, L):
@@ -217,7 +220,7 @@ class TestScoreModels:
             checkpoints = [
                 (c, tinynet.init_model([d, 6, K], seed=seed % 1000 + c)) for c in range(n_ckpt)
             ]
-        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(H, L), checkpoints)
+        tables, stats = scorer.score_models(ds, nbr[:, :L], H, checkpoints)
         assert_matches_reference(tables, stats, checkpoints, ds, nbr, H, L)
 
     def test_different_lifts_use_their_own(self):
@@ -228,7 +231,7 @@ class TestScoreModels:
         b.weights[1:] = [w.copy() for w in a.weights[1:]]
         b.biases[1:] = [v.copy() for v in a.biases[1:]]
         checkpoints = [(1, a), (2, b)]
-        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(4, 3), checkpoints)
+        tables, stats = scorer.score_models(ds, nbr[:, :3], 4, checkpoints)
         assert_matches_reference(tables, stats, checkpoints, ds, nbr, 4, 3)
         assert not np.allclose(tables[0].values["inn"], tables[1].values["inn"])
 
@@ -236,7 +239,7 @@ class TestScoreModels:
         ds, nbr = tiny_world(seed=16)
         ds = data.Dataset(ds.features, ds.observed_labels, None, ds.n_classes, ds.ids)
         m = tinynet.init_model([3, 6, 3], seed=7)
-        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(3, 2), [(5, m)])
+        tables, stats = scorer.score_models(ds, nbr[:, :2], 3, [(5, m)])
         assert stats == [None]
         assert tables[0].kinds() == ["inn", "midpoint"]
 
@@ -247,7 +250,7 @@ class TestScoreModels:
             m = tinynet.init_model([2, 64, 32, 3], seed=1, lift_freq=2.0)
             tracemalloc.start()
             try:
-                scorer.score_models(ds, nbr, scorer.ScorerConfig(10, 10), [(0, m)])
+                scorer.score_models(ds, nbr[:, :10], 10, [(0, m)])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -281,7 +284,7 @@ class TestEdges:
         rows = np.arange(n)
         nbr = np.column_stack([(rows + 1) % n, (rows - 1) % n])
         model = CountingModel(3, 3, seed=18)
-        tables, stats = scorer.score_models(ds, nbr, scorer.ScorerConfig(H, L), [(0, model)])
+        tables, stats = scorer.score_models(ds, nbr[:, :L], H, [(0, model)])
         E, T = n, H - 1
         assert model.calls[0] == n  # the samples, every segment's endpoints
         assert sum(model.calls[1:]) == E * T == n * L * T // 2
@@ -317,10 +320,10 @@ class TestSegmentScores:
         ds, nbr = tiny_world(n=60, seed=19, L=6)
         dims = [3, 8, 5, 3] if lift else [3, 6, 3]
         model = tinynet.init_model(dims, seed=4, lift_freq=2.0 if lift else 0.0)
-        (seg,) = scorer.segment_scores(ds, nbr, scorer.ScorerConfig(7, 6), [(0, model)])
+        (seg,) = scorer.segment_scores(ds, nbr[:, :6], 7, [(0, model)])
         assert seg.inn.shape == seg.midpoint.shape == (ds.n, 6)
         for L in range(1, 7):
-            (table,), _ = scorer.score_models(ds, nbr, scorer.ScorerConfig(7, L), [(0, model)])
+            (table,), _ = scorer.score_models(ds, nbr[:, :L], 7, [(0, model)])
             np.testing.assert_allclose(seg.inn[:, :L].mean(axis=1), table.values["inn"],
                                        rtol=0, atol=1e-15)
             np.testing.assert_allclose(seg.midpoint[:, :L].mean(axis=1),
@@ -340,13 +343,13 @@ class TestConsistencyStats:
                 out[np.arange(X.shape[0]), ds.observed_labels[d2.argmin(axis=1)]] = 1.0
                 return out
 
-        st = scorer.consistency_stats(Oracle(), ds, nbr)
+        st = scorer.score_models(ds, nbr[:, :1], 1, [(None, Oracle())])[1][0]
         assert st.e_cor == pytest.approx(1.0)
         assert st.e_inc == pytest.approx(1.0)
 
     def test_constant_uniform(self):
         ds, nbr = tiny_world(n=20, seed=12)
-        st = scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, nbr)
+        st = scorer.score_models(ds, nbr[:, :1], 1, [(None, ConstantModel(np.full(3, 1 / 3)))])[1][0]
         for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc):
             assert v == pytest.approx(1 / 3)
         assert st.missing == ()
@@ -354,15 +357,9 @@ class TestConsistencyStats:
     def test_all_clean_flags_missing_group(self):
         ds = data.synth("blobs", 15, 3, 2, 0.4, seed=13)
         nbr, _ = neighbors.search(neighbors.build_index(ds.features), 2)
-        st = scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, nbr)
+        st = scorer.score_models(ds, nbr[:, :1], 1, [(None, ConstantModel(np.full(3, 1 / 3)))])[1][0]
         assert st.missing == ("noisy",)
         assert st.e_inc is None
-
-    def test_requires_true_labels(self):
-        ds, nbr = tiny_world(seed=14)
-        ds = data.Dataset(ds.features, ds.observed_labels, None, ds.n_classes, ds.ids)
-        with pytest.raises(ValueError):
-            scorer.consistency_stats(ConstantModel(np.full(3, 1 / 3)), ds, nbr)
 
 
 class TestScoreCSV:
