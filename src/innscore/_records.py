@@ -79,9 +79,13 @@ def write_rows(path, header, rows):
 
 
 def write_json(path, obj):
+    """Write `obj` as strict JSON; a nan or infinite float is a ValueError naming the path."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -17,20 +17,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from ._records import write_json
-from .config import RunConfig, TrainConfig, boolean, field_parser, fields_from, label_map
+from .config import (RunConfig, TrainConfig, boolean, field_parser, fields_from, label_map,
+                     write_manifest)
 from .errors import NumericError
 
 
 # the columns `score --kinds` can emit
 _SCORE_KINDS = ("inn", "midpoint", "loss_ce", "loss_cene")
-
-
-def _add_out(p):
-    p.add_argument("--out", default="out", help="output directory (default: out)")
 
 
 def imbalance(text):
@@ -48,13 +44,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_flags(p, RunConfig, ("synth_kind", "n", "n_classes", "dim", "spread", "seed"))
+    _add_flags(p, RunConfig, ("synth_kind", "n", "n_classes", "dim", "spread", "seed", "out_dir"))
     p.add_argument("--name", default="dataset.csv")
-    p.add_argument("--format", default="csv", choices=["csv", "raw"])
-    _add_out(p)
 
     p = sub.add_parser("corrupt", help="apply a label-corruption protocol")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", dest="data_path", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--sym", type=float, help="symmetric noise rate")
     g.add_argument("--chain", type=float, help="next-class chain noise rate")
@@ -62,51 +56,46 @@ def build_parser():
                    help="label map 'src:dst,...' (with --rate)")
     g.add_argument("--imbalanced", type=imbalance, help="'class_a,class_b,keep_frac,flip_p'")
     p.add_argument("--rate", type=float, default=None, help="rate for --map (default 1.0)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, RunConfig, ("seed", "out_dir"))
     p.add_argument("--name", default="dataset.csv")
-    _add_out(p)
 
     p = sub.add_parser("train", help="train a classifier on a dataset file")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", dest="data_path", required=True)
     _add_flags(p, TrainConfig)
-    _add_flags(p, RunConfig, ("hidden",))
+    _add_flags(p, RunConfig, ("hidden", "out_dir"))
     p.add_argument("--lift-freq", type=float, default=0.0,
                    help="frozen sinusoidal first layer frequency; 0 = plain ReLU MLP")
-    _add_out(p)
 
     p = sub.add_parser("score", help="score dataset samples with saved checkpoints")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", dest="data_path", required=True)
     p.add_argument("--model", action="append", required=True,
                    help="f checkpoint; repeat for an epoch sweep")
     p.add_argument("--features-from", required=True,
                    help="checkpoint whose penultimate layer defines neighbors")
-    p.add_argument("--l", type=int, default=10, help="neighbor count")
-    p.add_argument("--h", type=int, default=10, help="trapezoid count")
+    _add_flags(p, RunConfig, ("n_neighbors", "out_dir"))  # --l
+    p.add_argument("--h", dest="trapezoids", type=int, default=10, help="trapezoid count")
     p.add_argument("--kinds", default="inn,midpoint",
                    help=f"columns to emit ({','.join(_SCORE_KINDS)}); "
                         "loss columns use the scored checkpoint's own losses")
     p.add_argument("--neighbors", default=None, help="reuse a neighbor cache CSV")
-    _add_out(p)
 
     p = sub.add_parser("oracle", help="enumerate the analytic separation check")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=10)
     p.add_argument("--cond", default="majority", choices=["majority", "pure", "count"])
-    p.add_argument("--out", default=None, help="optional output directory")
+    p.add_argument("--out", dest="out_dir", default=None, help="optional output directory")
 
     p = sub.add_parser("split", help="mixture split of a score column")
     p.add_argument("--scores", required=True, help="score CSV")
     p.add_argument("--kind", default="inn")
     p.add_argument("--epoch", type=int, default=None, help="default: last epoch")
     p.add_argument("--mixture", default="beta", choices=["beta", "gaussian"])
-    _add_flags(p, RunConfig, ("normalize", "threshold"))
-    _add_out(p)
+    _add_flags(p, RunConfig, ("normalize", "threshold", "out_dir"))
 
     p = sub.add_parser("eval", help="AUC sweep report and grouped histograms")
     p.add_argument("--scores", required=True)
-    p.add_argument("--data", required=True, help="dataset with true labels")
-    _add_flags(p, RunConfig, ("bins",))
-    _add_out(p)
+    p.add_argument("--data", dest="data_path", required=True, help="dataset with true labels")
+    _add_flags(p, RunConfig, ("bins", "out_dir"))
 
     for name, help_text in (
         ("pipeline", "run the full protocol"),
@@ -180,88 +169,91 @@ def _apply_config_file(args, argv):
 def _cmd_synth(args):
     from . import data
 
+    settings = fields_from(RunConfig, args)
+    RunConfig(**settings)  # rejects a non-finite --spread
     ds = data.synth(args.synth_kind, args.n, args.n_classes, args.dim, args.spread, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    target = os.path.join(args.out, args.name)
-    if args.format == "raw":
-        path = data.write_raw(ds, target[:-4] if target.endswith(".csv") else target)
-    else:
-        path = data.write_csv(ds, target)
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = data.write_csv(ds, os.path.join(args.out_dir, args.name))
     print(f"wrote {path} (n={ds.n}, d={ds.d}, K={ds.n_classes})")
+    write_manifest({**settings, "name": args.name}, args.command)
     return 0
 
 
 def _cmd_corrupt(args):
     from . import data
-    from .pipeline import load_dataset
 
     if args.rate is not None and args.label_map is None:
         raise ValueError("--rate is the rate of --map and goes only with it")
-    if args.rate is None:
-        args.rate = 1.0  # the rate of --map, also recorded in manifest.json
-    # the four exclusive flags, each naming a noise kind
-    kind, rate = next((kind, rate) for kind, given, rate in (
-        ("symmetric", args.sym, args.sym), ("chain", args.chain, args.chain),
-        ("map", args.label_map, args.rate), ("imbalanced", args.imbalanced, None),
+    # the four exclusive flags, each naming a noise kind, and the settings that kind reads
+    read = next(read for given, read in (
+        (args.sym, {"noise_kind": "symmetric", "noise_rate": args.sym}),
+        (args.chain, {"noise_kind": "chain", "noise_rate": args.chain}),
+        (args.label_map, {"noise_kind": "map", "noise_map": args.label_map,
+                          "noise_rate": 1.0 if args.rate is None else args.rate}),
+        (args.imbalanced, {"noise_kind": "imbalanced", **dict(zip(
+            ("imb_class_a", "imb_class_b", "imb_keep", "imb_flip"), args.imbalanced or ()))}),
     ) if given is not None)
-    out_ds = data.corrupt(load_dataset(args.data), kind, rate, args.seed, args.label_map,
-                          args.imbalanced)
-    os.makedirs(args.out, exist_ok=True)
-    path = data.write_csv(out_ds, os.path.join(args.out, args.name))
+    out_ds = data.corrupt(data.read_csv(args.data_path), read["noise_kind"], read.get("noise_rate"),
+                          args.seed, args.label_map, args.imbalanced)
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = data.write_csv(out_ds, os.path.join(args.out_dir, args.name))
     print(f"wrote {path} (n={out_ds.n}, realized noisy fraction "
           f"{out_ds.noisy_fraction():.4f})")
+    write_manifest({**fields_from(RunConfig, args), **read, "name": args.name}, args.command)
     return 0
 
 
 def _cmd_train(args):
-    from . import tinynet
-    from .pipeline import load_dataset
+    from . import data, tinynet
 
     tc = TrainConfig(**fields_from(TrainConfig, args))
-    ds = load_dataset(args.data)
+    ds = data.read_csv(args.data_path)
     dims = [ds.d, *args.hidden, ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
     result = tinynet.train(model, ds, tc)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     for epoch, snap in result.checkpoints:
-        tinynet.save_checkpoint(snap, os.path.join(args.out, f"model_epoch{epoch}.ckpt"), epoch, tc)
+        tinynet.save_checkpoint(snap, os.path.join(args.out_dir, f"model_epoch{epoch}.ckpt"),
+                                epoch, tc)
     final = tinynet.save_checkpoint(
-        result.model, os.path.join(args.out, "model_final.ckpt"), args.epochs, tc
+        result.model, os.path.join(args.out_dir, "model_final.ckpt"), args.epochs, tc
     )
     print(f"wrote {final} (+{len(result.checkpoints)} checkpoints)")
+    write_manifest({**asdict(tc), **fields_from(RunConfig, args)}, args.command)
     return 0
 
 
 def _cmd_score(args):
-    from . import neighbors, scorer, tinynet
-    from .pipeline import load_dataset
+    from . import data, neighbors, scorer, tinynet
 
-    RunConfig(trapezoids=args.h, n_neighbors=args.l)  # rejects --h or --l below 1
+    settings = fields_from(RunConfig, args)  # data_path, n_neighbors, trapezoids, out_dir
+    RunConfig(**settings)  # rejects --h or --l below 1
+    L = args.n_neighbors
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     for kind in kinds or [args.kinds]:
         if kind not in _SCORE_KINDS:
             raise ValueError(f"unknown score kind {kind!r}, expected some of "
                              f"{','.join(_SCORE_KINDS)}")
-    for path in [args.data, args.features_from, *args.model]:
+    for path in [args.features_from, *args.model]:
         if not os.path.exists(path):
             raise ValueError(f"file not found: {path}")
-    ds = load_dataset(args.data)
+    ds = data.read_csv(args.data_path)
     h_model, _ = tinynet.load_checkpoint(args.features_from)
 
     if args.neighbors:
-        nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, args.l)
+        nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, L)
     else:
         index = neighbors.build_index(h_model.penultimate(ds.features))
-        nbr, dist = neighbors.search(index, args.l)
-    zero = int((dist[:, args.l - 1] == 0).sum())  # neighbors picked by the id tie-break
-    print(f"neighbors: {zero} of {ds.n} rows have neighbor {args.l} at distance 0")
+        nbr, dist = neighbors.search(index, L)
+    zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
+    print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
     checkpoints = []
     for ckpt in args.model:
         model, sidecar = tinynet.load_checkpoint(ckpt)
         checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
     # a cache may hold more than --l columns
-    scored, _ = scorer.score_models(ds, nbr[:, :args.l], args.h, checkpoints)
+    scored, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints)
     tables = []
     for (epoch, model), full in zip(checkpoints, scored):
         table = scorer.ScoreTable(epoch, ds.ids.copy())
@@ -271,11 +263,13 @@ def _cmd_score(args):
             else:
                 table.add(kind, tinynet.per_sample_loss(model, ds, kind[len("loss_"):]))
         tables.append(table)
-    os.makedirs(args.out, exist_ok=True)
-    path = scorer.write_score_csv(tables, os.path.join(args.out, "scores.csv"))
-    scorer.write_score_summary(tables, args.h, args.l,
-                               os.path.join(args.out, "scores_summary.json"))
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = scorer.write_score_csv(tables, os.path.join(args.out_dir, "scores.csv"))
+    scorer.write_score_summary(tables, args.trapezoids, L,
+                               os.path.join(args.out_dir, "scores_summary.json"))
     print(f"wrote {path} ({len(tables)} checkpoints, kinds: {','.join(kinds)})")
+    write_manifest({**settings, "model": args.model, "features_from": args.features_from,
+                    "kinds": kinds, "neighbors": args.neighbors}, args.command)
     return 0
 
 
@@ -284,16 +278,19 @@ def _cmd_oracle(args):
 
     report = verify_separation(args.k, args.l, args.cond)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        report.to_json(os.path.join(args.out, "oracle_report.json"))
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
+        report.to_json(os.path.join(args.out_dir, "oracle_report.json"))
+        write_manifest({"n_classes": args.k, "n_neighbors": args.l, "cond": args.cond,
+                        "out_dir": args.out_dir}, args.command)
     return 0
 
 
 def _cmd_split(args):
     from . import mixture, scorer
 
-    RunConfig(**fields_from(RunConfig, args))  # rejects a threshold outside [0, 1]
+    settings = fields_from(RunConfig, args)  # normalize, threshold and out_dir
+    RunConfig(**settings)  # rejects a threshold outside [0, 1]
     if not os.path.exists(args.scores):
         raise ValueError(f"score file not found: {args.scores}")
     tables = scorer.read_score_csv(args.scores)
@@ -304,26 +301,29 @@ def _cmd_split(args):
     fit, result = mixture.split_column(
         table.values[args.kind], args.mixture, args.normalize, args.threshold, table.ids
     )
-    os.makedirs(args.out, exist_ok=True)
-    fit.to_json(os.path.join(args.out, f"{args.mixture}_fit.json"))
-    path = result.to_csv(os.path.join(args.out, "split.csv"))
+    os.makedirs(args.out_dir, exist_ok=True)
+    fit.to_json(os.path.join(args.out_dir, f"{args.mixture}_fit.json"))
+    path = result.to_csv(os.path.join(args.out_dir, "split.csv"))
     print(f"wrote {path} ({len(result.labeled_ids)} labeled / "
           f"{len(result.unlabeled_ids)} unlabeled)")
+    if args.mixture != "beta":  # only the beta fit normalizes
+        del settings["normalize"]
+    write_manifest({**settings, "scores": args.scores, "kind": args.kind, "epoch": args.epoch,
+                    "mixture": args.mixture}, args.command)
     return 0
 
 
 def _cmd_eval(args):
     import numpy as np
 
-    from . import evaluate, scorer
-    from .pipeline import load_dataset
+    from . import data, evaluate, scorer
 
-    RunConfig(**fields_from(RunConfig, args))  # rejects --bins below 1
-    for path in (args.scores, args.data):
-        if not os.path.exists(path):
-            raise ValueError(f"file not found: {path}")
+    settings = fields_from(RunConfig, args)  # data_path, bins and out_dir
+    RunConfig(**settings)  # rejects --bins below 1
+    if not os.path.exists(args.scores):
+        raise ValueError(f"file not found: {args.scores}")
     tables = scorer.read_score_csv(args.scores)
-    ds = load_dataset(args.data)
+    ds = data.read_csv(args.data_path)
     if ds.true_labels is None:
         raise ValueError("eval needs a dataset with true labels")
     clean_by_id = dict(zip(ds.ids.tolist(), ds.clean_mask().tolist()))
@@ -332,10 +332,11 @@ def _cmd_eval(args):
     except KeyError as exc:
         raise ValueError(f"score table references id {exc} missing from the dataset") from exc
     report = evaluate.sweep_report(tables, mask)
-    os.makedirs(args.out, exist_ok=True)
-    report.write_outputs(args.out, tables[-1], ds, tables[-1].kinds(), args.bins)
+    os.makedirs(args.out_dir, exist_ok=True)
+    report.write_outputs(args.out_dir, tables[-1], ds, tables[-1].kinds(), args.bins)
     for epoch, kind, value in report.aucs:
         print(f"epoch {epoch} {kind}: AUC {value:.4f}")
+    write_manifest({**settings, "scores": args.scores}, args.command)
     return 0
 
 
@@ -364,23 +365,6 @@ def _cmd_pipeline(args, print_timing=False):
     return 0
 
 
-def _write_command_manifest(args):
-    import hashlib
-    import platform
-
-    config = {k: v for k, v in sorted(vars(args).items())}
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    from . import __version__
-
-    write_json(os.path.join(args.out, "manifest.json"), {
-        "command": args.command,
-        "config": config,
-        "config_hash": hashlib.sha256(blob).hexdigest(),
-        "seed": getattr(args, "seed", None),
-        "versions": {"innscore": __version__, "python": platform.python_version()},
-    })
-
-
 def main(argv=None):
     argv = sys.argv if argv is None else ["innscore", *argv]
     parser = build_parser()
@@ -403,11 +387,7 @@ def main(argv=None):
             "pipeline": _cmd_pipeline,
             "timing": lambda a: _cmd_pipeline(a, print_timing=True),
         }[args.command]
-        rc = handler(args)
-        # pipeline/timing write a richer manifest of their own
-        if rc == 0 and args.command not in ("pipeline", "timing") and getattr(args, "out", None):
-            _write_command_manifest(args)
-        return rc
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Settings: `RunConfig`, the one source of the `pipeline` and `timing`
-flags and of the `--config` keys, and `TrainConfig`, that of the `train`
-flags. Standard library only, so that the command line can parse and check
-them, and set --threads, before numpy loads.
+flags and of the `--config` keys, `TrainConfig`, that of the `train`
+flags, and `write_manifest`, which records the settings a command read.
+Standard library only, so that the command line can parse and check them,
+and set --threads, before numpy loads.
 
 A field's type names its text parser, which is the flag's argparse `type`
 and converts a config-file value. Its metadata holds only what the name,
@@ -14,7 +15,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+import os
+import platform
+from dataclasses import dataclass, field, fields
+
+from ._records import write_json
 
 
 def int_list(text):
@@ -51,6 +57,34 @@ def field_parser(f):
 def fields_from(cls, source):
     """The attributes of `source` that name a field of dataclass `cls`."""
     return {f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)}
+
+
+def _reject_non_finite(settings):
+    """A float setting of dataclass instance `settings` that is nan or infinite is a ValueError."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} is {value}, not a finite number")
+
+
+def write_manifest(config, command=None):
+    """Write manifest.json into `config`'s out_dir: the settings dict `config`
+    a command read, its hash, its seed and the versions, and for a step
+    command the `command`."""
+    import numpy
+    import scipy
+
+    from . import __version__
+
+    blob = json.dumps(config, sort_keys=True).encode()
+    return write_json(os.path.join(config["out_dir"], "manifest.json"), {
+        **({} if command is None else {"command": command}),
+        "config": config,
+        "config_hash": hashlib.sha256(blob).hexdigest(),
+        "seed": config.get("seed"),
+        "versions": {"innscore": __version__, "python": platform.python_version(),
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+    })
 
 
 def _setting(default, **metadata):
@@ -94,13 +128,13 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive or None")
+        _reject_non_finite(self)
 
 
 @dataclass
 class RunConfig:
     # data source: a file path or a synthetic spec
-    data_path: str | None = _setting(None, flag="--data", help="dataset file (csv or raw "
-                                     "sidecar json); default: synthesize")
+    data_path: str | None = _setting(None, flag="--data", help="dataset CSV; default: synthesize")
     synth_kind: str = _setting("blobs", flag="--kind", choices=("blobs", "two_moons"))
     n: int = 2000
     n_classes: int = _setting(4, flag="--k", help="number of classes")
@@ -166,10 +200,7 @@ class RunConfig:
                 raise ValueError(f"{name} is {value}, but noise_kind {self.noise_kind} "
                                  "does not read it")
         TrainConfig(**fields_from(TrainConfig, self))  # checks the shared training settings
+        _reject_non_finite(self)
 
     def scaled(self, value):
         return max(1, int(round(value * self.epoch_scale)))
-
-    def config_hash(self):
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import read_json, read_rows, write_json, write_rows
+from ._records import read_rows, write_rows
 from .config import NOISE_KINDS
 
 _U64 = np.uint64
@@ -247,7 +247,10 @@ def write_csv(ds, path):
 
 def read_csv(path):
     """Read a dataset CSV as written by write_csv. Besides the checks of
-    `_records.read_rows`, a repeated id raises ValueError naming the line."""
+    `_records.read_rows`, a missing file raises ValueError, and so does a
+    repeated id, naming its line."""
+    if not os.path.exists(path):
+        raise ValueError(f"dataset file not found: {path}")
 
     def header(names):
         has_true = names[-1] == "true_label"
@@ -267,47 +270,3 @@ def read_csv(path):
     features = np.array([row[1 : 1 + d] for row in cells])
     return Dataset(features, labels, trues, n_classes, np.array([row[0] for row in cells]))
 
-
-def write_raw(ds, base_path):
-    """Little-endian float32 row-major features + int32 labels + JSON sidecar."""
-    base = str(base_path)
-    arrays = {".f32": ds.features.astype("<f4"), ".labels.i32": ds.observed_labels.astype("<i4")}
-    if ds.true_labels is not None:
-        arrays[".true.i32"] = ds.true_labels.astype("<i4")
-    for suffix, values in arrays.items():
-        values.tofile(base + suffix)
-    name = os.path.basename(base)
-    return write_json(base + ".json", {
-        "n": ds.n, "d": ds.d, "K": ds.n_classes,
-        "labels_file": name + ".labels.i32",
-        "true_labels_file": None if ds.true_labels is None else name + ".true.i32",
-    })
-
-
-def _read_array(path, dtype, count):
-    """The `count` values of a little-endian binary file of exactly that size."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    size = count * np.dtype(dtype).itemsize
-    if len(blob) != size:
-        raise ValueError(f"{path}: {len(blob)} bytes, expected {size}")
-    return np.frombuffer(blob, dtype=dtype)
-
-
-def read_raw(sidecar_path):
-    meta = read_json(sidecar_path, {"n": int, "d": int, "K": int, "labels_file": str,
-                                    "true_labels_file": (str, type(None))})
-    n, d = meta["n"], meta["d"]
-    if n < 1 or d < 1:
-        raise ValueError(f"{sidecar_path}: line 1: n={n} and d={d} must be positive")
-    base_dir = os.path.dirname(os.path.abspath(sidecar_path))
-    base = str(sidecar_path)[: -len(".json")]
-    X = _read_array(base + ".f32", "<f4", n * d).reshape(n, d).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{sidecar_path}: row {bad[0]} has a non-finite feature")
-    labels, trues = (
-        None if name is None else _read_array(os.path.join(base_dir, name), "<i4", n)
-        for name in (meta["labels_file"], meta["true_labels_file"])
-    )
-    return Dataset(X, labels, trues, meta["K"], np.arange(n, dtype=np.int64))

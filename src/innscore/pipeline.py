@@ -23,12 +23,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet
 from ._records import write_json, write_rows
-from .config import RunConfig, fields_from
+from .config import RunConfig, fields_from, write_manifest
 
 
 @dataclass
@@ -64,18 +62,10 @@ def _log(msg, quiet):
         print(msg, file=sys.stderr)
 
 
-def load_dataset(path):
-    if not os.path.exists(path):
-        raise ValueError(f"dataset file not found: {path}")
-    if str(path).endswith(".json"):
-        return data_mod.read_raw(path)
-    return data_mod.read_csv(path)
-
-
 def make_dataset(cfg):
     """Synthesize or load, then apply the configured corruption."""
     if cfg.data_path:
-        ds = load_dataset(cfg.data_path)
+        ds = data_mod.read_csv(cfg.data_path)
     else:
         ds = data_mod.synth(
             cfg.synth_kind, cfg.n, cfg.n_classes, cfg.dim, cfg.spread, cfg.seed
@@ -219,12 +209,7 @@ def run_pipeline(cfg, quiet=False):
     clock.lap("eval")
 
     timing = clock.table()
-    write_json(os.path.join(out, "manifest.json"), {
-        "config": asdict(cfg),  # JSON writes the tuple fields as lists
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "versions": _versions(),
-    })
+    write_manifest(asdict(cfg))  # JSON writes the tuple fields as lists
     write_json(os.path.join(out, "timing.json"), timing)
     tinynet.save_checkpoint(
         h_result.model, os.path.join(out, "checkpoints", "h_final.ckpt"), h_epochs, h_tc
@@ -253,17 +238,3 @@ def _l_sweep_aucs(segments, l_sweep, clean_mask):
         "nondecreasing": all(b >= a - 1e-12 for a, b in zip(values, values[1:])),
     }
 
-
-def _versions():
-    import platform
-
-    import scipy
-
-    from . import __version__
-
-    return {
-        "innscore": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }

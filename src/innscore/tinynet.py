@@ -73,13 +73,15 @@ class Model:
         """Activations of hidden layer `layer` from its pre-activations."""
         return np.sin(pre) if self.activations[layer] == "sin" else np.maximum(pre, 0.0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, inputs, start=0):
         """Return (probs, features) for a batch of inputs.
 
         probs is row-stochastic (n, K); features are the activations of
         the last hidden layer (n, feature_dim). With start > 0 the inputs
         are the activations of hidden layer start - 1 and the layers
-        before `start` are skipped.
+        before `start` are skipped. A non-finite output, which diverged
+        parameters give, is a NumericError.
         """
         X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if X.shape[1] != self.layer_dims[start]:
@@ -89,8 +91,11 @@ class Model:
         A = X
         for _, A in self._hidden(X, start):
             pass
-        logits = A @ self.weights[-1] + self.biases[-1]
-        return _softmax(logits), A
+        probs = _softmax(A @ self.weights[-1] + self.biases[-1])
+        # an inf or nan feature reaches every logit of its row, so probs shows it too
+        if not np.isfinite(probs).all():
+            raise NumericError("non-finite model output; model parameters diverged")
+        return probs, A
 
     def _hidden(self, A, start):
         """Yield (pre-activations, activations) of each hidden layer from `start` on."""
@@ -155,8 +160,8 @@ def init_model(layer_dims, seed, lift_freq=0.0):
         raise ValueError("layer_dims needs at least input and output sizes")
     if any(d <= 0 for d in dims):
         raise ValueError("all layer dims must be positive")
-    if lift_freq < 0:
-        raise ValueError("lift_freq must be nonnegative")
+    if not 0 <= lift_freq < np.inf:
+        raise ValueError(f"lift_freq is {lift_freq}, not a finite number >= 0")
     if lift_freq > 0 and len(dims) < 3:
         raise ValueError("a lift layer needs at least one hidden layer")
     rng = np.random.default_rng(seed)
@@ -262,6 +267,7 @@ def learning_rate(epoch, config):
     return config.lr0 / config.lr_drop_factor**2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged loss is a NumericError
 def train(model, dataset, config):
     """SGD-with-momentum training loop; returns final model and checkpoints.
 

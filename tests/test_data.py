@@ -170,40 +170,6 @@ class TestFileFormats:
         back = data.read_csv(path)
         assert back.true_labels is None
 
-    def test_raw_roundtrip_float32(self, tmp_path):
-        ds = data.corrupt_symmetric(data.synth("blobs", 80, 4, 3, 0.3, seed=2), 0.4, seed=3)
-        sidecar = data.write_raw(ds, tmp_path / "ds")
-        back = data.read_raw(sidecar)
-        np.testing.assert_allclose(back.features, ds.features, atol=1e-6)
-        assert np.array_equal(back.observed_labels, ds.observed_labels)
-        assert np.array_equal(back.true_labels, ds.true_labels)
-        assert back.n_classes == ds.n_classes
-
-    def test_raw_rejects_non_finite_feature(self, tmp_path):
-        ds = data.synth("blobs", 20, 2, 2, 0.3, seed=0)
-        ds.features[7, 1] = np.inf
-        with pytest.raises(ValueError, match="row 7 has a non-finite feature"):
-            data.read_raw(data.write_raw(ds, tmp_path / "ds"))
-
-    @pytest.mark.parametrize("edit, shown", [
-        (lambda meta: [meta], "line 1: a JSON list, not an object"),
-        (lambda meta: {k: v for k, v in meta.items() if k != "n"}, "no 'n' key"),
-        (lambda meta: {**meta, "n": 20.0}, "'n' is 20.0, not int"),
-        (lambda meta: {**meta, "d": 0}, "n=20 and d=0 must be positive"),
-        (lambda meta: {**meta, "n": 21}, "r.f32: 160 bytes, expected 168"),
-        (lambda meta: {**meta, "true_labels_file": 5}, "'true_labels_file' is 5, not str or null"),
-    ])
-    def test_raw_rejects_bad_sidecar(self, tmp_path, edit, shown):
-        import json
-
-        sidecar = data.write_raw(data.synth("blobs", 20, 2, 2, 0.3, seed=0), tmp_path / "r")
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        with open(sidecar, "w") as fh:
-            json.dump(edit(meta), fh)
-        with pytest.raises(ValueError, match=shown):
-            data.read_raw(sidecar)
-
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")

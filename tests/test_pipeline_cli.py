@@ -6,13 +6,15 @@ module exercises the full-size protocol.
 
 import contextlib
 import filecmp
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -167,7 +169,11 @@ class TestPipeline:
         cfg = tiny_config(tmp_path / "run")
         run_pipeline(cfg, quiet=True)
         manifest = json.loads(open(tmp_path / "run" / "manifest.json").read())
-        assert manifest["config_hash"] == cfg.config_hash()
+        blob = json.dumps(asdict(cfg), sort_keys=True).encode()
+        assert manifest["config_hash"] == hashlib.sha256(blob).hexdigest()
+        # JSON holds the tuple fields as lists
+        assert manifest["config"] == json.loads(json.dumps(asdict(cfg)))
+        assert sorted(manifest) == ["config", "config_hash", "seed", "versions"]
         assert manifest["seed"] == 0
         assert "numpy" in manifest["versions"]
 
@@ -175,16 +181,28 @@ class TestPipeline:
 class TestCli:
     def test_synth_corrupt_train_score_split_eval(self, tmp_path, capsys):
         out = str(tmp_path)
+        manifests = {}  # step -> its manifest.json, which strict JSON parsing accepts
+
+        def keep(step, directory=out):
+            def reject(constant):
+                raise ValueError(f"{constant} is not JSON")
+
+            with open(os.path.join(directory, "manifest.json")) as fh:
+                manifests[step] = json.load(fh, parse_constant=reject)
+
         assert main(["synth", "--kind", "blobs", "--n", "150", "--k", "3", "--d", "2",
                      "--spread", "0.6", "--seed", "1", "--out", out, "--name", "clean.csv"]) == 0
+        keep("synth")
         assert main(["corrupt", "--data", f"{out}/clean.csv", "--sym", "0.3",
                      "--seed", "2", "--out", out, "--name", "noisy.csv"]) == 0
+        keep("corrupt")
         shown = capsys.readouterr().out
         assert "realized noisy fraction" in shown
 
         assert main(["train", "--data", f"{out}/noisy.csv", "--loss", "ce",
                      "--epochs", "6", "--checkpoint-every", "3", "--hidden", "16,8",
                      "--seed", "3", "--out", f"{out}/h"]) == 0
+        keep("train", f"{out}/h")
         assert main(["train", "--data", f"{out}/noisy.csv", "--loss", "mixup",
                      "--epochs", "6", "--checkpoint-every", "3", "--hidden", "16,8",
                      "--lift-freq", "2.0", "--seed", "4", "--out", f"{out}/f"]) == 0
@@ -195,6 +213,7 @@ class TestCli:
                      "--l", "4", "--h", "5",
                      "--kinds", "inn,midpoint,loss_ce",
                      "--out", f"{out}/scores"]) == 0
+        keep("score", f"{out}/scores")
         tables = scorer.read_score_csv(f"{out}/scores/scores.csv")
         assert len(tables) == 2
         summary = json.loads(open(f"{out}/scores/scores_summary.json").read())
@@ -203,10 +222,41 @@ class TestCli:
 
         assert main(["split", "--scores", f"{out}/scores/scores.csv", "--kind", "inn",
                      "--mixture", "beta", "--out", f"{out}/split"]) == 0
+        keep("split", f"{out}/split")
         assert os.path.exists(f"{out}/split/split.csv")
+        assert main(["split", "--scores", f"{out}/scores/scores.csv", "--kind", "loss_ce",
+                     "--mixture", "gaussian", "--out", f"{out}/gauss"]) == 0
+        keep("split gaussian", f"{out}/gauss")
         assert main(["eval", "--scores", f"{out}/scores/scores.csv",
                      "--data", f"{out}/noisy.csv", "--out", f"{out}/eval"]) == 0
+        keep("eval", f"{out}/eval")
         assert os.path.exists(f"{out}/eval/report.json")
+        assert main(["oracle", "--k", "2", "--l", "3", "--out", f"{out}/oracle"]) == 0
+        keep("oracle", f"{out}/oracle")
+
+        # one schema: the settings each step read, under RunConfig's field names
+        for step, manifest in manifests.items():
+            assert manifest["command"] == step.split()[0]
+            assert sorted(manifest) == ["command", "config", "config_hash", "seed", "versions"]
+            blob = json.dumps(manifest["config"], sort_keys=True).encode()
+            assert manifest["config_hash"] == hashlib.sha256(blob).hexdigest()
+            assert manifest["seed"] == manifest["config"].get("seed")
+            assert "command" not in manifest["config"]
+        assert manifests["synth"]["config"] == {
+            "synth_kind": "blobs", "n": 150, "n_classes": 3, "dim": 2, "spread": 0.6, "seed": 1,
+            "name": "clean.csv", "out_dir": out}
+        # --sym reads no --rate and none of the other exclusive flags
+        assert "rate" not in manifests["corrupt"]["config"]
+        assert manifests["corrupt"]["config"] == {
+            "data_path": f"{out}/clean.csv", "noise_kind": "symmetric", "noise_rate": 0.3,
+            "seed": 2, "name": "noisy.csv", "out_dir": out}
+        assert manifests["train"]["config"]["hidden"] == [16, 8]
+        assert manifests["score"]["config"]["n_neighbors"] == 4
+        assert manifests["score"]["config"]["trapezoids"] == 5
+        assert manifests["split"]["config"]["normalize"] is True
+        # only the beta fit normalizes its column
+        assert "normalize" not in manifests["split gaussian"]["config"]
+        assert manifests["eval"]["config"]["bins"] == 20
 
     @pytest.mark.parametrize("noise, flag", [("symmetric", "--sym"), ("chain", "--chain")])
     def test_steps_write_the_pipeline_files(self, tmp_path, noise, flag):
@@ -429,6 +479,11 @@ class TestCli:
         (["--mixup-alpha", "nan"], "mixup_alpha"),
         (["--noise", "symmetric", "--rate", "0.2", "--map", "0:1", "--imb-keep", "0.5"],
          "noise_map"),
+        (["--epoch-scale", "inf"], "epoch_scale"),
+        (["--spread", "nan"], "spread"),
+        (["--spread", "inf"], "spread"),
+        (["--lift-freq", "nan"], "lift_freq"),
+        (["--lr-drop-factor", "inf"], "lr_drop_factor"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -436,6 +491,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"error: {name} is " in err, err
         assert not (out / "dataset.csv").exists()
+
+    def test_diverged_model_exits_three(self, tmp_path, capsys):
+        """Parameters that diverge are a numeric failure, without numpy warnings."""
+        argv = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
+                "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2",
+                "--lr0", "1e300", "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape main
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric failure: "), err
 
     @pytest.mark.parametrize("argv, shown", [
         (["train", "--data", "d.csv", "--hidden", "8,x"],
@@ -504,10 +570,11 @@ class TestMalformedInputsCli:
              "empty_scores.csv: line 2: no rows after the header"),
             (["eval", "--scores", str(tmp_path / "empty_scores.csv"), "--data", world["csv"],
               "--out", out], "empty_scores.csv: line 2: no rows after the header"),
+            # a dataset is a CSV file: JSON text fails its header check
             (["train", "--data", str(tmp_path / "nokey.json"), "--out", out],
-             "nokey.json: line 1: the object has no 'n' key"),
+             "nokey.json: line 1: header"),
             (["train", "--data", str(tmp_path / "list.json"), "--out", out],
-             "list.json: line 1: a JSON list, not an object"),
+             "list.json: line 1: header"),
             (score("a.ckpt"), "a.ckpt.json: line 1: a JSON list, not an object"),
             (score("b.ckpt"), "b.ckpt.json: line 2: 'epoch' is 'x', not int or null"),
             (score("c.ckpt"), "c.ckpt: layer 2 has a non-finite weight or bias"),
@@ -663,7 +730,6 @@ def world(tmp_path_factory):
     tinynet.save_checkpoint(f, root / "f.ckpt", epoch=3)
     ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
     tables, _ = scorer.score_models(ds, ids[:, :3], 2, [(1, h), (2, f)])
-    data.write_raw(ds, root / "r")
     return {
         "root": root,
         "csv": str(data.write_csv(ds, root / "d.csv")),
@@ -690,7 +756,7 @@ def _copy_and_damage(world, tmp, names, damaged, at, flip):
 class TestCorruptFilesCli:
     """Every other format the CLI reads, corrupted: a command either exits 0
     having written only finite values, or exits in {2, 3, 4} with one stderr
-    line. A flip inside a weight or feature payload can leave valid input."""
+    line. A flip inside a weight payload can leave valid input."""
 
     @settings(max_examples=30, deadline=None)
     @given(line=st.integers(2, 121), other=st.integers(2, 121), col=st.integers(0, 3),
@@ -737,16 +803,3 @@ class TestCorruptFilesCli:
             if rc == 0:
                 rows = open(os.path.join(tmp, "scores.csv")).read().splitlines()[1:]
                 assert np.isfinite([float(row.rsplit(",", 1)[1]) for row in rows]).all()
-
-    @settings(max_examples=100, deadline=None)
-    @given(name=st.sampled_from(["r.json", "r.f32", "r.labels.i32", "r.true.i32"]),
-           at=st.floats(0, 1, exclude_max=True), flip=st.integers(0, 255))
-    def test_raw_dataset(self, world, name, at, flip):
-        with tempfile.TemporaryDirectory() as tmp:
-            _copy_and_damage(world, tmp, ("r.json", "r.f32", "r.labels.i32", "r.true.i32"),
-                             name, at, flip)
-            rc, _ = _run_quietly(["train", "--data", os.path.join(tmp, "r.json"),
-                                  "--epochs", "1", "--hidden", "4", "--out", tmp])
-            if rc == 0:
-                model, _ = tinynet.load_checkpoint(os.path.join(tmp, "model_final.ckpt"))
-                assert all(np.isfinite(w).all() for w in model.weights + model.biases)

@@ -1,5 +1,7 @@
 """The strict CSV and JSON record layer shared by every file format."""
 
+import re
+
 import pytest
 
 from innscore._records import read_json, read_rows, write_json, write_rows
@@ -52,12 +54,19 @@ def test_json_roundtrip_and_rejections(tmp_path):
     path = write_json(tmp_path / "o.json", {"b": [1, None], "a": 2})
     assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1,\n    null\n  ]\n}\n'
     assert read_json(path, {"a": int, "b": (list, type(None))}) == {"a": 2, "b": [1, None]}
-    for text, shown in (
-        ('{"a": 2,\n "b": }', "line 2: Expecting value"),
-        ('"a"', "line 1: a JSON str, not an object"),
-        ('{"b": 1}', "line 1: the object has no 'a' key"),
-        ('{\n"a": true}', "line 2: 'a' is True, not int"),
+    for text, required, shown in (
+        ('{"a": 2,\n "b": }', {"a": int}, "line 2: Expecting value"),
+        ('"a"', {"a": int}, "line 1: a JSON str, not an object"),
+        ('{"b": 1}', {"a": int}, "line 1: the object has no 'a' key"),
+        ('{\n"a": true}', {"a": int}, "line 2: 'a' is True, not int"),
+        ('{"a": 20.0}', {"a": int}, "line 1: 'a' is 20.0, not int"),
+        ('{"b": 5}', {"b": (str, type(None))}, "line 1: 'b' is 5, not str or null"),
     ):
         path.write_text(text)
         with pytest.raises(ValueError, match=shown):
-            read_json(path, {"a": int})
+            read_json(path, required)
+    # nan and infinities are not JSON: refused before the file is touched
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+            write_json(path, {"a": [1.0, bad]})
+        assert path.read_text() == '{"b": 5}'

@@ -8,6 +8,7 @@ to the vectorized code has an independent witness.
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,9 @@ class TestInit:
         assert m.frozen_layers == (0,)
         with pytest.raises(ValueError):
             tinynet.init_model([2, 4], seed=0, lift_freq=3.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lift_freq"):
+                tinynet.init_model([2, 4, 2], seed=0, lift_freq=bad)
 
 
 class TestForward:
@@ -275,6 +279,11 @@ class TestTrain:
         m = tinynet.init_model([2, 8, 2], seed=7)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             tinynet.train(m, ds, tinynet.TrainConfig("ce", epochs=50, seed=8, lr0=1e12))
+        m.weights[0][:] = 1e308  # the first layer overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(NumericError, match="diverged"):
+                m.forward(np.full((4, 2), 10.0))
 
 
 class TestTrainMatchesReference:
