@@ -8,7 +8,9 @@ whole protocol. Exit codes: 0 success, 2 bad configuration, 3 numeric
 failure, 4 I/O failure.
 
 Heavy imports happen inside handlers so that --threads can cap the BLAS
-pools via environment variables before numpy loads.
+pools via environment variables before numpy loads. For `pipeline` and
+`timing`, --threads also caps the pool that trains the four models side
+by side; the outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import sys
 from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from .config import (RunConfig, TrainConfig, boolean, field_parser, fields_from, label_map,
-                     write_manifest)
+from .config import (RunConfig, TrainConfig, boolean, check_threads, field_parser, fields_from,
+                     label_map, write_manifest)
 from .errors import NumericError
 
 
@@ -127,7 +129,8 @@ def _add_run_flags(p):
     _add_flags(p, RunConfig)
     p.add_argument("--config", default=None, help="flat key = value config file; flags win")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS worker pools (best effort)")
+                   help="cap the BLAS thread pools, and the training pool's workers "
+                        "(default there: the usable cores); outputs do not depend on it")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -344,7 +347,7 @@ def _cmd_pipeline(args, print_timing=False):
     from .pipeline import run_pipeline
 
     cfg = RunConfig(**fields_from(RunConfig, args))
-    result = run_pipeline(cfg, quiet=args.quiet)
+    result = run_pipeline(cfg, quiet=args.quiet, threads=args.threads)
     if result.report is not None:
         for epoch, kind, value in result.report.aucs:
             print(f"epoch {epoch} {kind}: AUC {value:.4f}")
@@ -356,11 +359,15 @@ def _cmd_pipeline(args, print_timing=False):
             rows = " ".join(f"L={r['L']}:{r['auc']:.4f}" for r in sweep["aucs"])
             print(f"l_sweep ({'non' if sweep['nondecreasing'] else 'NOT non'}decreasing): {rows}")
     if print_timing:
-        phases = result.timing["phases"]
-        width = max(len(k) for k in phases)
-        for name, seconds in phases.items():
+        timing = result.timing
+        width = max(len(k) for k in timing["phases"])
+        for name, seconds in timing["phases"].items():
             print(f"{name:<{width}}  {seconds:10.3f}s")
-        print(f"{'total':<{width}}  {result.timing['total']:10.3f}s")
+            if name == "train":  # the models overlap on the pool's workers
+                for tag, model_s in timing["train_models"].items():
+                    print(f"  {tag:<{width - 2}}  {model_s:10.3f}s")
+        print(f"{'total':<{width}}  {timing['total']:10.3f}s")
+        print(f"(training on {timing['train_workers']} workers)")
     print(f"outputs in {cfg.out_dir}")
     return 0
 
@@ -372,7 +379,7 @@ def main(argv=None):
         args = parser.parse_args(argv[1:])
         if getattr(args, "config", None):
             args = _apply_config_file(args, argv[2:])
-        threads = getattr(args, "threads", None)
+        threads = check_threads(getattr(args, "threads", None))
         if threads:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = str(threads)

@@ -59,6 +59,13 @@ def fields_from(cls, source):
     return {f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)}
 
 
+def check_threads(threads):
+    """A `--threads` value: None (no cap) or a positive int, else a ValueError."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads is {threads}, not a positive integer")
+    return threads
+
+
 def _reject_non_finite(settings):
     """A float setting of dataclass instance `settings` that is nan or infinite is a ValueError."""
     for f in fields(settings):

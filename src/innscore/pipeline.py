@@ -1,32 +1,46 @@
 """End-to-end runs: data, training, neighbor search, scoring, splits, reports.
 
-A run trains a feature model h (cross-entropy by default), builds the
-exact neighbor index on h's penultimate features, trains the scored
-model f (mixup by default) plus the two small-loss baseline models (one
-per loss), and then records integral and midpoint scores of every
-checkpoint of f, from one scoring pass, alongside the baselines'
-per-sample losses at the same epochs. Scores feed a beta-mixture split,
-losses a Gaussian-mixture split, and the sweep report compares AUC
-stability across checkpoints.
+A run trains four independent models on one dataset: a feature model h
+(cross-entropy by default), the scored model f (mixup by default) and the
+two small-loss baseline models (one per loss). It then builds the exact
+neighbor index on h's penultimate features, and records integral and
+midpoint scores of every checkpoint of f, from one scoring pass,
+alongside the baselines' per-sample losses at the same epochs. Scores
+feed a beta-mixture split, losses a Gaussian-mixture split, and the
+sweep report compares AUC stability across checkpoints.
 
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
-so a run is reproducible end to end. All randomness is numpy-based and
-the stages run sequentially; identical configs give byte-identical
-score CSVs.
+so a run is reproducible end to end. The four trainings run side by
+side on a thread pool, longest first (f, ce, cene, h), with at most
+`threads` workers (default: the usable cores); every later stage runs on
+the calling thread. While the pool runs, the OpenBLAS bundled with
+numpy's wheel is pinned to one thread, so that the workers do not
+oversubscribe the cores, and glibc's malloc is set to one arena, so that
+memory the workers free is reused by the scoring pass. A model's bits
+depend only on its own seed and OpenBLAS gives the same bits at any
+thread count, so identical configs give byte-identical outputs
+(`timing.json` aside) whatever the pool size. Without that OpenBLAS the
+pool has one worker.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import sys
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
+
+import numpy
 
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet
 from ._records import write_json, write_rows
-from .config import RunConfig, fields_from, write_manifest
+from .config import RunConfig, check_threads, fields_from, write_manifest
 
 
 @dataclass
@@ -88,7 +102,65 @@ def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, featur
     return tinynet.train(model, ds, tc), tc
 
 
-def run_pipeline(cfg, quiet=False):
+def pool_size(threads, jobs):
+    """Workers of a pool of `jobs` jobs: `threads`, or the usable cores when
+    None, and never more than `jobs`."""
+    return min(check_threads(threads) or len(os.sched_getaffinity(0)), jobs)
+
+
+@functools.cache
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None where there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
+        lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _timed(job):
+    t0 = time.perf_counter()
+    return job(), time.perf_counter() - t0
+
+
+def _train_concurrently(jobs, threads):
+    """Run the training `jobs` (tag -> callable, longest first) on a thread
+    pool. Returns tag -> result, tag -> seconds the job took, and the
+    worker count. A failed job cancels those not yet started; the first
+    failed job in `jobs` order raises, so the error does not depend on
+    the pool size."""
+    blas = openblas_threads()
+    workers = pool_size(threads, len(jobs)) if blas else 1
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        # M_ARENA_MAX = 1, for the rest of the process: the main thread's
+        # arena then reuses what the workers free
+        mallopt(-8, 1)
+    previous = blas[0]() if blas else None
+    try:
+        if blas:
+            blas[1](1)
+        with ThreadPoolExecutor(workers) as pool:
+            futures = {tag: pool.submit(_timed, job) for tag, job in jobs.items()}
+            wait(futures.values(), return_when=FIRST_EXCEPTION)
+            for future in futures.values():
+                future.cancel()  # only jobs not yet started, after a failure
+            done = {tag: future.result() for tag, future in futures.items()}
+    finally:
+        if blas:
+            blas[1](previous)
+    return ({tag: result for tag, (result, _) in done.items()},
+            {tag: seconds for tag, (_, seconds) in done.items()}, workers)
+
+
+def run_pipeline(cfg, quiet=False, threads=None):
     clock = _PhaseClock()
     out = cfg.out_dir
     paths = {}
@@ -104,9 +176,23 @@ def run_pipeline(cfg, quiet=False):
     h_epochs = f_epochs if cfg.share_epochs else cfg.scaled(cfg.h_epochs)
     ckpt_every = None if cfg.checkpoint_every is None else cfg.scaled(cfg.checkpoint_every)
 
-    h_result, h_tc = _train_model(ds, cfg, cfg.h_loss, h_epochs, cfg.seed + 2, feature_model=True)
+    train = functools.partial(_train_model, ds, cfg)
+    jobs = {"f": functools.partial(train, cfg.f_loss, f_epochs, cfg.seed + 3, ckpt_every)}
+    if cfg.baselines:
+        for offset, loss_kind in ((4, "ce"), (5, "cene")):
+            jobs[loss_kind] = functools.partial(train, loss_kind, f_epochs, cfg.seed + offset,
+                                                ckpt_every)
+    jobs["h"] = functools.partial(train, cfg.h_loss, h_epochs, cfg.seed + 2, feature_model=True)
+    done, train_models, train_workers = _train_concurrently(jobs, threads)
+    trained = {tag: done[tag][0] for tag in ("h", "f", "ce", "cene") if tag in done}
+    rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
+            for epoch, loss in enumerate(res.epoch_loss, 1))
+    paths["train_trace"] = write_rows(
+        os.path.join(out, "train_trace.csv"), ("epoch", "model", "mean_loss"), rows
+    )
+    h_result, h_tc = done["h"]
     _log(f"trained h ({cfg.h_loss}, {h_epochs} epochs)", quiet)
-    clock.lap("train_h")
+    clock.lap("train")
 
     feats = h_result.model.penultimate(ds.features)
     index = neighbors.build_index(feats)
@@ -122,25 +208,13 @@ def run_pipeline(cfg, quiet=False):
          f"{cfg.n_neighbors} at distance 0)", quiet)
     clock.lap("neighbor_search")
 
-    f_result, f_tc = _train_model(ds, cfg, cfg.f_loss, f_epochs, cfg.seed + 3, ckpt_every)
+    f_result, f_tc = done["f"]
     f_ckpts = f_result.checkpoints or [(f_epochs, f_result.model)]
     _log(f"trained f ({cfg.f_loss}, {f_epochs} epochs, {len(f_ckpts)} checkpoints)", quiet)
-    clock.lap("train_f")
-
-    base_ckpts = {}
-    trained = {"h": h_result, "f": f_result}
-    if cfg.baselines:
-        for offset, loss_kind in ((4, "ce"), (5, "cene")):
-            res, _ = _train_model(ds, cfg, loss_kind, f_epochs, cfg.seed + offset, ckpt_every)
-            base_ckpts[loss_kind] = res.checkpoints or [(f_epochs, res.model)]
-            trained[loss_kind] = res
+    base_ckpts = {tag: res.checkpoints or [(f_epochs, res.model)]
+                  for tag, res in trained.items() if tag in ("ce", "cene")}
+    if base_ckpts:
         _log("trained ce and cene baselines", quiet)
-    rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
-            for epoch, loss in enumerate(res.epoch_loss, 1))
-    paths["train_trace"] = write_rows(
-        os.path.join(out, "train_trace.csv"), ("epoch", "model", "mean_loss"), rows
-    )
-    clock.lap("train_baselines")
 
     # one pass at the widest L serves both the tables and the L-sweep
     f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts)
@@ -208,7 +282,7 @@ def run_pipeline(cfg, quiet=False):
         paths.update(report.write_outputs(out, final, ds, kinds, cfg.bins))
     clock.lap("eval")
 
-    timing = clock.table()
+    timing = {**clock.table(), "train_models": train_models, "train_workers": train_workers}
     write_manifest(asdict(cfg))  # JSON writes the tuple fields as lists
     write_json(os.path.join(out, "timing.json"), timing)
     tinynet.save_checkpoint(

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from innscore import data, neighbors, scorer, tinynet
+from innscore import data, neighbors, pipeline, scorer, tinynet
 from innscore.cli import main
 from innscore.pipeline import RunConfig, run_pipeline
 
@@ -113,6 +113,41 @@ class TestPipeline:
         run_pipeline(tiny_config(tmp_path / "b"), quiet=True)
         for name in ("scores.csv", "dataset.csv", "neighbors.csv", "split_scores.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
+    @pytest.mark.parametrize("overrides", [{}, {"baselines": False}, {"share_epochs": True}],
+                             ids=["lift_baselines", "no_baselines", "share_epochs"])
+    def test_outputs_do_not_depend_on_pool_size(self, tmp_path, capsys, overrides):
+        """With 1, 2 or 4 workers (more than the jobs or the cores may be), every
+        file but timing.json and every stderr line are the same."""
+        out = tmp_path / "run"  # manifest.json records the output directory
+        models = ["f", "ce", "cene", "h"] if overrides.get("baselines", True) else ["f", "h"]
+        errs, names = [], []
+        for threads in (1, 2, 4):
+            run_pipeline(tiny_config(out, **overrides), threads=threads)
+            errs.append(capsys.readouterr().err)
+            timing = json.loads((out / "timing.json").read_text())
+            assert sorted(timing["train_models"]) == sorted(models)
+            expected = min(threads, len(models)) if pipeline.openblas_threads() else 1
+            assert timing["train_workers"] == expected
+            run = tmp_path / f"threads{threads}"
+            os.rename(out, run)
+            names.append(sorted(os.path.relpath(os.path.join(d, f), run)
+                                for d, _, files in os.walk(run) for f in files))
+        assert errs[0] == errs[1] == errs[2] and "trained h" in errs[0], errs
+        assert names[0] == names[1] == names[2]
+        for name in set(names[0]) - {"timing.json"}:
+            for threads in (2, 4):
+                assert filecmp.cmp(tmp_path / "threads1" / name,
+                                   tmp_path / f"threads{threads}" / name, shallow=False), name
+
+    def test_pool_size(self):
+        cores = len(os.sched_getaffinity(0))
+        assert [pipeline.pool_size(t, 4) for t in (1, 2, 3, 4, 5, 64)] == [1, 2, 3, 4, 4, 4]
+        assert pipeline.pool_size(None, 4) == min(cores, 4)
+        assert pipeline.pool_size(2, 1) == 1
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match=f"threads is {threads}, not a positive"):
+                pipeline.pool_size(threads, 4)
 
     def test_l_sweep_reported(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", l_sweep=(1, 2, 4))
@@ -439,7 +474,7 @@ class TestCli:
         class Built(Exception):
             """Carries the RunConfig out before any work."""
 
-        def fake_run(cfg, quiet=False):
+        def fake_run(cfg, quiet=False, threads=None):
             raise Built(cfg)
 
         monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
@@ -484,6 +519,8 @@ class TestCli:
         (["--spread", "inf"], "spread"),
         (["--lift-freq", "nan"], "lift_freq"),
         (["--lr-drop-factor", "inf"], "lr_drop_factor"),
+        (["--threads", "0"], "threads"),
+        (["--threads", "-1"], "threads"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -502,6 +539,47 @@ class TestCli:
             assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure: "), err
+
+    def test_diverged_model_in_a_worker(self, tmp_path, capsys, monkeypatch):
+        """A model diverging on the training pool is still one numeric-failure line,
+        and the OpenBLAS thread count, 1 while the pool runs, is restored after."""
+        blas = pipeline.openblas_threads()
+        seen = []
+        train = tinynet.train
+
+        def spy(*args, **kwargs):
+            seen.append(blas[0]() if blas else None)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(tinynet, "train", spy)
+        argv = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
+                "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2",
+                "--lr0", "1e300", "--threads", "2", "--out", str(tmp_path / "run")]
+        before = blas[0]() if blas else None
+        try:
+            if blas:
+                blas[1](2)  # so that a missing restore shows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a RuntimeWarning would escape main
+                assert main(argv) == 3
+            after = blas[0]() if blas else None
+        finally:
+            if blas:
+                blas[1](before)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric failure: "), err
+        assert seen and set(seen) == {1 if blas else None}
+        assert after == (2 if blas else None)
+
+    def test_threads_below_one_in_config_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        (tmp_path / "run.cfg").write_text("n = 60\nthreads = 0\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: threads is 0, not a positive integer\n"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert not (out / "dataset.csv").exists()
 
     @pytest.mark.parametrize("argv, shown", [
         (["train", "--data", "d.csv", "--hidden", "8,x"],
