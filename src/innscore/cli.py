@@ -241,7 +241,25 @@ def _cmd_score(args):
         if not os.path.exists(path):
             raise ValueError(f"file not found: {path}")
     ds = data.read_csv(args.data_path)
-    h_model, _ = tinynet.load_checkpoint(args.features_from)
+    top = int(ds.observed_labels.max())
+
+    def load(path, scored):
+        """A checkpoint that takes the dataset's d inputs and, when its
+        predictions are scored, has a class for every observed label."""
+        model, sidecar = tinynet.load_checkpoint(path)
+        if model.layer_dims[0] != ds.d:
+            raise ValueError(f"{path}: model input width {model.layer_dims[0]} is not "
+                             f"the dataset's {ds.d} feature columns")
+        if scored and model.n_classes <= top:
+            raise ValueError(f"{path}: model has {model.n_classes} classes, too few for "
+                             f"observed label {top}")
+        return model, sidecar
+
+    h_model, _ = load(args.features_from, scored=False)
+    checkpoints = []
+    for ckpt in args.model:
+        model, sidecar = load(ckpt, scored=True)
+        checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
 
     if args.neighbors:
         nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, L)
@@ -251,10 +269,6 @@ def _cmd_score(args):
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
-    checkpoints = []
-    for ckpt in args.model:
-        model, sidecar = tinynet.load_checkpoint(ckpt)
-        checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
     # a cache may hold more than --l columns
     scored, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints)
     tables = []

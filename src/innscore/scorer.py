@@ -106,9 +106,9 @@ def _stages(model):
 
     For a network with hidden layers these are the first layer's
     pre-activation, its activation and the remaining layers, and the
-    flag tells whether that activation is sin. Any other model (an
-    oracle, a stub with only predict_proba, a softmax without hidden
-    layers) takes the identity for the first two, so interpolated
+    flag is the model's lift, which makes that activation sin. Any other
+    model (an oracle, a stub with only predict_proba, a softmax without
+    hidden layers) takes the identity for the first two, so interpolated
     pre-activations are the probe points themselves.
     """
     if len(getattr(model, "layer_dims", ())) > 2:
@@ -117,7 +117,7 @@ def _stages(model):
             lambda X: X @ W + b,
             lambda Z: model.activate(0, Z),
             lambda A: model.forward(A, start=1)[0],
-            model.activations[0] == "sin",
+            model.lift,
         )
     return (lambda X: X), (lambda Z: Z), model.predict_proba, False
 
@@ -125,11 +125,8 @@ def _stages(model):
 def _same_frozen_lift(a, b):
     """True when both models share one frozen first layer, bit for bit."""
     return (
-        len(getattr(a, "layer_dims", ())) > 2
-        and len(getattr(b, "layer_dims", ())) > 2
-        and 0 in a.frozen_layers
-        and 0 in b.frozen_layers
-        and a.activations[0] == b.activations[0]
+        getattr(a, "lift", False)
+        and getattr(b, "lift", False)
         and np.array_equal(a.weights[0], b.weights[0])
         and np.array_equal(a.biases[0], b.biases[0])
     )

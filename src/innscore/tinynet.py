@@ -1,6 +1,7 @@
 """Small feed-forward softmax classifier with hand-written gradients.
 
-The network is an MLP: ReLU hidden layers, softmax output. Everything is
+The network is an MLP: ReLU hidden layers, softmax output, and
+optionally a frozen sin first hidden layer (the lift). Everything is
 float64 numpy so gradients can be checked against finite differences at
 tight tolerances. The last hidden layer doubles as the feature embedding
 used for nearest-neighbor search.
@@ -28,28 +29,16 @@ CHECKPOINT_VERSION = 1
 class Model:
     """MLP parameters. weights[l] has shape (fan_in, fan_out).
 
-    activations holds one identifier per hidden layer ("relu" or "sin");
-    frozen_layers lists layer indices excluded from training updates.
-    A frozen sinusoidal first layer acts as a random-feature lift: it is
-    bandlimited by its weight scale, bounded in [-1, 1], and gives the
-    net high-frequency capacity at low input dimension.
+    Hidden layers are ReLU. With lift set, the first hidden layer is a
+    frozen sin layer instead, excluded from training: a random-feature
+    lift that is bandlimited by its weight scale, bounded in [-1, 1], and
+    gives the net high-frequency capacity at low input dimension.
     """
 
     layer_dims: list
     weights: list
     biases: list
-    activations: tuple = ()
-    frozen_layers: tuple = ()
-
-    def __post_init__(self):
-        n_hidden = len(self.layer_dims) - 2
-        if not self.activations:
-            self.activations = ("relu",) * n_hidden
-        if len(self.activations) != n_hidden:
-            raise ValueError("need one activation id per hidden layer")
-        for act in self.activations:
-            if act not in ("relu", "sin"):
-                raise ValueError(f"unknown activation {act!r}")
+    lift: bool = False
 
     @property
     def n_classes(self):
@@ -65,13 +54,12 @@ class Model:
             list(self.layer_dims),
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            tuple(self.activations),
-            tuple(self.frozen_layers),
+            self.lift,
         )
 
     def activate(self, layer, pre):
         """Activations of hidden layer `layer` from its pre-activations."""
-        return np.sin(pre) if self.activations[layer] == "sin" else np.maximum(pre, 0.0)
+        return np.sin(pre) if self.lift and layer == 0 else np.maximum(pre, 0.0)
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, inputs, start=0):
@@ -174,11 +162,7 @@ def init_model(layer_dims, seed, lift_freq=0.0):
             scale = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-    n_hidden = len(dims) - 2
-    if lift_freq > 0:
-        activations = ("sin",) + ("relu",) * (n_hidden - 1)
-        return Model(dims, weights, biases, activations, frozen_layers=(0,))
-    return Model(dims, weights, biases)
+    return Model(dims, weights, biases, lift=lift_freq > 0)
 
 
 def mixup_batch(inputs_a, targets_a, inputs_b, targets_b, lam):
@@ -214,7 +198,7 @@ def loss_and_grad(model, inputs, targets, loss_kind):
     cene:  cross-entropy plus negative entropy of the prediction
     mixup: cross-entropy against soft (mixed) targets
 
-    Every layer gets its gradient, frozen ones included.
+    Every layer gets its gradient, the lift included.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if X.shape[0] == 0:
@@ -251,7 +235,7 @@ def _loss_and_grad(model, A, T, loss_kind, start):
         i = layer - start  # acts[i] is the input of `layer`, pre[i - 1] its pre-activation
         grads.append((acts[i].T @ delta, delta.sum(axis=0)))
         if layer > start:
-            sin = model.activations[layer - 1] == "sin"
+            sin = model.lift and layer == 1
             local = np.cos(pre[i - 1]) if sin else (pre[i - 1] > 0)
             delta = (delta @ model.weights[layer].T) * local
     return loss, grads[::-1]
@@ -275,9 +259,8 @@ def train(model, dataset, config):
     generator seeded with config.seed, so a fixed (seed, config, dataset)
     reproduces the final parameters bit for bit.
 
-    A frozen first layer (the random-feature lift) is evaluated once per
-    call, or once per mixed batch for mixup, and gets no gradient; a later
-    frozen layer is back-propagated through and skipped by the update.
+    The lift is evaluated once per call, or once per mixed batch for
+    mixup, and gets no gradient.
     """
     X = dataset.features
     y = dataset.observed_labels
@@ -289,7 +272,7 @@ def train(model, dataset, config):
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
     T = one_hot(y, model.n_classes)
-    start = 1 if 0 in model.frozen_layers else 0
+    start = 1 if model.lift else 0
     mixup = config.loss_kind == "mixup"
 
     def prefix(inputs):
@@ -313,8 +296,6 @@ def train(model, dataset, config):
                 loss, grads = _loss_and_grad(model, lifted[idx], T[idx], config.loss_kind, start)
             batch_loss.append(loss)
             for layer, (gw, gb) in enumerate(grads, start):
-                if layer in model.frozen_layers:
-                    continue
                 opt.vel_w[layer] = config.momentum * opt.vel_w[layer] + gw
                 opt.vel_b[layer] = config.momentum * opt.vel_b[layer] + gb
                 model.weights[layer] -= lr * opt.vel_w[layer]
@@ -348,31 +329,32 @@ def per_sample_loss(model, dataset, loss_kind):
 # Binary layout (little endian):
 #   4 bytes magic "INNM" | u32 version | u32 layer count (len(layer_dims))
 #   | u32 * layer_dims | per layer: W row-major f64, then b f64
-# Version 2 models (non-relu or frozen hidden layers) insert one u8 code
-# per hidden layer after the dims: bit0 = sin activation, bit1 = frozen.
+# A model with a lift is written as version 2, which inserts one u8 code
+# per hidden layer after the dims: 3 (sin, frozen) for the lift, then 0
+# (ReLU) for each later layer. Plain models are version 1, with no codes.
 # A JSON sidecar (same path + ".json") carries the epoch and config echo.
 
 
+def _lift_codes(n_hidden):
+    return bytes([3] + [0] * (n_hidden - 1))
+
+
 def save_checkpoint(model, path, epoch=None, config=None):
-    plain = all(a == "relu" for a in model.activations) and not model.frozen_layers
-    version = CHECKPOINT_VERSION if plain else 2
+    n_hidden = len(model.layer_dims) - 2
+    version = 2 if model.lift else CHECKPOINT_VERSION
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, version, len(model.layer_dims)))
         fh.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        if version == 2:
-            codes = [
-                (1 if act == "sin" else 0) | (2 if layer in model.frozen_layers else 0)
-                for layer, act in enumerate(model.activations)
-            ]
-            fh.write(struct.pack(f"<{len(codes)}B", *codes))
+        if model.lift:
+            fh.write(_lift_codes(n_hidden))
         for W, b in zip(model.weights, model.biases):
             fh.write(W.astype("<f8").tobytes(order="C"))
             fh.write(b.astype("<f8").tobytes())
     write_json(str(path) + ".json", {
         "epoch": epoch,
         "layer_dims": list(model.layer_dims),
-        "activations": list(model.activations),
-        "frozen_layers": list(model.frozen_layers),
+        "activations": ["sin" if model.lift and i == 0 else "relu" for i in range(n_hidden)],
+        "frozen_layers": [0] if model.lift else [],
         "config": asdict(config) if isinstance(config, TrainConfig) else config,
     })
     return str(path)
@@ -381,9 +363,10 @@ def save_checkpoint(model, path, epoch=None, config=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (Model, sidecar dict or None).
 
-    A file that ends early, runs on past the last bias or holds a
-    non-finite weight or bias, and a sidecar whose epoch is not an integer
-    or null, are rejected with ValueError.
+    A file that ends early, runs on past the last bias, has a layer dim
+    of 0, has layer codes other than a lift's or holds a non-finite weight
+    or bias, and a sidecar whose epoch is not an integer or null, are
+    rejected with ValueError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -404,12 +387,14 @@ def load_checkpoint(path):
     if n_dims < 2:
         raise ValueError(f"{path}: checkpoint needs at least 2 layer dims, has {n_dims}")
     dims = list(struct.unpack(f"<{n_dims}I", take(4 * n_dims, "layer dims")))
-    activations = ("relu",) * (n_dims - 2)
-    frozen = ()
-    if version == 2:
+    if 0 in dims:
+        raise ValueError(f"{path}: layer dims {dims} include 0")
+    lift = version == 2
+    if lift:
         codes = take(n_dims - 2, "layer codes")
-        activations = tuple("sin" if c & 1 else "relu" for c in codes)
-        frozen = tuple(i for i, c in enumerate(codes) if c & 2)
+        if codes != _lift_codes(n_dims - 2):
+            raise ValueError(f"{path}: layer codes {list(codes)} are not those of a frozen "
+                             f"sin first hidden layer, {list(_lift_codes(n_dims - 2))}")
     weights, biases = [], []
     for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = np.frombuffer(take(8 * fan_in * fan_out, f"layer {layer} weights"), dtype="<f8")
@@ -424,4 +409,4 @@ def load_checkpoint(path):
         sidecar = read_json(str(path) + ".json", {"epoch": (int, type(None))})
     except FileNotFoundError:
         sidecar = None
-    return Model(dims, weights, biases, activations, frozen), sidecar
+    return Model(dims, weights, biases, lift), sidecar

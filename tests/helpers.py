@@ -34,10 +34,10 @@ def fd_gradients(model, X, targets, loss_kind, step=1e-5):
 def reference_train(model, dataset, config):
     """The training loop written plainly: full loss_and_grad on every batch.
 
-    Every layer, frozen ones included, is evaluated and differentiated on
-    each batch; frozen layers are then skipped by the update. Returns the
-    final model, the (epoch, model) checkpoints and the per-epoch mean of
-    the batch losses.
+    Every layer, the lift included, is evaluated and differentiated on
+    each batch; the lift (layer 0 when model.lift) is then skipped by the
+    update. Returns the final model, the (epoch, model) checkpoints and
+    the per-epoch mean of the batch losses.
     """
     X, y = dataset.features, dataset.observed_labels
     model = model.copy()
@@ -61,7 +61,7 @@ def reference_train(model, dataset, config):
                 loss, grads = tinynet.loss_and_grad(model, xb, yb, config.loss_kind)
             losses.append(loss)
             for layer, (gw, gb) in enumerate(grads):
-                if layer in model.frozen_layers:
+                if layer == 0 and model.lift:
                     continue
                 opt.vel_w[layer] = config.momentum * opt.vel_w[layer] + gw
                 opt.vel_b[layer] = config.momentum * opt.vel_b[layer] + gb

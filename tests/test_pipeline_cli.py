@@ -370,6 +370,28 @@ class TestCli:
         assert filecmp.cmp(tmp_path / "cached" / "scores.csv",
                            tmp_path / "searched" / "scores.csv", shallow=False)
 
+    @pytest.mark.parametrize("k, d, model, bad, shown", [
+        (4, 2, "f.ckpt", "f.ckpt", "model has 2 classes, too few for observed label 3"),
+        (2, 3, "f.ckpt", "h.ckpt", "model input width 2 is not the dataset's 3 feature columns"),
+        (2, 2, "f3.ckpt", "f3.ckpt", "model input width 3 is not the dataset's 2 feature columns"),
+    ])
+    def test_checkpoint_not_fitting_the_dataset_exits_two(self, world, tmp_path, capsys,
+                                                          monkeypatch, k, d, model, bad, shown):
+        csv = data.write_csv(data.synth("blobs", 40, k, d, 0.5, seed=3), tmp_path / "d.csv")
+        tinynet.save_checkpoint(tinynet.init_model([3, 4, 2], seed=2), tmp_path / "f3.ckpt")
+        models = {"f.ckpt": world["root"] / "f.ckpt", "f3.ckpt": tmp_path / "f3.ckpt"}
+
+        def no_search(*args):
+            raise AssertionError("the checkpoints are checked before the neighbor search")
+
+        monkeypatch.setattr(neighbors, "build_index", no_search)
+        rc = main(["score", "--data", str(csv), "--model", str(models[model]),
+                   "--features-from", str(world["root"] / "h.ckpt"), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err.count("\n") == 1, err
+        assert f"{bad}: {shown}" in err, err
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["corrupt", "--data", "/no/such/file.csv", "--sym", "0.1",
                      "--out", str(tmp_path)]) == 2

@@ -6,8 +6,8 @@ to the vectorized code has an independent witness.
 """
 
 import math
-import os
-import tempfile
+import re
+import struct
 import warnings
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_train
+from helpers import fd_gradients, max_rel_error, reference_train
 from innscore import data, tinynet
 from innscore.errors import NumericError
 
@@ -23,11 +23,11 @@ from innscore.errors import NumericError
 def scalar_forward(model, x):
     """Loop-and-math.exp re-implementation of the forward pass."""
     a = list(x)
-    for act, W, b in zip(model.activations, model.weights[:-1], model.biases[:-1]):
+    for layer, (W, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
         nxt = []
         for j in range(W.shape[1]):
             z = sum(a[i] * W[i, j] for i in range(W.shape[0])) + b[j]
-            nxt.append(math.sin(z) if act == "sin" else max(z, 0.0))
+            nxt.append(math.sin(z) if model.lift and layer == 0 else max(z, 0.0))
         a = nxt
     W, b = model.weights[-1], model.biases[-1]
     logits = [sum(a[i] * W[i, j] for i in range(W.shape[0])) + b[j] for j in range(W.shape[1])]
@@ -35,41 +35,6 @@ def scalar_forward(model, x):
     exps = [math.exp(v - m) for v in logits]
     s = sum(exps)
     return [v / s for v in exps], a
-
-
-def fd_gradients(model, X, targets, loss_kind, step=1e-5):
-    """Central finite differences over every parameter."""
-    grads = []
-    for W, b in zip(model.weights, model.biases):
-        gw = np.zeros_like(W)
-        for idx in np.ndindex(W.shape):
-            orig = W[idx]
-            W[idx] = orig + step
-            hi, _ = tinynet.loss_and_grad(model, X, targets, loss_kind)
-            W[idx] = orig - step
-            lo, _ = tinynet.loss_and_grad(model, X, targets, loss_kind)
-            W[idx] = orig
-            gw[idx] = (hi - lo) / (2 * step)
-        gb = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            orig = b[idx]
-            b[idx] = orig + step
-            hi, _ = tinynet.loss_and_grad(model, X, targets, loss_kind)
-            b[idx] = orig - step
-            lo, _ = tinynet.loss_and_grad(model, X, targets, loss_kind)
-            b[idx] = orig
-            gb[idx] = (hi - lo) / (2 * step)
-        grads.append((gw, gb))
-    return grads
-
-
-def max_rel_error(analytic, numeric):
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(np.abs(n), 1e-8)
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
 
 
 class TestInit:
@@ -98,8 +63,8 @@ class TestInit:
 
     def test_lift_layer(self):
         m = tinynet.init_model([2, 32, 8, 4], seed=1, lift_freq=3.0)
-        assert m.activations == ("sin", "relu")
-        assert m.frozen_layers == (0,)
+        assert m.lift is True
+        assert tinynet.init_model([2, 32, 8, 4], seed=1).lift is False
         with pytest.raises(ValueError):
             tinynet.init_model([2, 4], seed=0, lift_freq=3.0)
         for bad in (-1.0, float("nan"), float("inf")):
@@ -308,21 +273,14 @@ class TestTrainMatchesReference:
         batch_size=st.integers(1, 48),
         epochs=st.integers(1, 4),
         checkpoint_every=st.none() | st.integers(1, 3),
-        freeze_later=st.booleans(),
     )
     def test_bitwise_equal_to_reference(self, seed, loss_kind, lift, hidden, d, K, n,
-                                        batch_size, epochs, checkpoint_every, freeze_later):
+                                        batch_size, epochs, checkpoint_every):
         rng = np.random.default_rng(seed)
         y = rng.integers(0, K, size=n)
         ds = data.Dataset(rng.integers(-8, 9, size=(n, d)) / 4.0, y, y, K, np.arange(n))
         model = tinynet.init_model([d, *hidden, K], seed, lift_freq=2.0 if lift else 0.0)
         model.weights[0] = rng.integers(-8, 9, size=model.weights[0].shape) / 4.0
-        if freeze_later and len(hidden) > 1:
-            # a checkpoint may flag a later hidden layer as frozen
-            model.frozen_layers += (int(rng.integers(1, len(hidden))),)
-            with tempfile.TemporaryDirectory() as tmp:
-                tinynet.save_checkpoint(model, os.path.join(tmp, "m.ckpt"))
-                model, _ = tinynet.load_checkpoint(os.path.join(tmp, "m.ckpt"))
         cfg = tinynet.TrainConfig(loss_kind, epochs=epochs, batch_size=batch_size,
                                   seed=seed, checkpoint_every=checkpoint_every)
 
@@ -375,12 +333,13 @@ class TestCheckpointIO:
             tinynet.save_checkpoint(m, path, epoch=17, config=cfg)
             loaded, sidecar = tinynet.load_checkpoint(path)
             assert loaded.layer_dims == m.layer_dims
-            assert loaded.activations == m.activations
-            assert loaded.frozen_layers == m.frozen_layers
+            assert loaded.lift == m.lift == (lift > 0)
             for a, b in zip(m.weights + m.biases, loaded.weights + loaded.biases):
                 assert np.array_equal(a, b)
             assert sidecar["epoch"] == 17
             assert sidecar["config"]["loss_kind"] == "mixup"
+            assert sidecar["activations"] == (["sin", "relu"] if lift else ["relu", "relu"])
+            assert sidecar["frozen_layers"] == ([0] if lift else [])
 
     def test_plain_model_uses_spec_v1_layout(self, tmp_path):
         m = tinynet.init_model([2, 4, 3], seed=1)
@@ -409,6 +368,29 @@ class TestCheckpointIO:
         bad.write_bytes(raw + bytes(8))
         with pytest.raises(ValueError, match="trailing"):
             tinynet.load_checkpoint(bad)
+
+    def test_lift_layout_only(self, tmp_path):
+        m = tinynet.init_model([2, 3, 4, 2], seed=4, lift_freq=1.5)
+        tinynet.save_checkpoint(m, tmp_path / "m.ckpt")
+        raw = (tmp_path / "m.ckpt").read_bytes()
+        codes = 12 + 4 * 4  # after the header and the four dims
+        assert int.from_bytes(raw[4:8], "little") == 2
+        assert raw[codes : codes + 2] == bytes([3, 0])
+        bad = tmp_path / "bad.ckpt"
+        # a sin or frozen bit alone, unknown bits, and a lift on the second hidden layer
+        for wrong in ([1, 0], [2, 0], [7, 0], [0x83, 0], [0, 3], [3, 1], [0, 0]):
+            bad.write_bytes(raw[:codes] + bytes(wrong) + raw[codes + 2 :])
+            with pytest.raises(ValueError, match=re.escape(f"bad.ckpt: layer codes {wrong} are not")):
+                tinynet.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("dims", [[2, 0, 2], [2, 4, 0]])
+    def test_zero_layer_dim_rejected(self, tmp_path, dims):
+        path = tmp_path / "zero.ckpt"
+        params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        path.write_bytes(struct.pack(f"<4sII{len(dims)}I", b"INNM", 1, len(dims), *dims)
+                         + bytes(8 * params))
+        with pytest.raises(ValueError, match=re.escape(f"zero.ckpt: layer dims {dims} include 0")):
+            tinynet.load_checkpoint(path)
 
     def test_non_finite_parameters_rejected(self, tmp_path):
         m = tinynet.init_model([2, 3, 2], seed=4)
