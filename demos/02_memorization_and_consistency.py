@@ -23,7 +23,7 @@ h = tinynet.train(
     ds,
     tinynet.TrainConfig("ce", epochs=50, seed=2),
 )
-nbr, _ = neighbors.search(neighbors.build_index(h.model.penultimate(ds.features)), 10)
+nbr, _ = neighbors.search(h.model.penultimate(ds.features), 10)
 
 # scored model: sinusoidal lift gives it the capacity to memorize at d=2
 ce = tinynet.train(

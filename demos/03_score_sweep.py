@@ -20,7 +20,7 @@ print(f"n={ds.n}, noisy fraction {ds.noisy_fraction():.3f}")
 
 h = tinynet.train(tinynet.init_model([2, 64, 4, 4], seed=2),
                   ds, tinynet.TrainConfig("ce", epochs=50, seed=2))
-nbr, _ = neighbors.search(neighbors.build_index(h.model.penultimate(ds.features)), L)
+nbr, _ = neighbors.search(h.model.penultimate(ds.features), L)
 
 train_cfg = dict(epochs=200, checkpoint_every=25, batch_size=128, lr0=0.02)
 f = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=3, lift_freq=4.0),
@@ -47,7 +47,7 @@ for kind, st in report.stability.items():
 
 # posterior split from the final integral scores
 final = tables[-1]
-_, split = mixture.split_column(final.values["inn"], "beta", ids=final.ids)
+_, split = mixture.split_column(final.values["inn"], "inn", ids=final.ids)
 picked = set(int(v) for v in split.labeled_ids)
 mask = [int(i) in picked for i in ds.ids]
 precision = clean[mask].mean()

@@ -20,7 +20,7 @@ print(f"n={ds.n}: majority {(ds.true_labels == 0).sum()}, minority {(ds.true_lab
 
 h = tinynet.train(tinynet.init_model([2, 64, 4, 2], seed=2),
                   ds, tinynet.TrainConfig("ce", epochs=50, seed=2))
-nbr, _ = neighbors.search(neighbors.build_index(h.model.penultimate(ds.features)), 10)
+nbr, _ = neighbors.search(h.model.penultimate(ds.features), 10)
 f = tinynet.train(tinynet.init_model([2, 256, 128, 2], seed=3, lift_freq=4.0),
                   ds, tinynet.TrainConfig("mixup", epochs=150, seed=3))
 ce = tinynet.train(tinynet.init_model([2, 256, 128, 2], seed=4, lift_freq=4.0),

@@ -4,8 +4,8 @@ Subcommands compose the library: `synth` and `corrupt` build datasets,
 `train` fits a model, `score` evaluates score columns for saved
 checkpoints, `oracle` enumerates the analytic separation check, `split`
 and `eval` post-process score tables, and `pipeline` / `timing` run the
-whole protocol. Exit codes: 0 success, 2 bad configuration, 3 numeric
-failure, 4 I/O failure.
+whole protocol. Exit codes: 0 success, 2 bad configuration (a missing
+input file among them), 3 numeric failure, 4 I/O failure.
 
 Heavy imports happen inside handlers so that --threads can cap the BLAS
 pools via environment variables before numpy loads. For `pipeline` and
@@ -89,9 +89,9 @@ def build_parser():
 
     p = sub.add_parser("split", help="mixture split of a score column")
     p.add_argument("--scores", required=True, help="score CSV")
-    p.add_argument("--kind", default="inn")
+    p.add_argument("--kind", default="inn",
+                   help="column to split: a beta mixture, or a Gaussian one for loss_* kinds")
     p.add_argument("--epoch", type=int, default=None, help="default: last epoch")
-    p.add_argument("--mixture", default="beta", choices=["beta", "gaussian"])
     _add_flags(p, RunConfig, ("normalize", "threshold", "out_dir"))
 
     p = sub.add_parser("eval", help="AUC sweep report and grouped histograms")
@@ -237,9 +237,6 @@ def _cmd_score(args):
         if kind not in _SCORE_KINDS:
             raise ValueError(f"unknown score kind {kind!r}, expected some of "
                              f"{','.join(_SCORE_KINDS)}")
-    for path in [args.features_from, *args.model]:
-        if not os.path.exists(path):
-            raise ValueError(f"file not found: {path}")
     ds = data.read_csv(args.data_path)
     top = int(ds.observed_labels.max())
 
@@ -256,16 +253,19 @@ def _cmd_score(args):
         return model, sidecar
 
     h_model, _ = load(args.features_from, scored=False)
-    checkpoints = []
+    checkpoints, path_of = [], {}
     for ckpt in args.model:
         model, sidecar = load(ckpt, scored=True)
-        checkpoints.append(((sidecar or {}).get("epoch") or 0, model))
+        epoch = (sidecar or {}).get("epoch") or 0  # no sidecar: epoch 0
+        if epoch in path_of:
+            raise ValueError(f"{path_of[epoch]} and {ckpt} are both checkpoints of epoch {epoch}")
+        path_of[epoch] = ckpt
+        checkpoints.append((epoch, model))
 
     if args.neighbors:
         nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, L)
     else:
-        index = neighbors.build_index(h_model.penultimate(ds.features))
-        nbr, dist = neighbors.search(index, L)
+        nbr, dist = neighbors.search(h_model.penultimate(ds.features), L)
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
@@ -308,25 +308,23 @@ def _cmd_split(args):
 
     settings = fields_from(RunConfig, args)  # normalize, threshold and out_dir
     RunConfig(**settings)  # rejects a threshold outside [0, 1]
-    if not os.path.exists(args.scores):
-        raise ValueError(f"score file not found: {args.scores}")
     tables = scorer.read_score_csv(args.scores)
     wanted = args.epoch if args.epoch is not None else tables[-1].epoch
     table = next((t for t in tables if t.epoch == wanted), None)
     if table is None or args.kind not in table.values:
         raise ValueError(f"no {args.kind!r} scores at epoch {wanted}")
     fit, result = mixture.split_column(
-        table.values[args.kind], args.mixture, args.normalize, args.threshold, table.ids
+        table.values[args.kind], args.kind, args.normalize, args.threshold, table.ids
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    fit.to_json(os.path.join(args.out_dir, f"{args.mixture}_fit.json"))
+    fit.to_json(os.path.join(args.out_dir, f"{fit.kind}_fit.json"))
     path = result.to_csv(os.path.join(args.out_dir, "split.csv"))
     print(f"wrote {path} ({len(result.labeled_ids)} labeled / "
           f"{len(result.unlabeled_ids)} unlabeled)")
-    if args.mixture != "beta":  # only the beta fit normalizes
+    if fit.kind != "beta":  # only the beta fit normalizes
         del settings["normalize"]
-    write_manifest({**settings, "scores": args.scores, "kind": args.kind, "epoch": args.epoch,
-                    "mixture": args.mixture}, args.command)
+    write_manifest({**settings, "scores": args.scores, "kind": args.kind, "epoch": args.epoch},
+                   args.command)
     return 0
 
 
@@ -337,8 +335,6 @@ def _cmd_eval(args):
 
     settings = fields_from(RunConfig, args)  # data_path, bins and out_dir
     RunConfig(**settings)  # rejects --bins below 1
-    if not os.path.exists(args.scores):
-        raise ValueError(f"file not found: {args.scores}")
     tables = scorer.read_score_csv(args.scores)
     ds = data.read_csv(args.data_path)
     if ds.true_labels is None:
@@ -411,6 +407,9 @@ def main(argv=None):
         return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:  # a missing input is a configuration error
+        print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

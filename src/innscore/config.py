@@ -196,8 +196,10 @@ class RunConfig:
                 raise ValueError(f"{name} is {value}, not a positive integer")
         if not self.epoch_scale > 0:
             raise ValueError(f"epoch_scale is {self.epoch_scale}, not positive")
-        if self.l_sweep and min(self.l_sweep) < 1:
-            raise ValueError(f"l_sweep is {self.l_sweep}, not all positive integers")
+        for name in ("hidden", "h_hidden", "l_sweep"):  # layer widths and neighbor counts
+            value = getattr(self, name)
+            if min(value or (), default=1) < 1:
+                raise ValueError(f"{name} is {value}, not all positive integers")
         if not 0.0 <= self.threshold <= 1.0:  # a clean posterior
             raise ValueError(f"threshold is {self.threshold}, not in [0, 1]")
         defaults = {f.name: f.default for f in fields(self)}

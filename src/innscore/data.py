@@ -8,7 +8,6 @@ corruption returns a new dataset with a fresh observed-label column.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,10 +246,7 @@ def write_csv(ds, path):
 
 def read_csv(path):
     """Read a dataset CSV as written by write_csv. Besides the checks of
-    `_records.read_rows`, a missing file raises ValueError, and so does a
-    repeated id, naming its line."""
-    if not os.path.exists(path):
-        raise ValueError(f"dataset file not found: {path}")
+    `_records.read_rows`, a repeated id raises ValueError, naming its line."""
 
     def header(names):
         has_true = names[-1] == "true_label"

@@ -1,21 +1,10 @@
-"""Error types shared across the package.
+"""The package's one error type.
 
-Invalid arguments raise plain ValueError; these classes cover the
-numeric failure modes that deserve their own exit code.
+Invalid arguments raise plain ValueError; NumericError covers the numeric
+failures (a diverged model, a mixture fit that breaks down), which get
+their own exit code.
 """
 
 
 class NumericError(RuntimeError):
-    """Non-finite values encountered during training or scoring."""
-
-
-class FitError(NumericError):
-    """Mixture EM failed; carries the log-likelihood trace seen so far."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
-
-
-class EnumerationBudgetError(ValueError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """Non-finite values encountered during training, scoring or a mixture fit."""

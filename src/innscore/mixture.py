@@ -1,6 +1,6 @@
 """Two-component mixture EM on scores and losses, plus the posterior split.
 `split_column` is the one normalize -> fit -> split sequence, run by both
-`pipeline` and the `split` command.
+`pipeline` and the `split` command; the column's kind picks the mixture.
 
 fit_beta_mixture models scores in (0, 1) with two beta components; the
 M-step is a weighted method-of-moments update (closed form, deterministic,
@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import betaln, logsumexp
 
 from ._records import write_json, write_rows
-from .errors import FitError
+from .errors import NumericError
+from .evaluate import score_orientation
 
 _CLAMP = 1e-4
 _BETA_PARAM_LO = 1e-2
@@ -141,7 +142,7 @@ def _run_em(x, kind, m_step, max_iters, tol, init_resp):
         norm = logsumexp(logj, axis=1, keepdims=True)
         ll = float(norm.sum())
         if not np.isfinite(ll):
-            raise FitError("non-finite mixture log-likelihood", trace)
+            raise NumericError("non-finite mixture log-likelihood")
         if trace and ll < trace[-1] - 1e-9:
             # moment/floored step reduced the likelihood: keep the previous fit
             params, weights = prev
@@ -155,11 +156,11 @@ def _run_em(x, kind, m_step, max_iters, tol, init_resp):
             break
         new_resp = np.exp(logj - norm)
         if new_resp.sum(axis=0).min() < 1e-10:
-            raise FitError("a mixture component lost all responsibility", trace)
+            raise NumericError("a mixture component lost all responsibility")
         prev = (params, weights)
         params, weights = m_step(x, new_resp)
         if not (np.isfinite(params).all() and np.isfinite(weights).all()):
-            raise FitError("non-finite mixture parameters", trace)
+            raise NumericError("non-finite mixture parameters")
     return params, weights, trace, stop_reason, len(trace)
 
 
@@ -247,16 +248,17 @@ def split(fit, scores, threshold=0.5, ids=None):
     return SplitResult(ids[labeled], ids[~labeled], post, threshold, ids)
 
 
-def split_column(values, mixture="beta", normalize=True, threshold=0.5, ids=None):
-    """Fit a two-component `mixture` ("beta" or "gaussian") to a score or
-    loss column and split it at `threshold`; returns (fit, SplitResult).
+def split_column(values, kind, normalize=True, threshold=0.5, ids=None):
+    """Fit a two-component mixture to a column of score kind `kind` and split
+    it at `threshold`; returns (fit, SplitResult). A loss column, where
+    smaller is cleaner, gets the Gaussian mixture; any other gets the beta.
 
     `normalize` min-max scales the column for the beta mixture only. A
     constant column then gets the degenerate all-labeled fit, whatever its
     length.
     """
     x = np.asarray(values, dtype=np.float64)
-    if mixture == "gaussian":
+    if score_orientation(kind) < 0:
         fit = fit_gaussian_mixture(x)
     else:
         x, degenerate = normalize_scores(x) if normalize else (x, False)

@@ -1,6 +1,6 @@
-"""Exact L2 nearest-neighbor retrieval over feature rows.
+"""Exact L2 nearest-neighbor retrieval over the rows of a feature matrix.
 
-`search(index, L)` returns arrays ids (n, L) int64 and dist (n, L)
+`search(features, L)` returns arrays ids (n, L) int64 and dist (n, L)
 float64: row i's L nearest rows (positions in the feature matrix),
 distance-ascending, ties broken by the smaller row index, never row i
 itself. Distances are sqrt(sum((F[j] - F[i])^2)), the arithmetic of the
@@ -21,13 +21,10 @@ D <= (1 + 5u)(1 + G_(p+2)) / (1 - G_(p+2)) (g_L + E) and g <= D + E; with
 g_L <= 2N + E, to first order g <= g_L + (4p + 14) eps N. The search uses
 s = 8 (p + 4) eps (|a|^2 + M), M the largest squared row norm: twice that,
 which also covers the rounding of the norms and of g_L + s. A loose slack
-only costs time. `build_index` rejects features whose squares overflow.
+only costs time. `search` rejects features whose squares overflow.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,51 +34,36 @@ from ._records import read_rows, write_rows
 _CHUNK_ELEMENTS = 1 << 17
 
 
-@dataclass
-class NeighborIndex:
-    features: np.ndarray  # (n, p) float64, checked by build_index
-
-    @property
-    def n(self):
-        return self.features.shape[0]
-
-
-class NeighborRow(NamedTuple):
-    ids: np.ndarray  # (L,) row indices, distance-ascending
-    distances: np.ndarray  # (L,) nondecreasing
-
-
-def build_index(feature_matrix):
-    F = np.asarray(feature_matrix, dtype=np.float64)
-    if F.ndim != 2 or F.shape[0] < 2:
-        raise ValueError("need a 2-D feature matrix with at least two rows")
-    if not np.isfinite(F).all():
-        raise ValueError("features must be finite")
-    if not np.isfinite(4.0 * np.einsum("ij,ij->i", F, F).max()):
-        raise ValueError("features too large: squared distances overflow")
-    return NeighborIndex(F)
-
-
-def query(index, i, n_neighbors):
-    """The n_neighbors rows nearest to row i, self excluded: the oracle."""
-    n = index.n
+def query(features, i, n_neighbors):
+    """(ids (L,), dist (L,)) of the n_neighbors rows nearest to row i, self
+    excluded: the oracle, in the shape of one row of `search`."""
+    F = np.asarray(features, dtype=np.float64)
+    n = F.shape[0]
     if not 0 <= i < n:
         raise ValueError(f"row {i} out of range")
     if not 1 <= n_neighbors <= n - 1:
         raise ValueError("need 1 <= L <= n-1")
-    diff = index.features - index.features[i]
+    diff = F - F[i]
     dist = np.sqrt((diff * diff).sum(axis=1))
     dist[i] = np.inf  # exclude self; duplicates at distance 0 stay eligible
     order = np.lexsort((np.arange(n), dist))[:n_neighbors]
-    return NeighborRow(order.astype(np.int64), dist[order])
+    return order.astype(np.int64), dist[order]
 
 
-def search(index, n_neighbors):
-    """(ids (n, L) int64, dist (n, L) float64) for every row; see the module notes."""
-    F, n, L = index.features, index.n, n_neighbors
+def search(features, n_neighbors):
+    """(ids (n, L) int64, dist (n, L) float64) for every row of the 2-D
+    matrix `features`, of at least two finite rows; see the module notes."""
+    F, L = np.asarray(features, dtype=np.float64), n_neighbors
+    if F.ndim != 2 or F.shape[0] < 2:
+        raise ValueError("need a 2-D feature matrix with at least two rows")
+    if not np.isfinite(F).all():
+        raise ValueError("features must be finite")
+    n = F.shape[0]
     if not 1 <= L <= n - 1:
         raise ValueError("need 1 <= L <= n-1")
     sq = np.einsum("ij,ij->i", F, F)
+    if not np.isfinite(4.0 * sq.max()):
+        raise ValueError("features too large: squared distances overflow")
     slack = 8.0 * (F.shape[1] + 4) * np.finfo(np.float64).eps * (sq + sq.max())
     ids = np.empty((n, L), dtype=np.int64)
     dist = np.empty((n, L))

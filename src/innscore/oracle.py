@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from ._records import write_json
-from .errors import EnumerationBudgetError
 
 CONDITIONS = ("majority", "pure", "count")
 
@@ -149,7 +148,7 @@ def verify_separation(n_classes, n_neighbors, condition):
         raise ValueError("need K >= 2 and L >= 1")
     n_vectors = math.comb(n_neighbors + n_classes - 1, n_classes - 1)
     if n_vectors * n_classes > _ENUM_BUDGET:
-        raise EnumerationBudgetError(
+        raise ValueError(
             f"{n_vectors} count vectors x {n_classes} classes exceeds the enumeration budget"
         )
 

@@ -165,6 +165,11 @@ def run_pipeline(cfg, quiet=False, threads=None):
     out = cfg.out_dir
     paths = {}
     ds = make_dataset(cfg)
+    l_max = max([cfg.n_neighbors, *(cfg.l_sweep or ())])  # one search serves both
+    if l_max > ds.n - 1:
+        name = "n_neighbors" if l_max == cfg.n_neighbors else "l_sweep"
+        raise ValueError(f"{name} is {getattr(cfg, name)}, but the dataset's {ds.n} rows "
+                         f"allow at most {ds.n - 1} neighbors")
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     if ds.true_labels is not None and cfg.noise_kind != "none":
         _log(f"dataset: n={ds.n} d={ds.d} K={ds.n_classes} "
@@ -194,12 +199,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
     _log(f"trained h ({cfg.h_loss}, {h_epochs} epochs)", quiet)
     clock.lap("train")
 
-    feats = h_result.model.penultimate(ds.features)
-    index = neighbors.build_index(feats)
-    l_max = cfg.n_neighbors
-    if cfg.l_sweep:
-        l_max = max(l_max, max(cfg.l_sweep))
-    nbr, dist = neighbors.search(index, l_max)
+    nbr, dist = neighbors.search(h_result.model.penultimate(ds.features), l_max)
     paths["neighbors"] = neighbors.write_cache(
         nbr, dist, ds.ids, os.path.join(out, "neighbors.csv")
     )
@@ -220,8 +220,6 @@ def run_pipeline(cfg, quiet=False, threads=None):
     f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts)
     tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
     for loss_kind, ckpts in base_ckpts.items():
-        if [e for e, _ in ckpts] != [e for e, _ in f_ckpts]:
-            raise ValueError("baseline checkpoints out of step with f checkpoints")
         for table, (_, b_model) in zip(tables, ckpts):
             table.add(f"loss_{loss_kind}", tinynet.per_sample_loss(b_model, ds, loss_kind))
     consistency = []
@@ -252,14 +250,14 @@ def run_pipeline(cfg, quiet=False, threads=None):
     main_kind = "inn" if cfg.mode == "integral" else "midpoint"
     final = tables[-1]
     fit, score_split = mixture.split_column(
-        final.values[main_kind], "beta", cfg.normalize, cfg.threshold, final.ids
+        final.values[main_kind], main_kind, cfg.normalize, cfg.threshold, final.ids
     )
     fit.to_json(os.path.join(out, "bmm_fit.json"))
     paths["split_scores"] = score_split.to_csv(os.path.join(out, "split_scores.csv"))
     loss_split = None
     if "loss_ce" in final.values:
         loss_fit, loss_split = mixture.split_column(
-            final.values["loss_ce"], "gaussian", cfg.normalize, cfg.threshold, final.ids
+            final.values["loss_ce"], "loss_ce", cfg.normalize, cfg.threshold, final.ids
         )
         loss_fit.to_json(os.path.join(out, "gmm_fit.json"))
         paths["split_loss"] = loss_split.to_csv(os.path.join(out, "split_loss.csv"))

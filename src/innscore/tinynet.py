@@ -10,7 +10,7 @@ used for nearest-neighbor search.
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,21 +97,6 @@ class Model:
 
     def penultimate(self, inputs):
         return self.forward(inputs)[1]
-
-
-@dataclass
-class OptState:
-    """Per-parameter momentum buffers, shapes mirroring the model."""
-
-    vel_w: list = field(default_factory=list)
-    vel_b: list = field(default_factory=list)
-
-    @classmethod
-    def for_model(cls, model):
-        return cls(
-            [np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases],
-        )
 
 
 @dataclass
@@ -268,7 +253,8 @@ def train(model, dataset, config):
         raise ValueError("dataset labels out of range for model")
 
     model = model.copy()
-    opt = OptState.for_model(model)
+    vel_w = [np.zeros_like(w) for w in model.weights]  # momentum buffers
+    vel_b = [np.zeros_like(b) for b in model.biases]
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
     T = one_hot(y, model.n_classes)
@@ -296,10 +282,10 @@ def train(model, dataset, config):
                 loss, grads = _loss_and_grad(model, lifted[idx], T[idx], config.loss_kind, start)
             batch_loss.append(loss)
             for layer, (gw, gb) in enumerate(grads, start):
-                opt.vel_w[layer] = config.momentum * opt.vel_w[layer] + gw
-                opt.vel_b[layer] = config.momentum * opt.vel_b[layer] + gb
-                model.weights[layer] -= lr * opt.vel_w[layer]
-                model.biases[layer] -= lr * opt.vel_b[layer]
+                vel_w[layer] = config.momentum * vel_w[layer] + gw
+                vel_b[layer] = config.momentum * vel_b[layer] + gb
+                model.weights[layer] -= lr * vel_w[layer]
+                model.biases[layer] -= lr * vel_b[layer]
         epoch_loss.append(float(np.mean(batch_loss)))
         done = epoch + 1
         if config.checkpoint_every and done % config.checkpoint_every == 0:

@@ -41,7 +41,8 @@ def reference_train(model, dataset, config):
     """
     X, y = dataset.features, dataset.observed_labels
     model = model.copy()
-    opt = tinynet.OptState.for_model(model)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
     rng = np.random.default_rng(config.seed)
     checkpoints, epoch_loss = [], []
     for epoch in range(config.epochs):
@@ -63,10 +64,10 @@ def reference_train(model, dataset, config):
             for layer, (gw, gb) in enumerate(grads):
                 if layer == 0 and model.lift:
                     continue
-                opt.vel_w[layer] = config.momentum * opt.vel_w[layer] + gw
-                opt.vel_b[layer] = config.momentum * opt.vel_b[layer] + gb
-                model.weights[layer] -= lr * opt.vel_w[layer]
-                model.biases[layer] -= lr * opt.vel_b[layer]
+                vel_w[layer] = config.momentum * vel_w[layer] + gw
+                vel_b[layer] = config.momentum * vel_b[layer] + gb
+                model.weights[layer] -= lr * vel_w[layer]
+                model.biases[layer] -= lr * vel_b[layer]
         epoch_loss.append(float(np.mean(losses)))
         if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
             checkpoints.append((epoch + 1, model.copy()))

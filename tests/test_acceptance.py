@@ -154,14 +154,13 @@ def test_criterion_5_knn_exactness():
     for _ in range(50):
         n = int(rng.integers(16, 513))
         F = rng.normal(size=(n, int(rng.integers(2, 9))))
-        index = neighbors.build_index(F)
         for L in (1, 5, 10):
             if L >= n:
                 continue
             for i in range(n):
-                got = neighbors.query(index, i, L)
+                got_ids, got_dist = neighbors.query(F, i, L)
                 ids, dist = brute_force_knn(F, i, L)
-                if not (np.array_equal(got.ids, ids) and np.array_equal(got.distances, dist)):
+                if not (np.array_equal(got_ids, ids) and np.array_equal(got_dist, dist)):
                     mismatches += 1
     elapsed = time.perf_counter() - t0
     verdict(5, "exact kNN equals the O(n^2) sort oracle on 50 datasets",

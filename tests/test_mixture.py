@@ -137,7 +137,7 @@ class TestSplit:
         assert degenerate
         # also below the 10 scores a fit needs
         for n in (50, 3):
-            fit, res = mixture.split_column(np.full(n, 0.2))
+            fit, res = mixture.split_column(np.full(n, 0.2), "inn")
             assert fit.degenerate and fit.stop_reason == "degenerate"
             assert len(res.labeled_ids) == n
             assert np.all(res.posterior == 1.0)

@@ -14,59 +14,60 @@ from innscore import data, neighbors
 
 class TestQuery:
     def test_two_points(self):
-        idx = neighbors.build_index(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        assert neighbors.query(idx, 0, 1).ids.tolist() == [1]
-        assert neighbors.query(idx, 1, 1).ids.tolist() == [0]
+        F = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert neighbors.query(F, 0, 1)[0].tolist() == [1]
+        assert neighbors.query(F, 1, 1)[0].tolist() == [0]
 
     def test_duplicates_allowed_self_excluded(self):
         F = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-        s = neighbors.query(neighbors.build_index(F), 0, 2)
-        assert s.ids.tolist() == [1, 2]
-        assert s.distances[0] == 0.0
+        ids, dist = neighbors.query(F, 0, 2)
+        assert ids.tolist() == [1, 2]
+        assert dist[0] == 0.0
 
     def test_collinear_hand_case(self):
         F = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        s = neighbors.query(neighbors.build_index(F), 0, 2)
-        assert s.ids.tolist() == [1, 2]
+        ids, _ = neighbors.query(F, 0, 2)
+        assert ids.tolist() == [1, 2]
 
     def test_tie_break_by_smaller_id(self):
         # all four corners of a square are equidistant from the center
         F = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
-        s = neighbors.query(neighbors.build_index(F), 4, 3)
-        assert s.ids.tolist() == [0, 1, 2]
+        ids, _ = neighbors.query(F, 4, 3)
+        assert ids.tolist() == [0, 1, 2]
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(5):
             n = int(rng.integers(20, 200))
             F = rng.normal(size=(n, int(rng.integers(2, 8))))
-            idx = neighbors.build_index(F)
             for L in (1, 5, 10):
                 for i in rng.integers(0, n, size=8):
-                    got = neighbors.query(idx, int(i), L)
+                    got_ids, got_dist = neighbors.query(F, int(i), L)
                     ids, dist = brute_force(F, int(i), L)
-                    assert np.array_equal(got.ids, ids)
-                    assert np.array_equal(got.distances, dist)
+                    assert np.array_equal(got_ids, ids)
+                    assert np.array_equal(got_dist, dist)
 
     def test_bounds(self):
-        idx = neighbors.build_index(np.random.default_rng(1).normal(size=(5, 2)))
+        F = np.random.default_rng(1).normal(size=(5, 2))
         with pytest.raises(ValueError):
-            neighbors.query(idx, 0, 5)
+            neighbors.query(F, 0, 5)
         with pytest.raises(ValueError):
-            neighbors.query(idx, 0, 0)
+            neighbors.query(F, 0, 0)
         with pytest.raises(ValueError):
-            neighbors.query(idx, 9, 1)
+            neighbors.query(F, 9, 1)
 
 
 class TestIndex:
+    """The feature matrix that `search` and `query` index."""
+
     def test_rejects_nonfinite(self):
         F = np.array([[0.0, 1.0], [np.nan, 0.0]])
         with pytest.raises(ValueError):
-            neighbors.build_index(F)
+            neighbors.search(F, 1)
 
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
-            neighbors.build_index(np.zeros((1, 3)))
+            neighbors.search(np.zeros((1, 3)), 1)
 
     def test_symmetric_distance(self):
         rng = np.random.default_rng(2)
@@ -79,14 +80,12 @@ class TestIndex:
         rng = np.random.default_rng(3)
         F = rng.normal(size=(60, 4))
         perm = rng.permutation(60)
-        idx_a = neighbors.build_index(F)
-        idx_b = neighbors.build_index(F[perm])
         inv = np.empty(60, dtype=int)
         inv[perm] = np.arange(60)
         for i in (0, 7, 33):
-            a = neighbors.query(idx_a, i, 5)
-            b = neighbors.query(idx_b, int(inv[i]), 5)
-            assert np.array_equal(perm[b.ids], a.ids)
+            a, _ = neighbors.query(F, i, 5)
+            b, _ = neighbors.query(F[perm], int(inv[i]), 5)
+            assert np.array_equal(perm[b], a)
 
 
 class TestSearch:
@@ -114,7 +113,7 @@ class TestSearch:
         L = min(L, F.shape[0] - 1)
         # small chunks split the rows into many blocks and recheck passes
         with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
-            ids, dist = neighbors.search(neighbors.build_index(F), L)
+            ids, dist = neighbors.search(F, L)
         assert ids.dtype == np.int64 and ids.shape == dist.shape == (F.shape[0], L)
         for i in range(F.shape[0]):
             want_ids, want_dist = brute_force(F, i, L)
@@ -123,10 +122,10 @@ class TestSearch:
 
     def test_peak_memory_flat_in_n(self):
         def peak(n):
-            index = neighbors.build_index(np.random.default_rng(0).normal(size=(n, 8)))
+            F = np.random.default_rng(0).normal(size=(n, 8))
             tracemalloc.start()
             try:
-                neighbors.search(index, 10)
+                neighbors.search(F, 10)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -135,31 +134,30 @@ class TestSearch:
         assert large < 2 * small, (small, large)
 
     def test_bounds(self):
-        idx = neighbors.build_index(np.random.default_rng(1).normal(size=(5, 2)))
+        F = np.random.default_rng(1).normal(size=(5, 2))
         for L in (0, 5):
             with pytest.raises(ValueError):
-                neighbors.search(idx, L)
+                neighbors.search(F, L)
 
     def test_rejects_overflowing_features(self):
         with pytest.raises(ValueError, match="overflow"):
-            neighbors.build_index(np.array([[1e200, 0.0], [0.0, 1.0]]))
+            neighbors.search(np.array([[1e200, 0.0], [0.0, 1.0]]), 1)
 
 
 class TestHelpers:
     def test_neighbor_sets_attach_labels(self):
         ds = data.synth("blobs", 30, 3, 2, 0.2, seed=0)
-        idx = neighbors.build_index(ds.features)
-        ids, _ = neighbors.search(idx, 4)
+        ids, _ = neighbors.search(ds.features, 4)
         labels = ds.observed_labels[ids]
         assert len(labels) == 30
         for i in range(30):
-            assert np.array_equal(labels[i], ds.observed_labels[neighbors.query(idx, i, 4).ids])
+            ids_i, _ = neighbors.query(ds.features, i, 4)
+            assert np.array_equal(labels[i], ds.observed_labels[ids_i])
 
     def test_cache_roundtrip(self, tmp_path):
         ds = data.synth("blobs", 25, 2, 2, 0.2, seed=1)
         ds_ids = ds.ids + 1000  # non-contiguous ids must survive
-        idx = neighbors.build_index(ds.features)
-        ids, dist = neighbors.search(idx, 3)
+        ids, dist = neighbors.search(ds.features, 3)
         path = neighbors.write_cache(ids, dist, ds_ids, tmp_path / "nn.csv")
         back_ids, back_dist = neighbors.read_cache(path, ds_ids)
         assert np.array_equal(ids, back_ids)
@@ -167,7 +165,7 @@ class TestHelpers:
 
     def test_cache_rows_in_any_order(self, tmp_path):
         ds = data.synth("blobs", 12, 2, 2, 0.2, seed=2)
-        ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+        ids, dist = neighbors.search(ds.features, 3)
         path = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn.csv")
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
@@ -191,7 +189,7 @@ class TestHelpers:
     def test_cache_reader_rejects(self, tmp_path, edit, shown):
         ds = data.synth("blobs", 10, 2, 2, 0.2, seed=3)
         ds_ids = ds.ids + 1000
-        ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+        ids, dist = neighbors.search(ds.features, 3)
         path = neighbors.write_cache(ids, dist, ds_ids, tmp_path / "nn.csv")
         lines = path.read_text().splitlines()
         lines[2] = ",".join(edit(lines[2].split(",")))
@@ -201,7 +199,7 @@ class TestHelpers:
 
     def test_cache_reader_rejects_missing_row_and_short_table(self, tmp_path):
         ds = data.synth("blobs", 10, 2, 2, 0.2, seed=4)
-        ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+        ids, dist = neighbors.search(ds.features, 3)
         path = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn.csv")
         with pytest.raises(ValueError, match="line 1: 3 neighbor columns, fewer than L=4"):
             neighbors.read_cache(path, ds.ids, 4)

@@ -249,6 +249,15 @@ class TestCli:
                      "--kinds", "inn,midpoint,loss_ce",
                      "--out", f"{out}/scores"]) == 0
         keep("score", f"{out}/scores")
+        # two checkpoints of one epoch would give a table that split and eval reject
+        assert main(["score", "--data", f"{out}/noisy.csv", "--model", f"{out}/f/model_epoch6.ckpt",
+                     "--model", f"{out}/f/model_final.ckpt",
+                     "--features-from", f"{out}/h/model_final.ckpt", "--out", f"{out}/twice"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert (f"{out}/f/model_epoch6.ckpt and {out}/f/model_final.ckpt are both checkpoints "
+                "of epoch 6") in err, err
+        assert not os.path.exists(f"{out}/twice")
         tables = scorer.read_score_csv(f"{out}/scores/scores.csv")
         assert len(tables) == 2
         summary = json.loads(open(f"{out}/scores/scores_summary.json").read())
@@ -256,12 +265,16 @@ class TestCli:
         assert json.loads(open(f"{out}/scores/manifest.json").read())["command"] == "score"
 
         assert main(["split", "--scores", f"{out}/scores/scores.csv", "--kind", "inn",
-                     "--mixture", "beta", "--out", f"{out}/split"]) == 0
+                     "--out", f"{out}/split"]) == 0
         keep("split", f"{out}/split")
         assert os.path.exists(f"{out}/split/split.csv")
+        assert sorted(os.listdir(f"{out}/split")) == ["beta_fit.json", "manifest.json", "split.csv"]
+        # a loss column, smaller is cleaner, gets the Gaussian mixture
         assert main(["split", "--scores", f"{out}/scores/scores.csv", "--kind", "loss_ce",
-                     "--mixture", "gaussian", "--out", f"{out}/gauss"]) == 0
+                     "--out", f"{out}/gauss"]) == 0
         keep("split gaussian", f"{out}/gauss")
+        assert sorted(os.listdir(f"{out}/gauss")) == ["gaussian_fit.json", "manifest.json",
+                                                      "split.csv"]
         assert main(["eval", "--scores", f"{out}/scores/scores.csv",
                      "--data", f"{out}/noisy.csv", "--out", f"{out}/eval"]) == 0
         keep("eval", f"{out}/eval")
@@ -309,7 +322,7 @@ class TestCli:
         scores = str(run / "scores.csv")
         assert main(["split", "--scores", scores, "--kind", "inn",
                      "--out", str(steps / "beta")]) == 0
-        assert main(["split", "--scores", scores, "--kind", "loss_ce", "--mixture", "gaussian",
+        assert main(["split", "--scores", scores, "--kind", "loss_ce",
                      "--out", str(steps / "gauss")]) == 0
         assert main(["eval", "--scores", scores, "--data", str(run / "dataset.csv"),
                      "--out", str(steps / "eval")]) == 0
@@ -361,7 +374,7 @@ class TestCli:
     def test_score_uses_l_columns_of_a_wider_cache(self, world, tmp_path):
         ds = data.read_csv(world["csv"])
         h, _ = tinynet.load_checkpoint(world["root"] / "h.ckpt")
-        ids, dist = neighbors.search(neighbors.build_index(h.penultimate(ds.features)), 3)
+        ids, dist = neighbors.search(h.penultimate(ds.features), 3)
         cache = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn3.csv")
         args = ["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
                 "--features-from", str(world["root"] / "h.ckpt"), "--l", "2", "--h", "3"]
@@ -384,7 +397,7 @@ class TestCli:
         def no_search(*args):
             raise AssertionError("the checkpoints are checked before the neighbor search")
 
-        monkeypatch.setattr(neighbors, "build_index", no_search)
+        monkeypatch.setattr(neighbors, "search", no_search)
         rc = main(["score", "--data", str(csv), "--model", str(models[model]),
                    "--features-from", str(world["root"] / "h.ckpt"), "--out", str(tmp_path)])
         out, err = capsys.readouterr()
@@ -392,11 +405,20 @@ class TestCli:
         assert out == "" and err.count("\n") == 1, err
         assert f"{bad}: {shown}" in err, err
 
-    def test_missing_file_is_config_error(self, tmp_path):
+    def test_missing_file_is_config_error(self, world, tmp_path, capsys):
         assert main(["corrupt", "--data", "/no/such/file.csv", "--sym", "0.1",
                      "--out", str(tmp_path)]) == 2
         assert main(["score", "--data", "/no/such.csv", "--model", "/no/model",
                      "--features-from", "/no/h", "--out", str(tmp_path)]) == 2
+        capsys.readouterr()
+        for argv, missing in (
+            (["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
+              "--features-from", str(world["root"] / "h.ckpt"), "--l", "2",
+              "--neighbors", "/no/such/nn.csv", "--out", str(tmp_path)], "/no/such/nn.csv"),
+            (["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)], "/no/such.cfg"),
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"error: file not found: {missing}\n"
 
     def test_neighbor_cache_errors_exit_two(self, tmp_path, capsys):
         run_pipeline(tiny_config(tmp_path / "run", baselines=False), quiet=True)
@@ -543,6 +565,10 @@ class TestCli:
         (["--lr-drop-factor", "inf"], "lr_drop_factor"),
         (["--threads", "0"], "threads"),
         (["--threads", "-1"], "threads"),
+        (["--hidden", "0"], "hidden"),
+        (["--h-hidden", "0,4"], "h_hidden"),
+        (["--l", "60"], "n_neighbors"),  # the dataset's 60 rows allow 59
+        (["--l-sweep", "5,60"], "l_sweep"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -550,6 +576,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"error: {name} is " in err, err
         assert not (out / "dataset.csv").exists()
+        assert not (out / "train_trace.csv").exists()
 
     def test_diverged_model_exits_three(self, tmp_path, capsys):
         """Parameters that diverge are a numeric failure, without numpy warnings."""
@@ -828,7 +855,7 @@ def world(tmp_path_factory):
     f = tinynet.init_model([2, 8, 4, 2], seed=1, lift_freq=2.0)
     tinynet.save_checkpoint(h, root / "h.ckpt", epoch=3)
     tinynet.save_checkpoint(f, root / "f.ckpt", epoch=3)
-    ids, dist = neighbors.search(neighbors.build_index(ds.features), 3)
+    ids, dist = neighbors.search(ds.features, 3)
     tables, _ = scorer.score_models(ds, ids[:, :3], 2, [(1, h), (2, f)])
     return {
         "root": root,

@@ -37,7 +37,7 @@ class AffineModel:
 
 def tiny_world(n=12, d=3, n_classes=3, seed=0, L=4):
     ds = data.corrupt_symmetric(data.synth("blobs", n, n_classes, d, 0.5, seed=seed), 0.4, seed + 1)
-    nbr, _ = neighbors.search(neighbors.build_index(ds.features), L)
+    nbr, _ = neighbors.search(ds.features, L)
     return ds, nbr
 
 
@@ -135,7 +135,7 @@ class TestInnScores:
             labels = np.array([0] + [0] * m_matches + [1] * (L - m_matches))
             model = SegmentInterpolantModel(points, labels, K)
             ds = data.Dataset(points, labels, labels.copy(), K, np.arange(L + 1))
-            nbr, _ = neighbors.search(neighbors.build_index(points), L)
+            nbr, _ = neighbors.search(points, L)
             nbr[0] = np.arange(1, L + 1)
             table = scorer.score_models(ds, nbr[:, :L], 10, [(None, model)])[0][0]
             expected = float(oracle_inn(0, labels[1:]))
@@ -206,7 +206,7 @@ class TestScoreModels:
         n = X.shape[0]
         L = min(L, n - 1)
         ds = data.Dataset(X, rng.integers(0, K, n), rng.integers(0, K, n), K, np.arange(n) + 7)
-        nbr, _ = neighbors.search(neighbors.build_index(X), L)
+        nbr, _ = neighbors.search(X, L)
         if lift:
             # checkpoints of one run: a shared frozen lift, later layers moved
             base = tinynet.init_model([d, 8, 5, K], seed=seed % 1000, lift_freq=2.0)
@@ -246,7 +246,7 @@ class TestScoreModels:
     def test_peak_memory_flat_in_n(self):
         def peak(n):
             ds = data.corrupt_symmetric(data.synth("blobs", n, 3, 2, 0.5, seed=0), 0.3, 1)
-            nbr, _ = neighbors.search(neighbors.build_index(ds.features), 10)
+            nbr, _ = neighbors.search(ds.features, 10)
             m = tinynet.init_model([2, 64, 32, 3], seed=1, lift_freq=2.0)
             tracemalloc.start()
             try:
@@ -356,7 +356,7 @@ class TestConsistencyStats:
 
     def test_all_clean_flags_missing_group(self):
         ds = data.synth("blobs", 15, 3, 2, 0.4, seed=13)
-        nbr, _ = neighbors.search(neighbors.build_index(ds.features), 2)
+        nbr, _ = neighbors.search(ds.features, 2)
         st = scorer.score_models(ds, nbr[:, :1], 1, [(None, ConstantModel(np.full(3, 1 / 3)))])[1][0]
         assert st.missing == ("noisy",)
         assert st.e_inc is None
