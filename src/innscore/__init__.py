@@ -20,6 +20,7 @@ _SUBMODULES = (
     "mixture",
     "evaluate",
     "pipeline",
+    "workers",
     "config",
     "errors",
 )

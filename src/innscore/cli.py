@@ -8,9 +8,11 @@ whole protocol. Exit codes: 0 success, 2 bad configuration (a missing
 input file among them), 3 numeric failure, 4 I/O failure.
 
 Heavy imports happen inside handlers so that --threads can cap the BLAS
-pools via environment variables before numpy loads. For `pipeline` and
-`timing`, --threads also caps the pool that trains the four models side
-by side; the outputs do not depend on it.
+pools via environment variables before numpy loads. For `pipeline`
+and `timing`, --threads also caps the worker pool (`workers.run`) that
+trains the four models side by side, searches the neighbours and scores;
+`score` searches and scores on that pool at its default size, the usable
+cores. The outputs do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def _add_run_flags(p):
     _add_flags(p, RunConfig)
     p.add_argument("--config", default=None, help="flat key = value config file; flags win")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap the BLAS thread pools, and the training pool's workers "
-                        "(default there: the usable cores); outputs do not depend on it")
+                   help="cap the BLAS thread pools, and the workers that train, search and "
+                        "score (default there: the usable cores); outputs do not depend on it")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -169,9 +171,16 @@ def _apply_config_file(args, argv):
     return argparse.Namespace(command=args.command, **vars(parser.parse_args(argv)))
 
 
+def _check_name(name):
+    """A --name is a file name in --out, with no directory part."""
+    if os.path.basename(name) != name or name in ("", ".", ".."):
+        raise ValueError(f"--name is {name!r}, not a file name without a directory part")
+
+
 def _cmd_synth(args):
     from . import data
 
+    _check_name(args.name)
     settings = fields_from(RunConfig, args)
     RunConfig(**settings)  # rejects a non-finite --spread
     ds = data.synth(args.synth_kind, args.n, args.n_classes, args.dim, args.spread, args.seed)
@@ -185,6 +194,7 @@ def _cmd_synth(args):
 def _cmd_corrupt(args):
     from . import data
 
+    _check_name(args.name)
     if args.rate is not None and args.label_map is None:
         raise ValueError("--rate is the rate of --map and goes only with it")
     # the four exclusive flags, each naming a noise kind, and the settings that kind reads
@@ -210,6 +220,7 @@ def _cmd_train(args):
     from . import data, tinynet
 
     tc = TrainConfig(**fields_from(TrainConfig, args))
+    RunConfig(hidden=args.hidden)  # rejects a --hidden width below 1
     ds = data.read_csv(args.data_path)
     dims = [ds.d, *args.hidden, ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
@@ -238,6 +249,9 @@ def _cmd_score(args):
             raise ValueError(f"unknown score kind {kind!r}, expected some of "
                              f"{','.join(_SCORE_KINDS)}")
     ds = data.read_csv(args.data_path)
+    if L > ds.n - 1:
+        raise ValueError(f"--l is {L}, but the dataset's {ds.n} rows allow at most "
+                         f"{ds.n - 1} neighbors")
     top = int(ds.observed_labels.max())
 
     def load(path, scored):

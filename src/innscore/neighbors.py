@@ -1,7 +1,7 @@
 """Exact L2 nearest-neighbor retrieval over the rows of a feature matrix.
 
-`search(features, L)` returns arrays ids (n, L) int64 and dist (n, L)
-float64: row i's L nearest rows (positions in the feature matrix),
+`search(features, L, threads)` returns arrays ids (n, L) int64 and dist
+(n, L) float64: row i's L nearest rows (positions in the feature matrix),
 distance-ascending, ties broken by the smaller row index, never row i
 itself. Distances are sqrt(sum((F[j] - F[i])^2)), the arithmetic of the
 one-row oracle `query`, and the two agree bit for bit. Blocks of rows,
@@ -9,6 +9,9 @@ each with at most _CHUNK_ELEMENTS pairs, are (1) shortlisted: every
 column whose g = |a|^2 + |b|^2 - 2 a.b, from one matrix product, is at
 most the row's L-th smallest g plus a slack s; (2) rechecked with the
 oracle's distance; (3) sorted by (distance, id), keeping the first L.
+Each block is one job on the `workers` pool of at most `threads` workers
+and writes only its own rows of ids and dist. The result is exact, so it
+does not depend on the pool size.
 
 The slack. With u = eps/2, G_m = m u / (1 - m u), N = |a|^2 + |b|^2 and
 D = |a - b|^2: the norms and a.b are length-p dot products, off by at most
@@ -26,8 +29,11 @@ only costs time. `search` rejects features whose squares overflow.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import workers
 from ._records import read_rows, write_rows
 
 # pairs per block and per recheck pass; bounds the search's working memory
@@ -50,9 +56,10 @@ def query(features, i, n_neighbors):
     return order.astype(np.int64), dist[order]
 
 
-def search(features, n_neighbors):
+def search(features, n_neighbors, threads=None):
     """(ids (n, L) int64, dist (n, L) float64) for every row of the 2-D
-    matrix `features`, of at least two finite rows; see the module notes."""
+    matrix `features`, of at least two finite rows, with each block of rows
+    a job on `workers.run`'s pool of `threads`; see the module notes."""
     F, L = np.asarray(features, dtype=np.float64), n_neighbors
     if F.ndim != 2 or F.shape[0] < 2:
         raise ValueError("need a 2-D feature matrix with at least two rows")
@@ -67,9 +74,9 @@ def search(features, n_neighbors):
     slack = 8.0 * (F.shape[1] + 4) * np.finfo(np.float64).eps * (sq + sq.max())
     ids = np.empty((n, L), dtype=np.int64)
     dist = np.empty((n, L))
-    block = max(1, _CHUNK_ELEMENTS // n)
-    for start in range(0, n, block):
-        r = np.arange(start, min(start + block, n))
+
+    def rows(start, stop):
+        r = np.arange(start, stop)
         g = sq - 2.0 * (F[r] @ F.T)
         g += sq[r, None]
         g[r - start, r] = np.inf
@@ -86,6 +93,10 @@ def search(features, n_neighbors):
         counts = np.bincount(owner, minlength=r.size)
         take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(L)]
         ids[r], dist[r] = cand[take], d[take]
+
+    block = max(1, _CHUNK_ELEMENTS // n)
+    workers.run([functools.partial(rows, start, min(start + block, n))
+                 for start in range(0, n, block)], threads)
     return ids, dist
 
 

@@ -12,35 +12,27 @@ sweep report compares AUC stability across checkpoints.
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
 so a run is reproducible end to end. The four trainings run side by
-side on a thread pool, longest first (f, ce, cene, h), with at most
-`threads` workers (default: the usable cores); every later stage runs on
-the calling thread. While the pool runs, the OpenBLAS bundled with
-numpy's wheel is pinned to one thread, so that the workers do not
-oversubscribe the cores, and glibc's malloc is set to one arena, so that
-memory the workers free is reused by the scoring pass. A model's bits
-depend only on its own seed and OpenBLAS gives the same bits at any
-thread count, so identical configs give byte-identical outputs
-(`timing.json` aside) whatever the pool size. Without that OpenBLAS the
-pool has one worker.
+side on the `workers` pool, longest first (f, ce, cene, h), with at most
+`threads` workers (default: the usable cores), and the neighbour search
+and the scoring pass run on the same pool; the mixture fits and the
+reports run on the calling thread. A model's bits depend only on its own
+seed, and the search and the scores do not depend on the pool size, so
+identical configs give byte-identical outputs (`timing.json` aside)
+whatever the pool size.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import os
 import sys
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
-import numpy
-
 from . import data as data_mod
-from . import evaluate, mixture, neighbors, scorer, tinynet
+from . import evaluate, mixture, neighbors, scorer, tinynet, workers
 from ._records import write_json, write_rows
-from .config import RunConfig, check_threads, fields_from, write_manifest
+from .config import RunConfig, fields_from, write_manifest
 
 
 @dataclass
@@ -102,62 +94,9 @@ def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, featur
     return tinynet.train(model, ds, tc), tc
 
 
-def pool_size(threads, jobs):
-    """Workers of a pool of `jobs` jobs: `threads`, or the usable cores when
-    None, and never more than `jobs`."""
-    return min(check_threads(threads) or len(os.sched_getaffinity(0)), jobs)
-
-
-@functools.cache
-def openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    wheel bundles, or None where there is none."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
-        lib = ctypes.CDLL(path)  # the copy numpy already loaded
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
 def _timed(job):
     t0 = time.perf_counter()
     return job(), time.perf_counter() - t0
-
-
-def _train_concurrently(jobs, threads):
-    """Run the training `jobs` (tag -> callable, longest first) on a thread
-    pool. Returns tag -> result, tag -> seconds the job took, and the
-    worker count. A failed job cancels those not yet started; the first
-    failed job in `jobs` order raises, so the error does not depend on
-    the pool size."""
-    blas = openblas_threads()
-    workers = pool_size(threads, len(jobs)) if blas else 1
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        # M_ARENA_MAX = 1, for the rest of the process: the main thread's
-        # arena then reuses what the workers free
-        mallopt(-8, 1)
-    previous = blas[0]() if blas else None
-    try:
-        if blas:
-            blas[1](1)
-        with ThreadPoolExecutor(workers) as pool:
-            futures = {tag: pool.submit(_timed, job) for tag, job in jobs.items()}
-            wait(futures.values(), return_when=FIRST_EXCEPTION)
-            for future in futures.values():
-                future.cancel()  # only jobs not yet started, after a failure
-            done = {tag: future.result() for tag, future in futures.items()}
-    finally:
-        if blas:
-            blas[1](previous)
-    return ({tag: result for tag, (result, _) in done.items()},
-            {tag: seconds for tag, (_, seconds) in done.items()}, workers)
 
 
 def run_pipeline(cfg, quiet=False, threads=None):
@@ -188,7 +127,9 @@ def run_pipeline(cfg, quiet=False, threads=None):
             jobs[loss_kind] = functools.partial(train, loss_kind, f_epochs, cfg.seed + offset,
                                                 ckpt_every)
     jobs["h"] = functools.partial(train, cfg.h_loss, h_epochs, cfg.seed + 2, feature_model=True)
-    done, train_models, train_workers = _train_concurrently(jobs, threads)
+    results = workers.run([functools.partial(_timed, job) for job in jobs.values()], threads)
+    done = {tag: result for tag, (result, _) in zip(jobs, results)}
+    train_models = {tag: seconds for tag, (_, seconds) in zip(jobs, results)}
     trained = {tag: done[tag][0] for tag in ("h", "f", "ce", "cene") if tag in done}
     rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
             for epoch, loss in enumerate(res.epoch_loss, 1))
@@ -199,7 +140,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
     _log(f"trained h ({cfg.h_loss}, {h_epochs} epochs)", quiet)
     clock.lap("train")
 
-    nbr, dist = neighbors.search(h_result.model.penultimate(ds.features), l_max)
+    nbr, dist = neighbors.search(h_result.model.penultimate(ds.features), l_max, threads)
     paths["neighbors"] = neighbors.write_cache(
         nbr, dist, ds.ids, os.path.join(out, "neighbors.csv")
     )
@@ -217,7 +158,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
         _log("trained ce and cene baselines", quiet)
 
     # one pass at the widest L serves both the tables and the L-sweep
-    f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts)
+    f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts, threads)
     tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
     for loss_kind, ckpts in base_ckpts.items():
         for table, (_, b_model) in zip(tables, ckpts):
@@ -227,7 +168,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
         ce_stats = [None] * len(f_ckpts)
         if "ce" in base_ckpts:
             # L = H = 1 evaluates only the samples and their 1-NN midpoints
-            _, ce_stats = scorer.score_models(ds, nbr[:, :1], 1, base_ckpts["ce"])
+            _, ce_stats = scorer.score_models(ds, nbr[:, :1], 1, base_ckpts["ce"], threads)
         for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats):
             if ce_st is not None:
                 consistency.append((epoch, "ce", ce_st))
@@ -280,7 +221,8 @@ def run_pipeline(cfg, quiet=False, threads=None):
         paths.update(report.write_outputs(out, final, ds, kinds, cfg.bins))
     clock.lap("eval")
 
-    timing = {**clock.table(), "train_models": train_models, "train_workers": train_workers}
+    timing = {**clock.table(), "train_models": train_models,
+              "train_workers": workers.pool_size(threads, len(jobs))}
     write_manifest(asdict(cfg))  # JSON writes the tuple fields as lists
     write_json(os.path.join(out, "timing.json"), timing)
     tinynet.save_checkpoint(

@@ -22,14 +22,24 @@ segment and unit (see `rotate_sin`); ReLU and identity first layers, and
 a sin layer at H <= 2, interpolate the pre-activations and then
 activate. The midpoint is node H/2 when H is even; for odd H it is one
 more interior node, evaluated directly.
+
+The pass runs on the `workers` pool of at most `threads` workers, one
+chunk of edges at a time. Within a chunk, the interior activations are
+computed in row slices, one per worker, and then each checkpoint's
+remaining layers are one job that writes only its own Segments. The
+chunks themselves do not depend on the pool size, and every job computes
+its part as the whole would, so the scores are the same bits whatever
+the pool size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from ._records import read_rows, write_json, write_rows
 from .errors import NumericError
 
@@ -208,7 +218,7 @@ class Segments:
     p_self: np.ndarray
 
 
-def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints):
+def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None):
     """Every checkpoint's per-neighbor integrals and midpoints, in one pass.
 
     neighbor_ids is an (n, L) row-index table as `neighbors.search`
@@ -216,7 +226,8 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints):
     `nbr[:, :L]` to score fewer. trapezoids is H. checkpoints is a list
     of (epoch, model). Returns one Segments per checkpoint. Checkpoints
     whose frozen first layer is identical share its activations, which
-    are computed once per chunk.
+    are computed once per chunk. threads caps the worker pool (default:
+    the usable cores); the result does not depend on it.
 
     The pass runs over undirected edges: a segment listed by both of its
     ends is evaluated once, from its lower endpoint a, and the full
@@ -265,31 +276,45 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints):
         Z = affine(X)
         A = activate(Z)
         C = np.cos(Z) if rotate else None
-        for c, tail in zip(members, tails):
+
+        def endpoints(c, tail):
             P = tail(A)  # f at the n samples: every segment's endpoint nodes
             p_self = P[rows, y]
             # the endpoint terms of each slot's trapezoid sum
             ends = w[0] * p_self[:, None] + w[H] * P[nbr, y[:, None]]
             out[c] = Segments(ends, np.empty((n, L)), p_self)
+
+        workers.run([functools.partial(endpoints, c, tail)
+                     for c, tail in zip(members, tails)], threads)
         for e0, lo, hi in zip(range(0, a.size, chunk), bounds[:-1], bounds[1:]):
-            ea = a[e0 : e0 + chunk]
-            za, zb = Z[ea], Z[b[e0 : e0 + chunk]]
+            ea, eb = a[e0 : e0 + chunk], b[e0 : e0 + chunk]
             m = ea.size
-            if rotate:
-                A_in = np.empty((m, T, Z.shape[1]))
-                rotate_sin(A[ea], C[ea], za, zb, H, out=A_in)
-                if H % 2:
-                    A_in[:, H - 1] = np.sin(0.5 * za + 0.5 * zb)
-            else:
-                A_in = activate(left * za[:, None, :] + right * zb[:, None, :])
-            A_in = A_in.reshape(m * T, -1)
+            A_in = np.empty((m, T, Z.shape[1]))
+
+            def interior(part):  # rows `part` of A_in, elementwise: any split gives its bits
+                za, zb = Z[ea[part]], Z[eb[part]]
+                if rotate:
+                    rotate_sin(A[ea[part]], C[ea[part]], za, zb, H, out=A_in[part])
+                    if H % 2:
+                        A_in[part, H - 1] = np.sin(0.5 * za + 0.5 * zb)
+                else:
+                    A_in[part] = activate(left * za[:, None, :] + right * zb[:, None, :])
+
+            cuts = np.linspace(0, m, workers.pool_size(threads, m) + 1).astype(int).tolist()
+            workers.run([functools.partial(interior, slice(i, j))
+                         for i, j in zip(cuts, cuts[1:])], threads)
+            probes = A_in.reshape(m * T, -1)
             s = slots[lo:hi]
             at, label = slot_edge[lo:hi] - e0, y[s // L]
-            for c, tail in zip(members, tails):
+
+            def tail_nodes(c, tail):
                 # f_y of each slot's own sample, at its edge's interior nodes
-                nodes = tail(A_in).reshape(m, T, -1)[at, :, label]
+                nodes = tail(probes).reshape(m, T, -1)[at, :, label]
                 out[c].inn.reshape(-1)[s] += nodes[:, : H - 1] @ w[1:H]
                 out[c].midpoint.reshape(-1)[s] = nodes[:, mid]
+
+            workers.run([functools.partial(tail_nodes, c, tail)
+                         for c, tail in zip(members, tails)], threads)
     return out
 
 
@@ -317,15 +342,15 @@ def summarize(dataset, checkpoints, segments, n_neighbors):
     return tables, stats
 
 
-def score_models(dataset, neighbor_ids, trapezoids, checkpoints):
+def score_models(dataset, neighbor_ids, trapezoids, checkpoints, threads=None):
     """Score every sample under every checkpoint in one chunked pass.
 
-    Arguments as for segment_scores. Returns (tables, stats) as
-    summarize does, averaging over every column of neighbor_ids. The
-    consistency statistics read only the samples and their 1-NN
-    midpoints, which `nbr[:, :1]` at H = 1 evaluates alone.
+    Arguments, threads among them, as for segment_scores. Returns
+    (tables, stats) as summarize does, averaging over every column of
+    neighbor_ids. The consistency statistics read only the samples and
+    their 1-NN midpoints, which `nbr[:, :1]` at H = 1 evaluates alone.
     """
-    segments = segment_scores(dataset, neighbor_ids, trapezoids, checkpoints)
+    segments = segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads)
     return summarize(dataset, checkpoints, segments, np.shape(neighbor_ids)[1])
 
 

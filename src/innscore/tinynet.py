@@ -57,9 +57,12 @@ class Model:
             self.lift,
         )
 
-    def activate(self, layer, pre):
-        """Activations of hidden layer `layer` from its pre-activations."""
-        return np.sin(pre) if self.lift and layer == 0 else np.maximum(pre, 0.0)
+    def activate(self, layer, pre, out=None):
+        """Activations of hidden layer `layer` from its pre-activations,
+        written to `out` when given (which may be `pre`)."""
+        if self.lift and layer == 0:
+            return np.sin(pre, out=out)
+        return np.maximum(pre, 0.0, out=out)
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, inputs, start=0):
@@ -77,8 +80,11 @@ class Model:
                 f"input dim {X.shape[1]} does not match model dim {self.layer_dims[start]}"
             )
         A = X
-        for _, A in self._hidden(X, start):
-            pass
+        for layer in range(start, len(self.weights) - 1):
+            # the bits of activate(layer, A @ W + b), with one array per layer
+            A = A @ self.weights[layer]
+            A += self.biases[layer]
+            self.activate(layer, A, out=A)
         probs = _softmax(A @ self.weights[-1] + self.biases[-1])
         # an inf or nan feature reaches every logit of its row, so probs shows it too
         if not np.isfinite(probs).all():

@@ -1,0 +1,128 @@
+"""The worker pool that trains the models, searches neighbours and scores.
+
+`run(jobs, threads)` calls a list of jobs on the calling thread and
+helper threads, at most `threads` threads in all (default: the usable
+cores), and returns their results in job order. Without the OpenBLAS
+bundled with numpy's wheel, or with one worker, the jobs run inline on
+the calling thread, BLAS threads untouched. Otherwise, while the jobs
+run, that OpenBLAS is pinned to one thread through its runtime setter,
+so that the workers do not oversubscribe the cores, and the previous
+count is restored after; and the first such call sets glibc's malloc to
+one arena for the rest of the process, so that the memory the helpers
+free is reused by the calling thread.
+
+A job must write only what no other job of the same call reads or
+writes, and must not call `run`. OpenBLAS gives the same bits at any
+thread count, so a caller whose jobs each compute their part exactly as
+the whole would gets the same bits whatever the pool size.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy
+
+from .config import check_threads
+
+
+def pool_size(threads, jobs):
+    """The workers `run` gives `jobs` jobs: `threads`, or the usable cores
+    when None, never more than `jobs`, and 1 without the OpenBLAS whose
+    threads it pins."""
+    threads = check_threads(threads)
+    if openblas_threads() is None:
+        return min(1, jobs)
+    return min(threads or len(os.sched_getaffinity(0)), jobs)
+
+
+@functools.cache
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None where there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
+        lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@functools.cache
+def _one_arena():
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
+_executor, _executor_size = None, 0
+
+
+def _helpers(count):
+    """The process's one executor, made anew with room for `count` threads
+    when the last had less. It starts threads on demand and reuses idle
+    ones, so that a scoring pass's many small calls start none; an old
+    one is idle, as every call waits for its helpers."""
+    global _executor, _executor_size
+    if count > _executor_size:
+        if _executor is not None:
+            _executor.shutdown()
+        _executor = ThreadPoolExecutor(count, thread_name_prefix="innscore")
+        _executor_size = count
+    return _executor
+
+
+def run(jobs, threads=None):
+    """Call each of `jobs` (callables taking no argument) and return their
+    results in job order.
+
+    The calling thread and up to `threads` - 1 helper threads take the
+    jobs in order, each the next one not yet taken. After a job fails no
+    job is taken, every taken job finishes, and the first failed job in
+    job order raises: every job before it was taken, so the error does
+    not depend on the pool size.
+    """
+    jobs = list(jobs)
+    workers = pool_size(threads, len(jobs))
+    results, failed = [None] * len(jobs), []
+    lock, pending = threading.Lock(), iter(range(len(jobs)))
+
+    def take():
+        while True:
+            with lock:
+                i = None if failed else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = jobs[i]()
+            except BaseException as exc:  # raised on the calling thread below
+                with lock:
+                    failed.append((i, exc))
+
+    if workers > 1:  # then openblas_threads() is not None
+        get, set_ = openblas_threads()
+        _one_arena()
+        previous = get()
+        set_(1)
+        try:
+            helpers = [_helpers(workers - 1).submit(take) for _ in range(workers - 1)]
+            take()
+            for helper in helpers:
+                helper.result()
+        finally:
+            set_(previous)
+    else:
+        take()
+    if failed:
+        raise min(failed, key=lambda entry: entry[0])[1]
+    return results

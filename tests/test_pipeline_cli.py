@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from innscore import data, neighbors, pipeline, scorer, tinynet
+from innscore import data, neighbors, scorer, tinynet, workers
 from innscore.cli import main
 from innscore.pipeline import RunConfig, run_pipeline
 
@@ -127,7 +127,7 @@ class TestPipeline:
             errs.append(capsys.readouterr().err)
             timing = json.loads((out / "timing.json").read_text())
             assert sorted(timing["train_models"]) == sorted(models)
-            expected = min(threads, len(models)) if pipeline.openblas_threads() else 1
+            expected = min(threads, len(models)) if workers.openblas_threads() else 1
             assert timing["train_workers"] == expected
             run = tmp_path / f"threads{threads}"
             os.rename(out, run)
@@ -141,13 +141,16 @@ class TestPipeline:
                                    tmp_path / f"threads{threads}" / name, shallow=False), name
 
     def test_pool_size(self):
+        """Without the OpenBLAS whose threads the pool pins, it has one worker."""
         cores = len(os.sched_getaffinity(0))
-        assert [pipeline.pool_size(t, 4) for t in (1, 2, 3, 4, 5, 64)] == [1, 2, 3, 4, 4, 4]
-        assert pipeline.pool_size(None, 4) == min(cores, 4)
-        assert pipeline.pool_size(2, 1) == 1
+        blas = workers.openblas_threads() is not None
+        assert ([workers.pool_size(t, 4) for t in (1, 2, 3, 4, 5, 64)]
+                == ([1, 2, 3, 4, 4, 4] if blas else [1] * 6))
+        assert workers.pool_size(None, 4) == (min(cores, 4) if blas else 1)
+        assert workers.pool_size(2, 1) == 1
         for threads in (0, -1):
             with pytest.raises(ValueError, match=f"threads is {threads}, not a positive"):
-                pipeline.pool_size(threads, 4)
+                workers.pool_size(threads, 4)
 
     def test_l_sweep_reported(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", l_sweep=(1, 2, 4))
@@ -405,6 +408,40 @@ class TestCli:
         assert out == "" and err.count("\n") == 1, err
         assert f"{bad}: {shown}" in err, err
 
+    def test_score_l_above_n_minus_one_exits_two_before_loading(self, world, tmp_path, capsys,
+                                                                 monkeypatch):
+        argv = ["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
+                "--features-from", str(world["root"] / "h.ckpt"), "--out", str(tmp_path / "out")]
+        load = tinynet.load_checkpoint
+        loaded = []
+        monkeypatch.setattr(tinynet, "load_checkpoint",
+                            lambda path: loaded.append(path) or load(path))
+        assert main([*argv, "--l", "30"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --l is 30, but the dataset's 30 rows allow at most 29 neighbors\n"
+        assert loaded == [] and not (tmp_path / "out").exists()
+        assert main([*argv, "--l", "29"]) == 0  # every other row
+        assert len(loaded) == 2
+
+    @pytest.mark.parametrize("name", ["sub/x.csv", "/abs/x.csv", "..", ""])
+    def test_name_with_a_directory_part_exits_two(self, world, tmp_path, capsys, name):
+        """--name is checked before any work: here before the missing --data is read."""
+        for argv in (["synth", "--n", "30"], ["corrupt", "--data", "/no/such.csv", "--sym", "0.1"]):
+            assert main([*argv, "--name", name, "--out", str(tmp_path / "out")]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: --name is {name!r}, not a file name without a "
+                           "directory part\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_hidden_width_below_one_names_hidden(self, world, tmp_path, capsys):
+        for hidden, shown in (("0", "(0,)"), ("8,0", "(8, 0)")):
+            assert main(["train", "--data", world["csv"], "--hidden", hidden, "--epochs", "1",
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: hidden is {shown}, not all positive integers\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_config_error(self, world, tmp_path, capsys):
         assert main(["corrupt", "--data", "/no/such/file.csv", "--sym", "0.1",
                      "--out", str(tmp_path)]) == 2
@@ -592,7 +629,7 @@ class TestCli:
     def test_diverged_model_in_a_worker(self, tmp_path, capsys, monkeypatch):
         """A model diverging on the training pool is still one numeric-failure line,
         and the OpenBLAS thread count, 1 while the pool runs, is restored after."""
-        blas = pipeline.openblas_threads()
+        blas = workers.openblas_threads()
         seen = []
         train = tinynet.train
 

@@ -1,0 +1,294 @@
+"""The worker pool, and the neighbour search and scoring pass that run on it."""
+
+import functools
+import os
+import sys
+import threading
+import time
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from innscore import data, neighbors, scorer, tinynet, workers
+from innscore.cli import main
+
+BLAS = workers.openblas_threads()
+
+
+def blas_count():
+    return BLAS[0]() if BLAS else None
+
+
+class TestRun:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_results_in_job_order(self, threads):
+        def job(k):
+            time.sleep(0.002 * (5 - k))  # later jobs finish first
+            return k, threading.get_ident()
+
+        results = workers.run([lambda k=k: job(k) for k in range(6)], threads)
+        assert [k for k, _ in results] == list(range(6))
+        if workers.pool_size(threads, 6) == 1:  # inline, on the calling thread
+            assert {ident for _, ident in results} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_first_failure_in_job_order_raises(self, threads):
+        finished = []
+
+        def fail(name, delay):
+            time.sleep(delay)
+            finished.append(name)
+            raise RuntimeError(name)
+
+        jobs = [lambda: finished.append("ok"), lambda: fail("slow", 0.05),
+                lambda: fail("fast", 0.0), lambda: finished.append("late")]
+        with pytest.raises(RuntimeError, match="^slow$"):
+            workers.run(jobs, threads)
+        snapshot = list(finished)
+        time.sleep(0.1)
+        assert finished == snapshot  # no job outlives the call
+        assert {"ok", "slow"} <= set(finished)
+
+    def test_every_job_taken_once_under_contention(self):
+        """More threads than cores and a short switch interval: a job taken twice or
+        never would show in the call counts or in the results."""
+        calls = [0] * 3000
+        interval = sys.getswitchinterval()
+
+        def job(k):
+            calls[k] += 1  # no other job touches entry k
+            return k
+
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (3, 8):
+                results = workers.run([functools.partial(job, k) for k in range(3000)], threads)
+                assert results == list(range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [2] * 3000
+
+    def test_blas_pinned_to_one_and_restored(self):
+        if BLAS is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        before = blas_count()
+        try:
+            BLAS[1](2)
+            seen = workers.run([blas_count] * 3, 2)
+            assert seen == [1, 1, 1] and blas_count() == 2
+            with pytest.raises(ZeroDivisionError):
+                workers.run([lambda: 1 / 0, blas_count], 2)
+            assert blas_count() == 2
+        finally:
+            BLAS[1](before)
+
+    def test_one_worker_leaves_blas_alone(self):
+        """Jobs run inline, with every BLAS thread the caller had."""
+        if BLAS is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        before = blas_count()
+        try:
+            BLAS[1](2)
+            assert workers.run([blas_count] * 3, 1) == [2, 2, 2]
+            assert workers.run([blas_count], 4) == [2]  # one job: one worker
+        finally:
+            BLAS[1](before)
+
+    def test_one_executor_for_every_pool_size(self):
+        workers.run([threading.get_ident] * 4, 4)
+        executor = workers._helpers(1)
+        for threads in (2, 3, 4, 2):
+            workers.run([threading.get_ident] * 4, threads)
+            assert workers._helpers(1) is executor
+
+    def test_no_jobs_and_bad_threads(self):
+        assert workers.run([], 2) == []
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match=f"threads is {threads}, not a positive"):
+                workers.run([lambda: None], threads)
+
+
+# pool sizes whose splits of the work differ: inline, two workers, more workers than cores
+POOLS = (1, 2, 4)
+
+
+class TestSearchAnyPool:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 60),
+        p=st.integers(1, 9),
+        ties=st.booleans(),
+        zero_rows=st.integers(0, 10),
+        L=st.integers(1, 8),
+        chunk=st.integers(1, 600),
+    )
+    def test_bitwise_equal(self, seed, n, p, ties, zero_rows, L, chunk):
+        rng = np.random.default_rng(seed)
+        if ties:  # integer coordinates: many exact distance ties
+            F = rng.integers(-1, 2, size=(n, p)).astype(np.float64)
+        else:
+            F = rng.normal(size=(n, p))
+        F = np.vstack([F, np.zeros((zero_rows, p))])  # collapsed embeddings
+        L = min(L, F.shape[0] - 1)
+        # small chunks give many row blocks, so the pool has jobs to share
+        with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+            runs = [neighbors.search(F, L, threads) for threads in POOLS]
+        for ids, dist in runs[1:]:
+            assert np.array_equal(ids, runs[0][0])
+            assert dist.tobytes() == runs[0][1].tobytes()
+
+
+def _checkpoints(kind, n_ckpts, d, n_classes, seed):
+    """Models to score: plain ReLU nets, lift nets sharing one frozen first
+    layer (as a run's checkpoints do), or lift nets with distinct lifts."""
+    dims = [d, 6, 5, n_classes]
+    base = tinynet.init_model(dims, seed, lift_freq=0.0 if kind == "plain" else 3.0)
+    models = []
+    for c in range(n_ckpts):
+        if kind == "distinct":
+            model = tinynet.init_model(dims, seed + c, lift_freq=3.0)
+        else:
+            model = base.copy()
+            rng = np.random.default_rng(seed + c)
+            for layer in range(1 if model.lift else 0, len(model.weights)):
+                model.weights[layer] += rng.normal(scale=0.5, size=model.weights[layer].shape)
+        models.append((10 * (c + 1), model))
+    return models
+
+
+class TestScoringAnyPool:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(4, 40),
+        d=st.integers(2, 3),
+        H=st.sampled_from([1, 2, 3, 4, 5, 8, 9]),
+        kind=st.sampled_from(["plain", "shared", "distinct"]),
+        n_ckpts=st.integers(1, 3),
+        ties=st.booleans(),
+        L=st.integers(1, 5),
+        probes=st.integers(1, 200),
+    )
+    def test_bitwise_equal(self, seed, n, d, H, kind, n_ckpts, ties, L, probes):
+        ds = data.corrupt_symmetric(data.synth("blobs", n, 3, d, 0.5, seed=seed), 0.3, seed + 1)
+        if ties:  # a grid with repeated rows: zero-length segments
+            ds.features = np.round(ds.features)
+        L = min(L, n - 1)
+        nbr, _ = neighbors.search(ds.features, L)
+        ckpts = _checkpoints(kind, n_ckpts, d, 3, seed)
+        # small chunks give many chunks of few edges, split unevenly across workers
+        with mock.patch.object(scorer, "_CHUNK_PROBES", probes):
+            runs = [scorer.segment_scores(ds, nbr, H, ckpts, threads) for threads in POOLS]
+        for segments in runs[1:]:
+            for got, want in zip(segments, runs[0]):
+                for name in ("inn", "midpoint", "p_self"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_score_models_takes_threads(self):
+        ds = data.corrupt_symmetric(data.synth("blobs", 30, 3, 2, 0.5, seed=3), 0.3, 4)
+        nbr, _ = neighbors.search(ds.features, 4)
+        ckpts = _checkpoints("shared", 2, 2, 3, 3)
+        one, two = (scorer.score_models(ds, nbr, 4, ckpts, threads)[0] for threads in (1, 2))
+        for a, b in zip(one, two):
+            assert a.values["inn"].tobytes() == b.values["inn"].tobytes()
+
+
+def test_no_openblas_runs_inline_without_counting_cores(monkeypatch):
+    """Where numpy bundles no OpenBLAS, the pool has one worker, and the search
+    and the scoring pass run where os.sched_getaffinity does not exist."""
+    ds = data.corrupt_symmetric(data.synth("blobs", 30, 3, 2, 0.5, seed=3), 0.3, 4)
+    ckpts = _checkpoints("shared", 2, 2, 3, 3)
+    nbr, dist = neighbors.search(ds.features, 4, 2)
+    want = scorer.segment_scores(ds, nbr, 3, ckpts, 2)
+    monkeypatch.setattr(workers, "openblas_threads", lambda: None)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert workers.pool_size(None, 4) == 1 and workers.pool_size(None, 0) == 0
+    got_nbr, got_dist = neighbors.search(ds.features, 4)
+    assert np.array_equal(got_nbr, nbr) and got_dist.tobytes() == dist.tobytes()
+    for got, segments in zip(scorer.segment_scores(ds, nbr, 3, ckpts), want):
+        assert got.inn.tobytes() == segments.inn.tobytes()
+
+
+@pytest.fixture(scope="module")
+def score_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("score_inputs")
+    ds = data.corrupt_symmetric(data.synth("blobs", 60, 3, 2, 0.5, seed=5), 0.3, seed=6)
+    tinynet.save_checkpoint(tinynet.init_model([2, 6, 3, 3], seed=7), root / "h.ckpt", epoch=1)
+    f = tinynet.init_model([2, 16, 8, 3], seed=8, lift_freq=2.0)
+    tinynet.save_checkpoint(f, root / "f1.ckpt", epoch=1)
+    f2 = f.copy()
+    f2.weights[1] += 0.25
+    tinynet.save_checkpoint(f2, root / "f2.ckpt", epoch=2)
+    diverged = f.copy()  # every hidden unit reads 10, so every logit overflows
+    diverged.weights[1][:], diverged.biases[1][:], diverged.weights[-1][:] = 0.0, 10.0, 1e308
+    tinynet.save_checkpoint(diverged, root / "diverged.ckpt", epoch=3)
+    data.write_csv(ds, root / "d.csv")
+    return root
+
+
+def _score_argv(root, out, *models, extra=()):
+    argv = ["score", "--data", str(root / "d.csv"), "--features-from", str(root / "h.ckpt"),
+            "--l", "5", "--h", "5", "--kinds", "inn,midpoint,loss_ce", "--out", str(out)]
+    for model in models:
+        argv += ["--model", str(root / model)]
+    return argv + list(extra)
+
+
+def _cores(monkeypatch, count):
+    """Make the usable cores, the pool's default size, `count`."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestScoreOnThePool:
+    """`score` searches and scores on the pool at its default size, the usable cores."""
+
+    def test_output_files_do_not_depend_on_cores(self, score_inputs, tmp_path, capsys,
+                                                 monkeypatch):
+        out = tmp_path / "out"  # manifest.json records the output directory
+        files, stdout = [], []
+        for cores in (1, 2, 4):
+            _cores(monkeypatch, cores)
+            assert main(_score_argv(score_inputs, out, "f1.ckpt", "f2.ckpt")) == 0
+            stdout.append(capsys.readouterr().out)
+            files.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+            os.rename(out, tmp_path / f"cores{cores}")
+        assert stdout[0] == stdout[1] == stdout[2]
+        assert sorted(files[0]) == ["manifest.json", "scores.csv", "scores_summary.json"]
+        assert files[0] == files[1] == files[2]
+
+    def test_diverged_checkpoint_in_a_worker(self, score_inputs, tmp_path, capsys, monkeypatch):
+        """A checkpoint diverging on the scoring pool is one numeric-failure line,
+        and the OpenBLAS thread count, 1 while the pool runs, is restored after."""
+        _cores(monkeypatch, 2)
+        seen = []
+        forward = tinynet.Model.forward
+
+        def spy(self, *args, **kwargs):
+            seen.append(blas_count())
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(tinynet.Model, "forward", spy)
+        argv = _score_argv(score_inputs, tmp_path / "out", "f1.ckpt", "diverged.ckpt")
+        before = blas_count()
+        try:
+            if BLAS:
+                BLAS[1](2)  # so that a missing restore shows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a RuntimeWarning would escape main
+                assert main(argv) == 3
+            after = blas_count()
+        finally:
+            if BLAS:
+                BLAS[1](before)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric failure: "), err
+        # the search's embedding runs on the calling thread, every scoring forward on the pool
+        assert seen[0] == (2 if BLAS else None)
+        assert len(seen) > 1 and set(seen[1:]) == {1 if BLAS else None}
+        assert after == (2 if BLAS else None)
+        assert not (tmp_path / "out").exists()
