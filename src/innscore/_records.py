@@ -72,9 +72,15 @@ def read_rows(path, header, columns):
 
 def write_rows(path, header, rows):
     """Write the header names and one line per row of already formatted cells."""
+    return write_lines(path, header, (",".join(cells) + "\n" for cells in rows))
+
+
+def write_lines(path, header, text):
+    """Write the header names, then the pieces of already formatted text, each
+    one or more whole lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n" for cells in rows)
+        fh.writelines(text)
     return path
 
 

@@ -24,8 +24,8 @@ import sys
 from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from .config import (RunConfig, TrainConfig, boolean, check_threads, field_parser, fields_from,
-                     label_map, write_manifest)
+from .config import (RunConfig, TrainConfig, boolean, check_threads, check_training_steps,
+                     field_parser, fields_from, label_map, write_manifest)
 from .errors import NumericError
 
 
@@ -222,6 +222,7 @@ def _cmd_train(args):
     tc = TrainConfig(**fields_from(TrainConfig, args))
     RunConfig(hidden=args.hidden)  # rejects a --hidden width below 1
     ds = data.read_csv(args.data_path)
+    check_training_steps(ds.n, tc.batch_size, tc.epochs, f"epochs {tc.epochs}")
     dims = [ds.d, *args.hidden, ds.n_classes]
     model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
     result = tinynet.train(model, ds, tc)

@@ -66,6 +66,24 @@ def check_threads(threads):
     return threads
 
 
+# Training steps (batches) a command may ask for, summed over its models. The
+# largest need of the acceptance protocols is criterion 10's: 5,000 rows in
+# 40 batches an epoch, 300 epochs of f and of the two baselines and 50 of h,
+# 38,000 steps; the budget is about 260 times that.
+MAX_TRAINING_STEPS = 10**7
+
+
+def check_training_steps(rows, batch_size, model_epochs, settings):
+    """Reject `model_epochs` epochs of training, summed over the models, on
+    `rows` rows in batches of `batch_size` when the steps exceed
+    MAX_TRAINING_STEPS; the ValueError names `settings`, the settings that
+    asked for them."""
+    steps = -(-rows // batch_size) * model_epochs
+    if not steps <= MAX_TRAINING_STEPS:  # false for inf too
+        raise ValueError(f"{settings} ask for {steps:.3g} training steps of {rows} rows, "
+                         f"more than the budget of {MAX_TRAINING_STEPS:.0e}")
+
+
 def _reject_non_finite(settings):
     """A float setting of dataclass instance `settings` that is nan or infinite is a ValueError."""
     for f in fields(settings):

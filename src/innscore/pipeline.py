@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet, workers
 from ._records import write_json, write_rows
-from .config import RunConfig, fields_from, write_manifest
+from .config import RunConfig, check_training_steps, fields_from, write_manifest
 
 
 @dataclass
@@ -109,6 +109,11 @@ def run_pipeline(cfg, quiet=False, threads=None):
         name = "n_neighbors" if l_max == cfg.n_neighbors else "l_sweep"
         raise ValueError(f"{name} is {getattr(cfg, name)}, but the dataset's {ds.n} rows "
                          f"allow at most {ds.n - 1} neighbors")
+    h_unscaled = cfg.epochs if cfg.share_epochs else cfg.h_epochs
+    model_epochs = ((3 if cfg.baselines else 1) * cfg.epochs + h_unscaled) * cfg.epoch_scale
+    check_training_steps(ds.n, cfg.batch_size, model_epochs,
+                         f"epochs {cfg.epochs}, h_epochs {h_unscaled} and epoch_scale "
+                         f"{cfg.epoch_scale:g}")
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     if ds.true_labels is not None and cfg.noise_kind != "none":
         _log(f"dataset: n={ds.n} d={ds.d} K={ds.n_classes} "

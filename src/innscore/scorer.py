@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import workers
-from ._records import read_rows, write_json, write_rows
+from ._records import read_rows, write_json, write_lines
 from .errors import NumericError
 
 # interior probe rows per chunk; bounds the scorer's working memory
@@ -382,13 +382,13 @@ _SCORE_HEADER = ("id", "epoch", "score_kind", "value")
 
 def write_score_csv(tables, path):
     """Long-format CSV `id,epoch,score_kind,value`, deterministically ordered."""
-    rows = (
-        [str(sid), str(table.epoch), kind, repr(value)]
+    columns = (  # str(id) and repr(value), one piece of text per column
+        "".join(map(f"{{}},{table.epoch},{kind},{{!r}}\n".format, table.ids.tolist(),
+                    table.values[kind].tolist()))
         for table in tables
         for kind in table.kinds()
-        for sid, value in zip(table.ids.tolist(), table.values[kind].tolist())
     )
-    return write_rows(path, _SCORE_HEADER, rows)
+    return write_lines(path, _SCORE_HEADER, columns)
 
 
 def write_score_summary(tables, trapezoids, n_neighbors, path):

@@ -9,7 +9,10 @@ run, that OpenBLAS is pinned to one thread through its runtime setter,
 so that the workers do not oversubscribe the cores, and the previous
 count is restored after; and the first such call sets glibc's malloc to
 one arena for the rest of the process, so that the memory the helpers
-free is reused by the calling thread.
+free is reused by the calling thread. Calls with helpers made from
+several threads at once take turns, one lock held from the pin to the
+restore, so that each restores the count it found and gets the results
+it would get alone.
 
 A job must write only what no other job of the same call reads or
 writes, and must not call `run`. OpenBLAS gives the same bits at any
@@ -66,6 +69,9 @@ def _one_arena():
 
 
 _executor, _executor_size = None, 0
+# held from the pin to the restore, so that no call saves another's pinned
+# count as its own or swaps the executor under another's helpers
+_pinned = threading.Lock()
 
 
 def _helpers(count):
@@ -111,16 +117,17 @@ def run(jobs, threads=None):
 
     if workers > 1:  # then openblas_threads() is not None
         get, set_ = openblas_threads()
-        _one_arena()
-        previous = get()
-        set_(1)
-        try:
-            helpers = [_helpers(workers - 1).submit(take) for _ in range(workers - 1)]
-            take()
-            for helper in helpers:
-                helper.result()
-        finally:
-            set_(previous)
+        with _pinned:
+            _one_arena()
+            previous = get()
+            set_(1)
+            try:
+                helpers = [_helpers(workers - 1).submit(take) for _ in range(workers - 1)]
+                take()
+                for helper in helpers:
+                    helper.result()
+            finally:
+                set_(previous)
     else:
         take()
     if failed:

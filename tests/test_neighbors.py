@@ -88,6 +88,17 @@ class TestIndex:
             assert np.array_equal(perm[b], a)
 
 
+def _search_peak_memory(n):
+    """Peak traced bytes of a search of n normal rows in 8 dimensions."""
+    F = np.random.default_rng(0).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        neighbors.search(F, 10)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSearch:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -120,17 +131,72 @@ class TestSearch:
             assert np.array_equal(ids[i], want_ids)
             assert np.array_equal(dist[i], want_dist)
 
-    def test_peak_memory_flat_in_n(self):
-        def peak(n):
-            F = np.random.default_rng(0).normal(size=(n, 8))
-            tracemalloc.start()
-            try:
-                neighbors.search(F, 10)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 90),
+        p=st.integers(1, 12),
+        kind=st.sampled_from(["clustered", "manifold", "grid", "ties"]),
+        offset=st.sampled_from([0.0, 0.5, 1e3 + 0.1, 123456.789, 1e6, 1e6 + 0.37])
+        | st.floats(0.0, 1e6),
+        L=st.integers(1, 12),
+        leaf_rows=st.integers(2, 12),
+        chunk=st.sampled_from([7, 60, 200]),
+    )
+    def test_pruned_search_matches_oracle(self, seed, n, p, kind, offset, L, leaf_rows, chunk):
+        """Small leaves and chunks split the rows many times, so that leaves are
+        pruned, and the result is the oracle's at every pool size."""
+        rng = np.random.default_rng(seed)
+        if kind == "clustered":
+            centers = rng.normal(scale=10.0, size=(3, p))
+            F = centers[rng.integers(0, 3, size=n)] + rng.normal(scale=0.1, size=(n, p))
+        elif kind == "manifold":  # a 2-D surface in p dimensions
+            F = np.sin(rng.normal(size=(n, 2)) @ rng.normal(size=(2, p)))
+        elif kind == "grid":  # integer coordinates: many exact distance ties
+            F = rng.integers(-3, 4, size=(n, p)).astype(np.float64)
+        else:  # repeated grid rows and a collapsed group of all-zero rows
+            F = rng.integers(-1, 2, size=(n, p)).astype(np.float64)
+            F[rng.random(n) < 0.4] = 0.0
+            F = F[rng.integers(0, n, size=n)]
+        F += offset
+        L = min(L, n - 1)
+        with mock.patch.object(neighbors, "_LEAF_ROWS", leaf_rows), \
+                mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+            runs = [neighbors.search(F, L, threads) for threads in (1, 2, 4)]
+        for i in range(n):
+            want_ids, want_dist = brute_force(F, i, L)
+            for ids, dist in runs:
+                assert np.array_equal(ids[i], want_ids)
+                assert np.array_equal(dist[i], want_dist)
 
-        small, large = peak(400), peak(1600)
+    @pytest.mark.parametrize("n, leaf_rows, chunk, most", [
+        (2, 2, 1, 2), (3, 2, 1, 2), (17, 2, 1, 2), (100, 7, 1, 7), (100, 7, 2000, 20),
+        (512, 96, 1 << 17, 512),  # two blocks of pairs at most: one leaf
+        (1600, 96, 1 << 17, 96), (8000, 96, 1 << 17, 96),
+    ])
+    def test_leaves_split_the_rows(self, n, leaf_rows, chunk, most):
+        """Every level halves every node, until leaves hold at most the larger of
+        leaf_rows and the rows whose pairs with all n fit one chunk."""
+        F = np.random.default_rng(n).normal(size=(n, 3))
+        with mock.patch.object(neighbors, "_LEAF_ROWS", leaf_rows), \
+                mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+            order, levels = neighbors._tree(F)
+        assert sorted(order) == list(range(n))
+        for depth, bounds in enumerate(levels):
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n and sizes.size == 2**depth
+            assert sizes.max() - sizes.min() <= 1
+        assert 1 <= np.diff(levels[-1]).min() and np.diff(levels[-1]).max() <= most
+        assert len(levels) == 1 or np.diff(levels[-2]).max() > most
+
+    def test_peak_memory_flat_in_n(self):
+        small, large = _search_peak_memory(400), _search_peak_memory(1600)
+        assert large < 2 * small, (small, large)
+
+    def test_peak_memory_flat_in_n_split_leaves(self):
+        """The same at sizes where both searches split the rows into many
+        leaves: 32 and 128 leaves of 62-63 rows at the default sizes."""
+        small, large = _search_peak_memory(2000), _search_peak_memory(8000)
         assert large < 2 * small, (small, large)
 
     def test_bounds(self):

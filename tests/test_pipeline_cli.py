@@ -615,6 +615,28 @@ class TestCli:
         assert not (out / "dataset.csv").exists()
         assert not (out / "train_trace.csv").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["pipeline", "--quiet", "--n", "60", "--epoch-scale", "1e300"], "epoch_scale 1e+300"),
+        (["pipeline", "--quiet", "--n", "60", "--epoch-scale", "1e308"], "epoch_scale 1e+308"),
+        (["pipeline", "--quiet", "--n", "60", "--epochs", "1000000000"], "epochs 1000000000"),
+        (["train", "--data", "{data}", "--epochs", "1000000000"], "epochs 1000000000"),
+    ])
+    def test_training_over_the_step_budget_exits_two(self, tmp_path, argv, named):
+        """A run asking for more training steps than the budget stops before any training."""
+        import innscore
+
+        data.write_csv(data.synth("blobs", 60, 3, 2, 0.5, seed=0), tmp_path / "d.csv")
+        argv = [arg.format(data=tmp_path / "d.csv") for arg in argv]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(innscore.__file__)))
+        done = subprocess.run([sys.executable, "-m", "innscore.cli", *argv,
+                               "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.count("\n") == 1 and named in done.stderr, done.stderr
+        assert "more than the budget of 1e+07" in done.stderr
+        assert not (tmp_path / "run" / "train_trace.csv").exists()
+
     def test_diverged_model_exits_three(self, tmp_path, capsys):
         """Parameters that diverge are a numeric failure, without numpy warnings."""
         argv = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",

@@ -81,6 +81,28 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert probs.min() >= 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 40),
+        K=st.integers(1, 12),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+        specials=st.integers(0, 12),
+    )
+    def test_softmax_row_max_fold_is_bitwise(self, seed, n, K, scale, specials):
+        """The row max folded over the columns gives the bits of max(axis=1),
+        also where rows hold +-inf, nan or signed zeros."""
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=scale, size=(n, K))
+        cells = rng.integers(0, n * K, size=specials)
+        logits.flat[cells] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0], size=specials)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want_z = logits - logits.max(axis=1, keepdims=True)
+            want_e = np.exp(want_z)
+            want = want_e / want_e.sum(axis=1, keepdims=True)
+            got = tinynet._softmax(logits)
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_output_layer_uniform(self):
         m = tinynet.init_model([2, 8, 3], seed=7)
         m.weights[-1][:] = 0.0

@@ -86,6 +86,37 @@ class TestRun:
         finally:
             BLAS[1](before)
 
+    def test_concurrent_callers_restore_blas(self):
+        """Two threads each run four 10 ms jobs on two workers, started 5 ms
+        apart: BLAS is restored after both, and each gets the sequential results."""
+        def job(tag, k):
+            time.sleep(0.01)
+            return tag, k, blas_count()
+
+        def call(tag):
+            return workers.run([functools.partial(job, tag, k) for k in range(4)], 2)
+
+        before = blas_count()
+        try:
+            if BLAS:
+                BLAS[1](2)  # so that a pinned count left behind shows
+            want = {tag: call(tag) for tag in "ab"}
+            for trial in range(5):
+                got = {}
+                threads = [threading.Thread(target=lambda tag=tag: got.update({tag: call(tag)}))
+                           for tag in "ab"]
+                threads[0].start()
+                time.sleep(0.005)
+                threads[1].start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive(), trial
+                assert got == want, trial
+                assert blas_count() == (2 if BLAS else None), trial
+        finally:
+            if BLAS:
+                BLAS[1](before)
+
     def test_one_worker_leaves_blas_alone(self):
         """Jobs run inline, with every BLAS thread the caller had."""
         if BLAS is None:
@@ -125,9 +156,10 @@ class TestSearchAnyPool:
         ties=st.booleans(),
         zero_rows=st.integers(0, 10),
         L=st.integers(1, 8),
+        leaf_rows=st.integers(2, 20),
         chunk=st.integers(1, 600),
     )
-    def test_bitwise_equal(self, seed, n, p, ties, zero_rows, L, chunk):
+    def test_bitwise_equal(self, seed, n, p, ties, zero_rows, L, leaf_rows, chunk):
         rng = np.random.default_rng(seed)
         if ties:  # integer coordinates: many exact distance ties
             F = rng.integers(-1, 2, size=(n, p)).astype(np.float64)
@@ -135,8 +167,9 @@ class TestSearchAnyPool:
             F = rng.normal(size=(n, p))
         F = np.vstack([F, np.zeros((zero_rows, p))])  # collapsed embeddings
         L = min(L, F.shape[0] - 1)
-        # small chunks give many row blocks, so the pool has jobs to share
-        with mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
+        # small leaves and chunks give many jobs and blocks, so the pool has jobs to share
+        with mock.patch.object(neighbors, "_LEAF_ROWS", leaf_rows), \
+                mock.patch.object(neighbors, "_CHUNK_ELEMENTS", chunk):
             runs = [neighbors.search(F, L, threads) for threads in POOLS]
         for ids, dist in runs[1:]:
             assert np.array_equal(ids, runs[0][0])
