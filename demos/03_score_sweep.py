@@ -32,9 +32,11 @@ cene = tinynet.train(tinynet.init_model([2, 256, 128, 4], seed=5, lift_freq=4.0)
 
 # one pass scores inn and midpoint for every checkpoint of f
 tables, _ = scorer.score_models(ds, nbr, H, f.checkpoints)
+# the baselines' per-sample losses read each checkpoint's probabilities at the samples
 for table, (_, ce_model), (_, cene_model) in zip(tables, ce.checkpoints, cene.checkpoints):
-    table.add("loss_ce", tinynet.per_sample_loss(ce_model, ds, "ce"))
-    table.add("loss_cene", tinynet.per_sample_loss(cene_model, ds, "cene"))
+    for kind, model in (("ce", ce_model), ("cene", cene_model)):
+        probs = model.predict_proba(ds.features)
+        table.add(f"loss_{kind}", tinynet.per_sample_loss(probs, ds.observed_labels, kind))
 
 report = evaluate.sweep_report(tables, clean)
 print(f"\n{'epoch':>6} " + " ".join(f"{k:>10}" for k in ("inn", "midpoint", "loss_ce", "loss_cene")))

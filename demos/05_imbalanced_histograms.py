@@ -28,7 +28,7 @@ ce = tinynet.train(tinynet.init_model([2, 256, 128, 2], seed=4, lift_freq=4.0),
 
 (table,), _ = scorer.score_models(ds, nbr, 10, [(150, f.model)])
 inn = table.values["inn"]
-losses = tinynet.per_sample_loss(ce.model, ds, "ce")
+losses = tinynet.per_sample_loss(ce.model.predict_proba(ds.features), ds.observed_labels, "ce")
 print(f"clean/noisy AUC: integral {evaluate.auc(inn, clean):.3f}, "
       f"negated CE loss {evaluate.auc(-losses, clean):.3f}")
 

@@ -24,13 +24,10 @@ import sys
 from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from .config import (RunConfig, TrainConfig, boolean, check_threads, check_training_steps,
-                     field_parser, fields_from, label_map, write_manifest)
+from .config import (SCORE_KINDS, RunConfig, TrainConfig, boolean, check_probe_rows,
+                     check_score_kinds, check_threads, check_training_steps, field_parser,
+                     fields_from, label_map, write_manifest)
 from .errors import NumericError
-
-
-# the columns `score --kinds` can emit
-_SCORE_KINDS = ("inn", "midpoint", "loss_ce", "loss_cene")
 
 
 def imbalance(text):
@@ -79,7 +76,7 @@ def build_parser():
     _add_flags(p, RunConfig, ("n_neighbors", "out_dir"))  # --l
     p.add_argument("--h", dest="trapezoids", type=int, default=10, help="trapezoid count")
     p.add_argument("--kinds", default="inn,midpoint",
-                   help=f"columns to emit ({','.join(_SCORE_KINDS)}); "
+                   help=f"columns to emit ({','.join(SCORE_KINDS)}); "
                         "loss columns use the scored checkpoint's own losses")
     p.add_argument("--neighbors", default=None, help="reuse a neighbor cache CSV")
 
@@ -244,15 +241,14 @@ def _cmd_score(args):
     settings = fields_from(RunConfig, args)  # data_path, n_neighbors, trapezoids, out_dir
     RunConfig(**settings)  # rejects --h or --l below 1
     L = args.n_neighbors
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds or [args.kinds]:
-        if kind not in _SCORE_KINDS:
-            raise ValueError(f"unknown score kind {kind!r}, expected some of "
-                             f"{','.join(_SCORE_KINDS)}")
+    kinds = check_score_kinds([k.strip() for k in args.kinds.split(",") if k.strip()]
+                              or [args.kinds])  # no kind: reject the whole text
     ds = data.read_csv(args.data_path)
     if L > ds.n - 1:
         raise ValueError(f"--l is {L}, but the dataset's {ds.n} rows allow at most "
                          f"{ds.n - 1} neighbors")
+    check_probe_rows(ds.n, L, args.trapezoids, len(args.model),
+                     f"--h {args.trapezoids}, --l {L} and {len(args.model)} --model checkpoints")
     top = int(ds.observed_labels.max())
 
     def load(path, scored):
@@ -285,16 +281,7 @@ def _cmd_score(args):
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
     # a cache may hold more than --l columns
-    scored, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints)
-    tables = []
-    for (epoch, model), full in zip(checkpoints, scored):
-        table = scorer.ScoreTable(epoch, ds.ids.copy())
-        for kind in kinds:
-            if kind in full.values:
-                table.add(kind, full.values[kind])
-            else:
-                table.add(kind, tinynet.per_sample_loss(model, ds, kind[len("loss_"):]))
-        tables.append(table)
+    tables, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints, kinds=kinds)
     os.makedirs(args.out_dir, exist_ok=True)
     path = scorer.write_score_csv(tables, os.path.join(args.out_dir, "scores.csv"))
     scorer.write_score_summary(tables, args.trapezoids, L,

@@ -73,6 +73,17 @@ def check_threads(threads):
 MAX_TRAINING_STEPS = 10**7
 
 
+# Interior probe rows per chunk of the scoring pass (`scorer`), which bound its
+# working memory. trapezoids is at most this, so that one segment's interior
+# nodes, H - 1 and the midpoint of an odd H, fit one chunk.
+CHUNK_PROBES = 4096
+# Interior probe rows a scoring pass may ask for, n * L * (H - 1) summed over
+# the checkpoints. The largest need of the acceptance protocols is criterion
+# 10's: 5,000 rows, L = 10, H = 10 and 6 checkpoints of f, 2.7 * 10^6 rows; the
+# budget is about 370 times that.
+MAX_PROBE_ROWS = 10**9
+
+
 def check_training_steps(rows, batch_size, model_epochs, settings):
     """Reject `model_epochs` epochs of training, summed over the models, on
     `rows` rows in batches of `batch_size` when the steps exceed
@@ -82,6 +93,26 @@ def check_training_steps(rows, batch_size, model_epochs, settings):
     if not steps <= MAX_TRAINING_STEPS:  # false for inf too
         raise ValueError(f"{settings} ask for {steps:.3g} training steps of {rows} rows, "
                          f"more than the budget of {MAX_TRAINING_STEPS:.0e}")
+
+
+def check_probe_rows(rows, n_neighbors, trapezoids, checkpoints, settings):
+    """Reject a scoring pass of `checkpoints` checkpoints over `rows` rows
+    with `n_neighbors` neighbors and `trapezoids` trapezoids when its
+    interior probe rows exceed MAX_PROBE_ROWS; the ValueError names
+    `settings`, the settings that asked for them."""
+    probes = rows * n_neighbors * (trapezoids - 1) * checkpoints
+    if probes > MAX_PROBE_ROWS:
+        raise ValueError(f"{settings} ask for {probes:.3g} probe rows of {rows} rows, "
+                         f"more than the budget of {MAX_PROBE_ROWS:.0e}")
+
+
+def check_score_kinds(kinds):
+    """`kinds` when each is one of SCORE_KINDS, else a ValueError."""
+    for kind in kinds:
+        if kind not in SCORE_KINDS:
+            raise ValueError(f"unknown score kind {kind!r}, expected some of "
+                             f"{','.join(SCORE_KINDS)}")
+    return kinds
 
 
 def _reject_non_finite(settings):
@@ -118,6 +149,8 @@ def _setting(default, **metadata):
 
 
 LOSS_KINDS = ("ce", "cene", "mixup")
+# the score columns of `scorer.summarize` and `score --kinds`
+SCORE_KINDS = ("inn", "midpoint", "loss_ce", "loss_cene")
 NOISE_KINDS = ("none", "symmetric", "chain", "map", "imbalanced")  # `data.corrupt`'s protocols
 # the corruption settings that only some noise kinds read, and those kinds
 _NOISE_READERS = {
@@ -212,6 +245,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} is {value}, not a positive integer")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes is {self.n_classes}, not at least 2")
+        if self.trapezoids > CHUNK_PROBES:
+            raise ValueError(f"trapezoids is {self.trapezoids}, more than the {CHUNK_PROBES} "
+                             "interior nodes one chunk of the scoring pass holds")
         if not self.epoch_scale > 0:
             raise ValueError(f"epoch_scale is {self.epoch_scale}, not positive")
         for name in ("hidden", "h_hidden", "l_sweep"):  # layer widths and neighbor counts

@@ -5,9 +5,11 @@ A run trains four independent models on one dataset: a feature model h
 two small-loss baseline models (one per loss). It then builds the exact
 neighbor index on h's penultimate features, and records integral and
 midpoint scores of every checkpoint of f, from one scoring pass,
-alongside the baselines' per-sample losses at the same epochs. Scores
-feed a beta-mixture split, losses a Gaussian-mixture split, and the
-sweep report compares AUC stability across checkpoints.
+alongside the baselines' per-sample losses at the same epochs: ce's from
+the endpoint probabilities of its L = H = 1 consistency pass, cene's from
+one forward per checkpoint. Each model's checkpoints end with its final
+model. Scores feed a beta-mixture split, losses a Gaussian-mixture split,
+and the sweep report compares AUC stability across checkpoints.
 
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
@@ -32,7 +34,8 @@ from dataclasses import asdict, dataclass, field
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet, workers
 from ._records import write_json, write_rows
-from .config import RunConfig, check_training_steps, fields_from, write_manifest
+from .config import (RunConfig, check_probe_rows, check_training_steps, fields_from,
+                     write_manifest)
 
 
 @dataclass
@@ -94,6 +97,15 @@ def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, featur
     return tinynet.train(model, ds, tc), tc
 
 
+def _scored_checkpoints(result, epochs):
+    """The (epoch, model) checkpoints of a training `result` of `epochs`
+    epochs, ending with its final model: appended when no checkpoint was
+    taken at the last epoch, as when checkpoint_every does not divide it."""
+    if result.checkpoints and result.checkpoints[-1][0] == epochs:
+        return result.checkpoints
+    return [*result.checkpoints, (epochs, result.model)]
+
+
 def _timed(job):
     t0 = time.perf_counter()
     return job(), time.perf_counter() - t0
@@ -114,16 +126,18 @@ def run_pipeline(cfg, quiet=False, threads=None):
     check_training_steps(ds.n, cfg.batch_size, model_epochs,
                          f"epochs {cfg.epochs}, h_epochs {h_unscaled} and epoch_scale "
                          f"{cfg.epoch_scale:g}")
+    f_epochs = cfg.scaled(cfg.epochs)
+    h_epochs = f_epochs if cfg.share_epochs else cfg.scaled(cfg.h_epochs)
+    ckpt_every = None if cfg.checkpoint_every is None else cfg.scaled(cfg.checkpoint_every)
+    n_ckpts = -(-f_epochs // ckpt_every) if ckpt_every else 1  # the final model among them
+    check_probe_rows(ds.n, l_max, cfg.trapezoids, n_ckpts,
+                     f"trapezoids {cfg.trapezoids}, {l_max} neighbors and {n_ckpts} checkpoints")
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     if ds.true_labels is not None and cfg.noise_kind != "none":
         _log(f"dataset: n={ds.n} d={ds.d} K={ds.n_classes} "
              f"noisy_fraction={ds.noisy_fraction():.4f}", quiet)
     paths["dataset"] = data_mod.write_csv(ds, os.path.join(out, "dataset.csv"))
     clock.lap("data")
-
-    f_epochs = cfg.scaled(cfg.epochs)
-    h_epochs = f_epochs if cfg.share_epochs else cfg.scaled(cfg.h_epochs)
-    ckpt_every = None if cfg.checkpoint_every is None else cfg.scaled(cfg.checkpoint_every)
 
     train = functools.partial(_train_model, ds, cfg)
     jobs = {"f": functools.partial(train, cfg.f_loss, f_epochs, cfg.seed + 3, ckpt_every)}
@@ -155,9 +169,9 @@ def run_pipeline(cfg, quiet=False, threads=None):
     clock.lap("neighbor_search")
 
     f_result, f_tc = done["f"]
-    f_ckpts = f_result.checkpoints or [(f_epochs, f_result.model)]
+    f_ckpts = _scored_checkpoints(f_result, f_epochs)
     _log(f"trained f ({cfg.f_loss}, {f_epochs} epochs, {len(f_ckpts)} checkpoints)", quiet)
-    base_ckpts = {tag: res.checkpoints or [(f_epochs, res.model)]
+    base_ckpts = {tag: _scored_checkpoints(res, f_epochs)
                   for tag, res in trained.items() if tag in ("ce", "cene")}
     if base_ckpts:
         _log("trained ce and cene baselines", quiet)
@@ -165,19 +179,19 @@ def run_pipeline(cfg, quiet=False, threads=None):
     # one pass at the widest L serves both the tables and the L-sweep
     f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts, threads)
     tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
-    for loss_kind, ckpts in base_ckpts.items():
-        for table, (_, b_model) in zip(tables, ckpts):
-            table.add(f"loss_{loss_kind}", tinynet.per_sample_loss(b_model, ds, loss_kind))
-    consistency = []
-    if ds.true_labels is not None:
-        ce_stats = [None] * len(f_ckpts)
-        if "ce" in base_ckpts:
-            # L = H = 1 evaluates only the samples and their 1-NN midpoints
-            _, ce_stats = scorer.score_models(ds, nbr[:, :1], 1, base_ckpts["ce"], threads)
-        for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats):
-            if ce_st is not None:
-                consistency.append((epoch, "ce", ce_st))
-            consistency.append((epoch, "f", f_st))
+    ce_stats = [None] * len(f_ckpts)
+    if "ce" in base_ckpts:
+        # L = H = 1 evaluates only the samples and their 1-NN midpoints
+        ce_tables, ce_stats = scorer.score_models(ds, nbr[:, :1], 1, base_ckpts["ce"], threads,
+                                                  kinds=("loss_ce",))
+        for table, ce_table in zip(tables, ce_tables):
+            table.add("loss_ce", ce_table.values["loss_ce"])
+    for table, (_, model) in zip(tables, base_ckpts.get("cene", ())):
+        probs = model.predict_proba(ds.features)  # the one forward of a cene checkpoint
+        table.add("loss_cene", tinynet.per_sample_loss(probs, ds.observed_labels, "cene"))
+    consistency = [(epoch, tag, st)  # none without true labels
+                   for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats)
+                   for tag, st in (("ce", ce_st), ("f", f_st)) if st is not None]
     paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
     paths["scores_summary"] = scorer.write_score_summary(
         tables, cfg.trapezoids, cfg.n_neighbors, os.path.join(out, "scores_summary.json")

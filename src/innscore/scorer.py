@@ -8,20 +8,20 @@ endpoints. The midpoint variant evaluates f_y once per neighbor at
 serve as the model.
 
 `segment_scores` computes every checkpoint's per-neighbor integrals and
-midpoints in one chunked pass, and `score_models` averages them into
-both scores and the consistency means. The pass evaluates f once at the
-n samples, whose probabilities serve as every segment's endpoint nodes,
-and evaluates only interior nodes. It runs over undirected edges: the
-segments i -> j and j -> i are one segment, evaluated once from its
-lower endpoint, and each node's K-vector of probabilities serves both
-directions. Because the first layer of a network is affine, its
-pre-activation at (1-t)x + t x~ is (1-t)z(x) + t z(x~), so no probe
-coordinates are built. For H > 2, a sin first layer (the frozen lift)
-is advanced along the segment by rotation, two transcendentals per
-segment and unit (see `rotate_sin`); ReLU and identity first layers, and
-a sin layer at H <= 2, interpolate the pre-activations and then
-activate. The midpoint is node H/2 when H is even; for odd H it is one
-more interior node, evaluated directly.
+midpoints in one chunked pass, and `score_models` turns them into score
+columns and the consistency means. The pass evaluates f once at the n
+samples, whose probabilities serve as every segment's endpoint nodes and
+give the per-sample losses, and evaluates only interior nodes. It runs
+over undirected edges: the segments i -> j and j -> i are one segment,
+evaluated once from its lower endpoint, and each node's K-vector of
+probabilities serves both directions. Because the first layer of a
+network is affine, its pre-activation at (1-t)x + t x~ is
+(1-t)z(x) + t z(x~), so no probe coordinates are built. For H > 2, a
+sin first layer (the frozen lift) is advanced along the segment by
+rotation, two transcendentals per segment and unit (see `rotate_sin`);
+ReLU and identity first layers, and a sin layer at H <= 2, interpolate
+the pre-activations and then activate. The midpoint is node H/2 when H
+is even; for odd H it is one more interior node, evaluated directly.
 
 The pass runs on the `workers` pool of at most `threads` workers, one
 chunk of edges at a time. Within a chunk, the interior activations are
@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import workers
+from . import tinynet, workers
 from ._records import read_rows, write_json, write_lines
+from .config import CHUNK_PROBES as _CHUNK_PROBES  # interior probe rows per chunk
+from .config import check_score_kinds
 from .errors import NumericError
 
-# interior probe rows per chunk; bounds the scorer's working memory
-_CHUNK_PROBES = 4096
 # about as many (edge, unit) arrays as a rotating chunk holds besides its
 # probe rows: endpoints, sin and cos at a, the step, its phasor, the
 # running phasor; caps the edges per chunk when there are few nodes
@@ -210,12 +210,12 @@ class Segments:
 
     inn[i, l] is the trapezoid integral of f_y(i) along the segment from
     sample i to its l-th neighbor, midpoint[i, l] is f_y(i) at the
-    segment's midpoint, and p_self[i] is f_y(i) at sample i.
+    segment's midpoint, and probs[i] is f at sample i, all K classes.
     """
 
     inn: np.ndarray
     midpoint: np.ndarray
-    p_self: np.ndarray
+    probs: np.ndarray
 
 
 def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None):
@@ -245,7 +245,6 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
     if nbr.ndim != 2 or nbr.shape[0] != n or nbr.shape[1] < 1:
         raise ValueError(f"need an (n={n}, L >= 1) neighbor id table, got {nbr.shape}")
     L = nbr.shape[1]
-    rows = np.arange(n)
 
     t = np.arange(H + 1) / H
     # interior nodes, plus t = 1/2 when it is not one of them
@@ -279,10 +278,9 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
 
         def endpoints(c, tail):
             P = tail(A)  # f at the n samples: every segment's endpoint nodes
-            p_self = P[rows, y]
             # the endpoint terms of each slot's trapezoid sum
-            ends = w[0] * p_self[:, None] + w[H] * P[nbr, y[:, None]]
-            out[c] = Segments(ends, np.empty((n, L)), p_self)
+            ends = w[0] * P[np.arange(n), y][:, None] + w[H] * P[nbr, y[:, None]]
+            out[c] = Segments(ends, np.empty((n, L)), P)
 
         workers.run([functools.partial(endpoints, c, tail)
                      for c, tail in zip(members, tails)], threads)
@@ -318,49 +316,49 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
     return out
 
 
-def summarize(dataset, checkpoints, segments, n_neighbors):
-    """(tables, stats) from segment_scores' output, averaging the first
-    n_neighbors neighbors: one ScoreTable per checkpoint with columns
-    "inn" and "midpoint", and one ConsistencyStats per checkpoint, or
-    None for each when the dataset has no true labels."""
+def summarize(dataset, checkpoints, segments, n_neighbors, kinds=("inn", "midpoint")):
+    """(tables, stats) from segment_scores' output: one ScoreTable per
+    checkpoint with a column for each of `kinds` ("inn" and "midpoint"
+    average the first n_neighbors neighbors, "loss_*" are the losses of
+    the probabilities at the samples), and one ConsistencyStats per
+    checkpoint, or None for each when the dataset has no true labels."""
+    check_score_kinds(kinds)
     for seg in segments:
         if not 1 <= n_neighbors <= seg.inn.shape[1]:
             raise ValueError(f"n_neighbors is {n_neighbors}, not in [1, {seg.inn.shape[1]}]")
-    tables = [
-        ScoreTable(epoch, dataset.ids.copy())
-        .add("inn", seg.inn[:, :n_neighbors].mean(axis=1))
-        .add("midpoint", seg.midpoint[:, :n_neighbors].mean(axis=1))
-        for seg, (epoch, _) in zip(segments, checkpoints)
-    ]
+    y = dataset.observed_labels
+
+    def column(seg, kind):
+        if kind.startswith("loss_"):
+            return tinynet.per_sample_loss(seg.probs, y, kind[len("loss_"):])
+        return getattr(seg, kind)[:, :n_neighbors].mean(axis=1)
+
+    tables = [ScoreTable(epoch, dataset.ids.copy()) for epoch, _ in checkpoints]
+    for table, seg in zip(tables, segments):
+        for kind in kinds:
+            table.add(kind, column(seg, kind))
     if dataset.true_labels is None:
         return tables, [None] * len(checkpoints)
     clean = dataset.clean_mask()
-    stats = [
-        _consistency(seg.p_self, seg.midpoint[:, 0], clean, epoch)
-        for seg, (epoch, _) in zip(segments, checkpoints)
-    ]
-    return tables, stats
+    p_self = (seg.probs[np.arange(dataset.n), y] for seg in segments)  # f_y at the samples
+    return tables, [_consistency(p, seg.midpoint[:, 0], clean, epoch)
+                    for p, seg, (epoch, _) in zip(p_self, segments, checkpoints)]
 
 
-def score_models(dataset, neighbor_ids, trapezoids, checkpoints, threads=None):
+def score_models(dataset, neighbor_ids, trapezoids, checkpoints, threads=None,
+                 kinds=("inn", "midpoint")):
     """Score every sample under every checkpoint in one chunked pass.
 
     Arguments, threads among them, as for segment_scores. Returns
     (tables, stats) as summarize does, averaging over every column of
-    neighbor_ids. The consistency statistics read only the samples and
+    neighbor_ids. The statistics and the losses read only the samples and
     their 1-NN midpoints, which `nbr[:, :1]` at H = 1 evaluates alone.
     """
     segments = segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads)
-    return summarize(dataset, checkpoints, segments, np.shape(neighbor_ids)[1])
+    return summarize(dataset, checkpoints, segments, np.shape(neighbor_ids)[1], kinds)
 
 
 def _consistency(p_self, p_mid, clean, epoch):
-    missing = []
-    if not clean.any():
-        missing.append("clean")
-    if clean.all():
-        missing.append("noisy")
-
     def group_mean(values, mask):
         return float(values[mask].mean()) if mask.any() else None
 
@@ -370,7 +368,8 @@ def _consistency(p_self, p_mid, clean, epoch):
         em_cor=group_mean(p_mid, clean),
         em_inc=group_mean(p_mid, ~clean),
         epoch=epoch,
-        missing=tuple(missing),
+        missing=tuple(name for name, group in (("clean", clean), ("noisy", ~clean))
+                      if not group.any()),
     )
 
 

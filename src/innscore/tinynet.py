@@ -303,17 +303,16 @@ def train(model, dataset, config):
     return TrainResult(model, checkpoints, epoch_loss)
 
 
-def per_sample_loss(model, dataset, loss_kind):
-    """Per-sample training-objective values (ce or cene), one per row.
+def per_sample_loss(probs, labels, loss_kind):
+    """Per-sample ce or cene loss of each row of `probs` (n, K) at `labels` (n,).
 
     Small values mean the sample is fit well; downstream ranking treats
     the negated loss as the cleanliness score.
     """
     if loss_kind not in ("ce", "cene"):
         raise ValueError("per-sample losses are defined for ce and cene only")
-    probs = model.predict_proba(dataset.features)
     logp = np.log(np.maximum(probs, PROB_FLOOR))
-    ce = -logp[np.arange(dataset.n), dataset.observed_labels]
+    ce = -logp[np.arange(len(labels)), labels]
     if loss_kind == "ce":
         return ce
     return ce + (probs * logp).sum(axis=1)

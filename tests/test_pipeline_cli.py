@@ -171,8 +171,13 @@ class TestPipeline:
     def test_epoch_scale_and_share(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", epoch_scale=0.5, share_epochs=True)
         result = run_pipeline(cfg, quiet=True)
-        # epochs 10 -> 5, checkpoint grid 5 -> 2 (banker's rounding)
-        assert [t.epoch for t in result.score_tables] == [2, 4]
+        # epochs 10 -> 5, checkpoint grid 5 -> 2 (banker's rounding); the
+        # final model of epoch 5 is scored too
+        assert [t.epoch for t in result.score_tables] == [2, 4, 5]
+        assert all("loss_ce" in t.values and "loss_cene" in t.values
+                   for t in result.score_tables)
+        assert (tmp_path / "run" / "checkpoints" / "f_epoch5.ckpt").exists()
+        assert [e for e, _, _ in result.consistency] == [2, 2, 4, 4, 5, 5]
 
     def test_chain_and_imbalanced_noise(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", noise_kind="chain", noise_rate=1.0)
@@ -214,6 +219,77 @@ class TestPipeline:
         assert sorted(manifest) == ["config", "config_hash", "seed", "versions"]
         assert manifest["seed"] == 0
         assert "numpy" in manifest["versions"]
+
+
+def _count_sample_forwards(monkeypatch, n):
+    """Record the model of each `Model.forward` call from the inputs (start=0)
+    on n rows; returns the list they are appended to."""
+    seen = []
+    forward = tinynet.Model.forward
+
+    def counted(self, inputs, start=0):
+        if start == 0 and np.shape(inputs)[0] == n:
+            seen.append(self)
+        return forward(self, inputs, start)
+
+    monkeypatch.setattr(tinynet.Model, "forward", counted)
+    return seen
+
+
+class TestOneForwardPerCheckpoint:
+    """The scoring pass gives a scored checkpoint's probabilities at the
+    samples, and every column reads them: no f or ce checkpoint is
+    forwarded from its inputs over the samples, and a cene checkpoint,
+    which no pass scores, once."""
+
+    def test_pipeline(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "run")
+        trained = {}  # seed offset -> TrainResult: h 2, f 3, ce 4, cene 5
+        train = tinynet.train
+
+        def recorded(model, dataset, config):
+            trained[config.seed - cfg.seed] = result = train(model, dataset, config)
+            return result
+
+        monkeypatch.setattr(tinynet, "train", recorded)
+        seen = _count_sample_forwards(monkeypatch, cfg.n)
+        result = run_pipeline(cfg, quiet=True)
+        assert [t.epoch for t in result.score_tables] == [5, 10]
+        for offset, want in ((3, 0), (4, 0), (5, 1)):
+            models = [m for _, m in trained[offset].checkpoints]
+            assert len(models) == 2
+            assert [sum(m is model for m in seen) for model in models] == [want, want], offset
+        # the losses are those of the probabilities a forward gives, bit for bit
+        ds = result.dataset
+        for offset, kind in ((4, "ce"), (5, "cene")):
+            for table, (_, model) in zip(result.score_tables, trained[offset].checkpoints):
+                want = tinynet.per_sample_loss(model.predict_proba(ds.features),
+                                               ds.observed_labels, kind)
+                assert table.values[f"loss_{kind}"].tobytes() == want.tobytes()
+
+    def test_score_with_every_kind(self, world, tmp_path, monkeypatch):
+        root = world["root"]
+        loaded = {}
+        load = tinynet.load_checkpoint
+
+        def recorded(path):
+            loaded[str(path)] = got = load(path)
+            return got
+
+        monkeypatch.setattr(tinynet, "load_checkpoint", recorded)
+        seen = _count_sample_forwards(monkeypatch, 30)
+        f = str(root / "f.ckpt")
+        assert main(["score", "--data", world["csv"], "--model", f,
+                     "--features-from", str(root / "h.ckpt"), "--l", "3",
+                     "--kinds", "inn,midpoint,loss_ce,loss_cene", "--out", str(tmp_path)]) == 0
+        assert sum(m is loaded[f][0] for m in seen) == 0
+        (table,) = scorer.read_score_csv(tmp_path / "scores.csv")
+        assert table.kinds() == ["inn", "loss_ce", "loss_cene", "midpoint"]
+        ds = data.read_csv(world["csv"])
+        probs = loaded[f][0].predict_proba(ds.features)
+        for kind in ("ce", "cene"):
+            want = tinynet.per_sample_loss(probs, ds.observed_labels, kind)
+            assert table.values[f"loss_{kind}"].tobytes() == want.tobytes()
 
 
 class TestCli:
@@ -606,6 +682,9 @@ class TestCli:
         (["--h-hidden", "0,4"], "h_hidden"),
         (["--l", "60"], "n_neighbors"),  # the dataset's 60 rows allow 59
         (["--l-sweep", "5,60"], "l_sweep"),
+        (["--k", "0"], "n_classes"),
+        (["--k", "1"], "n_classes"),
+        (["--trapezoids", "4097"], "trapezoids"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -636,6 +715,39 @@ class TestCli:
         assert done.stderr.count("\n") == 1 and named in done.stderr, done.stderr
         assert "more than the budget of 1e+07" in done.stderr
         assert not (tmp_path / "run" / "train_trace.csv").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["pipeline", "--quiet", "--trapezoids", "4097"],
+         "trapezoids is 4097, more than the 4096"),
+        (["timing", "--quiet", "--n", "60", "--trapezoids", "100000"],
+         "trapezoids is 100000, more than the 4096"),
+        (["score", "--data", "{data}", "--model", "{f}", "--features-from", "{h}",
+          "--h", "4097"], "trapezoids is 4097, more than the 4096"),
+        (["pipeline", "--quiet", "--l", "1000", "--trapezoids", "4096"],
+         "trapezoids 4096, 1000 neighbors and 6 checkpoints ask for 4.91e+10 probe rows "
+         "of 2000 rows, more than the budget of 1e+09"),
+        (["score", "--data", "{data}", "--model", "{f}", "--features-from", "{h}",
+          "--l", "1000", "--h", "1000"],
+         "--h 1000, --l 1000 and 1 --model checkpoints ask for 2e+09 probe rows of 2000 rows"),
+    ])
+    def test_scoring_over_the_probe_bounds_exits_two(self, tmp_path, argv, named):
+        """A scoring pass with more trapezoids than one chunk holds, or more
+        probe rows than the budget, stops before any training or search."""
+        import innscore
+
+        data.write_csv(data.synth("blobs", 2000, 3, 2, 0.5, seed=0), tmp_path / "d.csv")
+        for name, seed in (("h", 0), ("f", 1)):
+            tinynet.save_checkpoint(tinynet.init_model([2, 4, 3], seed), tmp_path / f"{name}.ckpt")
+        argv = [arg.format(data=tmp_path / "d.csv", h=tmp_path / "h.ckpt", f=tmp_path / "f.ckpt")
+                for arg in argv]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(innscore.__file__)))
+        done = subprocess.run([sys.executable, "-m", "innscore.cli", *argv,
+                               "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.count("\n") == 1 and named in done.stderr, done.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_diverged_model_exits_three(self, tmp_path, capsys):
         """Parameters that diverge are a numeric failure, without numpy warnings."""
@@ -827,6 +939,7 @@ class TestMalformedInputsCli:
               "--out", out], "bins is 0, not a positive integer"),
             (["corrupt", "--data", world["csv"], "--sym", "0.2", "--rate", "0.5", "--out", out],
              "--rate is the rate of --map and goes only with it"),
+            (["synth", "--k", "0", "--out", out], "n_classes is 0, not at least 2"),
         ]
         for argv, shown in cases:
             assert main(argv) == 2, argv

@@ -323,7 +323,7 @@ class TestPerSampleLoss:
         ds = data.synth("blobs", 50, 3, 2, 0.4, seed=1)
         m = tinynet.init_model([2, 6, 3], seed=8)
         for kind in ("ce", "cene"):
-            losses = tinynet.per_sample_loss(m, ds, kind)
+            losses = tinynet.per_sample_loss(m.predict_proba(ds.features), ds.observed_labels, kind)
             for i in rng.choice(50, size=10, replace=False):
                 p, _ = scalar_forward(m, ds.features[i])
                 ref = -math.log(max(p[ds.observed_labels[i]], 1e-12))
@@ -336,14 +336,14 @@ class TestPerSampleLoss:
         m = tinynet.init_model([2, 4, 2], seed=9)
         m.weights[-1][:] = 0.0
         m.biases[-1][:] = 0.0
-        losses = tinynet.per_sample_loss(m, ds, "ce")
+        losses = tinynet.per_sample_loss(m.predict_proba(ds.features), ds.observed_labels, "ce")
         assert np.allclose(losses, losses[0])
 
     def test_mixup_not_allowed(self):
         ds = data.synth("blobs", 10, 2, 2, 0.4, seed=3)
         m = tinynet.init_model([2, 4, 2], seed=0)
         with pytest.raises(ValueError):
-            tinynet.per_sample_loss(m, ds, "mixup")
+            tinynet.per_sample_loss(m.predict_proba(ds.features), ds.observed_labels, "mixup")
 
 
 class TestCheckpointIO:

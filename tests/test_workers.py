@@ -219,7 +219,7 @@ class TestScoringAnyPool:
             runs = [scorer.segment_scores(ds, nbr, H, ckpts, threads) for threads in POOLS]
         for segments in runs[1:]:
             for got, want in zip(segments, runs[0]):
-                for name in ("inn", "midpoint", "p_self"):
+                for name in ("inn", "midpoint", "probs"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_score_models_takes_threads(self):
