@@ -77,7 +77,8 @@ def build_parser():
     p.add_argument("--h", dest="trapezoids", type=int, default=10, help="trapezoid count")
     p.add_argument("--kinds", default="inn,midpoint",
                    help=f"columns to emit ({','.join(SCORE_KINDS)}); "
-                        "loss columns use the scored checkpoint's own losses")
+                        "loss columns use the scored checkpoint's own losses, and "
+                        "with loss columns alone the pass runs at --h 1 --l 1")
     p.add_argument("--neighbors", default=None, help="reuse a neighbor cache CSV")
 
     p = sub.add_parser("oracle", help="enumerate the analytic separation check")
@@ -280,8 +281,10 @@ def _cmd_score(args):
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
-    # a cache may hold more than --l columns
-    tables, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints, kinds=kinds)
+    # a cache may hold more than --l columns; loss columns alone read only f at
+    # the samples, which the pass gives at L = H = 1
+    width, H = (1, 1) if all(k.startswith("loss_") for k in kinds) else (L, args.trapezoids)
+    tables, _ = scorer.score_models(ds, nbr[:, :width], H, checkpoints, kinds=kinds)
     os.makedirs(args.out_dir, exist_ok=True)
     path = scorer.write_score_csv(tables, os.path.join(args.out_dir, "scores.csv"))
     scorer.write_score_summary(tables, args.trapezoids, L,
@@ -331,8 +334,6 @@ def _cmd_split(args):
 
 
 def _cmd_eval(args):
-    import numpy as np
-
     from . import data, evaluate, scorer
 
     settings = fields_from(RunConfig, args)  # data_path, bins and out_dir
@@ -341,12 +342,12 @@ def _cmd_eval(args):
     ds = data.read_csv(args.data_path)
     if ds.true_labels is None:
         raise ValueError("eval needs a dataset with true labels")
-    clean_by_id = dict(zip(ds.ids.tolist(), ds.clean_mask().tolist()))
-    try:
-        mask = np.array([clean_by_id[int(i)] for i in tables[0].ids])
+    row_of = {sid: row for row, sid in enumerate(ds.ids.tolist())}
+    try:  # the dataset's rows in the table's order
+        ds = ds.subset([row_of[sid] for sid in tables[0].ids.tolist()])
     except KeyError as exc:
         raise ValueError(f"score table references id {exc} missing from the dataset") from exc
-    report = evaluate.sweep_report(tables, mask)
+    report = evaluate.sweep_report(tables, ds.clean_mask())
     os.makedirs(args.out_dir, exist_ok=True)
     report.write_outputs(args.out_dir, tables[-1], ds, tables[-1].kinds(), args.bins)
     for epoch, kind, value in report.aucs:

@@ -2,14 +2,14 @@
 `split_column` is the one normalize -> fit -> split sequence, run by both
 `pipeline` and the `split` command; the column's kind picks the mixture.
 
-fit_beta_mixture models scores in (0, 1) with two beta components; the
-M-step is a weighted method-of-moments update (closed form, deterministic,
-an approximation to the MLE M-step). fit_gaussian_mixture is standard EM
-on per-sample losses. Because the moment M-step is not guaranteed to
-increase the likelihood, both fitters revert and stop the moment the
-log-likelihood drops, so the recorded trace is always nondecreasing.
-The clean component is the larger-mean one for scores and the
-smaller-mean one for losses.
+`fit_mixture(kind, values)` is the one EM fitter: two beta components on
+scores in (0, 1), or two Gaussians on per-sample losses. Its M-step takes
+each component's weighted mean and variance, then maps them to (a, b) by
+the method of moments (an approximation to the MLE M-step) or to
+(mu, sigma). As that step need not raise the likelihood, the fit reverts
+and stops when the log-likelihood drops, so its trace is nondecreasing.
+The clean component is the larger-mean beta or the smaller-mean Gaussian.
+scipy supplies only `betaln`; the two-column log-normaliser is numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, logsumexp
+from scipy.special import betaln
 
 from ._records import write_json, write_rows
 from .errors import NumericError
@@ -57,7 +57,7 @@ class MixtureFit:
             return post
         logj = _log_pdf(self.kind, np.asarray(x, dtype=np.float64), self.params)
         logj += np.log(self.weights)
-        return np.exp(logj - logsumexp(logj, axis=1, keepdims=True))
+        return np.exp(logj - _log_norm(logj))
 
     def to_dict(self):
         return {
@@ -131,15 +131,51 @@ def _median_split_resp(x):
     return resp
 
 
-def _run_em(x, kind, m_step, max_iters, tol, init_resp):
+def _log_norm(logj):
+    """log(exp(logj[:, 0]) + exp(logj[:, 1])), an (n, 1) column: the larger
+    term plus log1p of the other's ratio to it, as scipy's logsumexp does."""
+    a, b = logj[:, :1], logj[:, 1:]
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return hi + np.log1p(np.exp(lo - hi))
+
+
+def fit_mixture(kind, values, max_iters=200, tol=1e-8, init_resp=None):
+    """EM fit of pi1 D1 + pi2 D2 to `values`: two betas, (a, b) each, on
+    values strictly inside (0, 1) for kind "beta", or two Gaussians,
+    (mu, sigma) each, for kind "gaussian". The clean component is the
+    larger-mean beta or the smaller-mean Gaussian."""
+    if kind not in ("beta", "gaussian"):
+        raise ValueError(f"mixture kind is {kind!r}, not beta or gaussian")
+    x = np.asarray(values, dtype=np.float64)
+    if x.shape[0] < 10:
+        raise ValueError("need at least 10 values to fit a mixture")
+    if kind == "beta" and (x.min() <= 0.0 or x.max() >= 1.0):
+        raise ValueError("beta mixture needs scores strictly inside (0, 1)")
+    spread = float(x.max() - x.min())
+    if spread <= 0.0:
+        return _degenerate_fit(kind, x)
+    sigma_floor = max(1e-3 * spread, 1e-6)
+
+    def m_step(resp):
+        params = np.empty((2, 2))
+        for k in range(2):
+            w = resp[:, k]
+            mu = float(w @ x / w.sum())
+            var = float(w @ (x - mu) ** 2 / w.sum())
+            if kind == "beta":  # the moments of Beta(a, b)
+                common = max(mu * (1.0 - mu) / max(var, 1e-12) - 1.0, 1e-6)
+                params[k] = (np.clip(mu * common, _BETA_PARAM_LO, _BETA_PARAM_HI),
+                             np.clip((1.0 - mu) * common, _BETA_PARAM_LO, _BETA_PARAM_HI))
+            else:
+                params[k] = (mu, max(np.sqrt(var), sigma_floor))
+        return params, resp.mean(axis=0)
+
     resp = _median_split_resp(x) if init_resp is None else np.asarray(init_resp, dtype=float)
-    params, weights = m_step(x, resp)
-    prev = (params, weights)
-    trace = []
-    stop_reason = "max_iters"
+    params, weights = prev = m_step(resp)
+    trace, stop_reason = [], "max_iters"
     for it in range(max_iters + 1):
         logj = _log_pdf(kind, x, params) + np.log(weights)
-        norm = logsumexp(logj, axis=1, keepdims=True)
+        norm = _log_norm(logj)
         ll = float(norm.sum())
         if not np.isfinite(ll):
             raise NumericError("non-finite mixture log-likelihood")
@@ -158,70 +194,14 @@ def _run_em(x, kind, m_step, max_iters, tol, init_resp):
         if new_resp.sum(axis=0).min() < 1e-10:
             raise NumericError("a mixture component lost all responsibility")
         prev = (params, weights)
-        params, weights = m_step(x, new_resp)
+        params, weights = m_step(new_resp)
         if not (np.isfinite(params).all() and np.isfinite(weights).all()):
             raise NumericError("non-finite mixture parameters")
-    return params, weights, trace, stop_reason, len(trace)
 
-
-def fit_beta_mixture(scores, max_iters=200, tol=1e-8, init_resp=None):
-    """EM fit of pi1 Beta(a1,b1) + pi2 Beta(a2,b2) to scores in (0, 1)."""
-    x = np.asarray(scores, dtype=np.float64)
-    if x.shape[0] < 10:
-        raise ValueError("need at least 10 scores to fit a mixture")
-    if x.min() <= 0.0 or x.max() >= 1.0:
-        raise ValueError("beta mixture needs scores strictly inside (0, 1)")
-    if x.max() - x.min() <= 0.0:
-        return _degenerate_fit("beta", x)
-
-    def m_step(x, resp):
-        params = np.empty((2, 2))
-        weights = resp.mean(axis=0)
-        for k in range(2):
-            w = resp[:, k]
-            mu = float(w @ x / w.sum())
-            var = float(w @ (x - mu) ** 2 / w.sum())
-            var = max(var, 1e-12)
-            common = max(mu * (1.0 - mu) / var - 1.0, 1e-6)
-            a = np.clip(mu * common, _BETA_PARAM_LO, _BETA_PARAM_HI)
-            b = np.clip((1.0 - mu) * common, _BETA_PARAM_LO, _BETA_PARAM_HI)
-            params[k] = (a, b)
-        return params, weights
-
-    params, weights, trace, stop_reason, iters = _run_em(
-        x, "beta", m_step, max_iters, tol, init_resp
-    )
-    fit = MixtureFit("beta", params, weights, trace, 0, stop_reason, False, iters)
-    fit.clean_component = int(np.argmax(fit.component_means()))
-    return fit
-
-
-def fit_gaussian_mixture(losses, max_iters=200, tol=1e-8, init_resp=None):
-    """EM fit of two Gaussians; the smaller-mean component is the clean one."""
-    x = np.asarray(losses, dtype=np.float64)
-    if x.shape[0] < 10:
-        raise ValueError("need at least 10 values to fit a mixture")
-    spread = float(x.max() - x.min())
-    if spread <= 0.0:
-        return _degenerate_fit("gaussian", x)
-    sigma_floor = max(1e-3 * spread, 1e-6)
-
-    def m_step(x, resp):
-        params = np.empty((2, 2))
-        weights = resp.mean(axis=0)
-        for k in range(2):
-            w = resp[:, k]
-            mu = float(w @ x / w.sum())
-            var = float(w @ (x - mu) ** 2 / w.sum())
-            params[k] = (mu, max(np.sqrt(var), sigma_floor))
-        return params, weights
-
-    params, weights, trace, stop_reason, iters = _run_em(
-        x, "gaussian", m_step, max_iters, tol, init_resp
-    )
-    degenerate = abs(params[0, 0] - params[1, 0]) < 1e-6 * max(1.0, spread)
-    fit = MixtureFit("gaussian", params, weights, trace, 0, stop_reason, degenerate, iters)
-    fit.clean_component = int(np.argmin(fit.component_means()))
+    degenerate = kind == "gaussian" and abs(params[0, 0] - params[1, 0]) < 1e-6 * max(1.0, spread)
+    fit = MixtureFit(kind, params, weights, trace, 0, stop_reason, degenerate, len(trace))
+    pick = np.argmax if kind == "beta" else np.argmin
+    fit.clean_component = int(pick(fit.component_means()))
     return fit
 
 
@@ -259,8 +239,8 @@ def split_column(values, kind, normalize=True, threshold=0.5, ids=None):
     """
     x = np.asarray(values, dtype=np.float64)
     if score_orientation(kind) < 0:
-        fit = fit_gaussian_mixture(x)
+        fit = fit_mixture("gaussian", x)
     else:
         x, degenerate = normalize_scores(x) if normalize else (x, False)
-        fit = _degenerate_fit("beta", x) if degenerate else fit_beta_mixture(x)
+        fit = _degenerate_fit("beta", x) if degenerate else fit_mixture("beta", x)
     return fit, split(fit, x, threshold, ids)

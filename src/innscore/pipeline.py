@@ -5,11 +5,12 @@ A run trains four independent models on one dataset: a feature model h
 two small-loss baseline models (one per loss). It then builds the exact
 neighbor index on h's penultimate features, and records integral and
 midpoint scores of every checkpoint of f, from one scoring pass,
-alongside the baselines' per-sample losses at the same epochs: ce's from
-the endpoint probabilities of its L = H = 1 consistency pass, cene's from
-one forward per checkpoint. Each model's checkpoints end with its final
-model. Scores feed a beta-mixture split, losses a Gaussian-mixture split,
-and the sweep report compares AUC stability across checkpoints.
+alongside the baselines' per-sample losses at the same epochs, each from
+the endpoint probabilities of one L = H = 1 pass over that baseline's
+checkpoints (ce's pass also gives its consistency rows). Each model's
+checkpoints end with its final model. Scores feed a beta-mixture split,
+losses a Gaussian-mixture split, and the sweep report compares AUC
+stability across checkpoints.
 
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
@@ -179,19 +180,17 @@ def run_pipeline(cfg, quiet=False, threads=None):
     # one pass at the widest L serves both the tables and the L-sweep
     f_segments = scorer.segment_scores(ds, nbr, cfg.trapezoids, f_ckpts, threads)
     tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
-    ce_stats = [None] * len(f_ckpts)
-    if "ce" in base_ckpts:
+    stats = {"f": f_stats}
+    for tag, ckpts in base_ckpts.items():
         # L = H = 1 evaluates only the samples and their 1-NN midpoints
-        ce_tables, ce_stats = scorer.score_models(ds, nbr[:, :1], 1, base_ckpts["ce"], threads,
-                                                  kinds=("loss_ce",))
-        for table, ce_table in zip(tables, ce_tables):
-            table.add("loss_ce", ce_table.values["loss_ce"])
-    for table, (_, model) in zip(tables, base_ckpts.get("cene", ())):
-        probs = model.predict_proba(ds.features)  # the one forward of a cene checkpoint
-        table.add("loss_cene", tinynet.per_sample_loss(probs, ds.observed_labels, "cene"))
-    consistency = [(epoch, tag, st)  # none without true labels
-                   for (epoch, _), ce_st, f_st in zip(f_ckpts, ce_stats, f_stats)
-                   for tag, st in (("ce", ce_st), ("f", f_st)) if st is not None]
+        kind = f"loss_{tag}"
+        base_tables, stats[tag] = scorer.score_models(ds, nbr[:, :1], 1, ckpts, threads,
+                                                      kinds=(kind,))
+        for table, base_table in zip(tables, base_tables):
+            table.add(kind, base_table.values[kind])
+    consistency = [(epoch, tag, stats[tag][c])  # none without true labels
+                   for c, (epoch, _) in enumerate(f_ckpts) for tag in ("ce", "f")
+                   if tag in stats and stats[tag][c] is not None]
     paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
     paths["scores_summary"] = scorer.write_score_summary(
         tables, cfg.trapezoids, cfg.n_neighbors, os.path.join(out, "scores_summary.json")

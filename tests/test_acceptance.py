@@ -189,7 +189,7 @@ def test_criterion_7_mixture_recovery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.beta(2, 8, 500), rng.beta(8, 2, 500)])
-    bmm = mixture.fit_beta_mixture(x)
+    bmm = mixture.fit_mixture("beta", x)
     b_means = np.sort(bmm.component_means())
     bmm_ok = (
         abs(b_means[0] - 0.2) < 0.05
@@ -197,7 +197,7 @@ def test_criterion_7_mixture_recovery():
         and (np.diff(bmm.loglik_trace) >= -1e-9).all()
     )
     y = np.concatenate([rng.normal(0.1, 0.05, 500), rng.normal(2.0, 0.3, 500)])
-    gmm = mixture.fit_gaussian_mixture(y)
+    gmm = mixture.fit_mixture("gaussian", y)
     g_means = np.sort(gmm.component_means())
     gmm_ok = (
         abs(g_means[0] - 0.1) < 0.1

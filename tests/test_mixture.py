@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from innscore import mixture
 from innscore._records import read_rows
@@ -39,11 +42,39 @@ class TestNormalize:
             mixture.normalize_scores(np.array([]))
 
 
+class TestLogNorm:
+    """The EM's two-column log-normaliser against its oracle, scipy's
+    logsumexp, bit for bit. A row with both columns at -inf is left out:
+    the normaliser gives nan there and scipy -inf, and the EM rejects
+    either as a non-finite log-likelihood."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 300),
+        scale=st.floats(-3.0, 3.0),  # log10 of the spread within a row
+        offset=st.sampled_from([0.0, -745.0, 1e3, -1e6 + 0.37, 1e8]) | st.floats(-1e9, 1e9),
+        tie_rate=st.floats(0.0, 1.0),
+        inf_rate=st.floats(0.0, 1.0),
+    )
+    def test_bitwise_equal_to_logsumexp(self, seed, n, scale, offset, tie_rate, inf_rate):
+        rng = np.random.default_rng(seed)
+        logj = offset + 10.0**scale * rng.standard_normal((n, 2))
+        ties = rng.random(n) < tie_rate
+        logj[ties, 1] = logj[ties, 0]
+        rows = np.flatnonzero(rng.random(n) < inf_rate)  # -inf in one column of each
+        logj[rows, rng.integers(0, 2, rows.size)] = -np.inf
+        want = special.logsumexp(logj, axis=1, keepdims=True)
+        got = mixture._log_norm(logj)
+        assert got.shape == want.shape == (n, 1)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBetaMixture:
     def test_recovers_reference_mixture(self):
         rng = np.random.default_rng(7)
         x, _ = beta_sample(rng, 1000)
-        fit = mixture.fit_beta_mixture(x)
+        fit = mixture.fit_mixture("beta", x)
         means = np.sort(fit.component_means())
         assert abs(means[0] - 0.2) < 0.05
         assert abs(means[1] - 0.8) < 0.05
@@ -56,7 +87,7 @@ class TestBetaMixture:
         rng = np.random.default_rng(8)
         x = np.concatenate([0.1 + 0.01 * rng.normal(size=500), 0.9 + 0.01 * rng.normal(size=500)])
         truth = np.concatenate([np.zeros(500), np.ones(500)])
-        fit = mixture.fit_beta_mixture(np.clip(x, 1e-4, 1 - 1e-4))
+        fit = mixture.fit_mixture("beta", np.clip(x, 1e-4, 1 - 1e-4))
         post_clean = fit.posterior(np.clip(x, 1e-4, 1 - 1e-4))[:, fit.clean_component]
         acc = ((post_clean > 0.5) == truth).mean()
         assert acc >= 0.99
@@ -64,25 +95,25 @@ class TestBetaMixture:
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(9)
         x, _ = beta_sample(rng, 500)
-        fit = mixture.fit_beta_mixture(x)
+        fit = mixture.fit_mixture("beta", x)
         post = fit.posterior(x)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
         assert post.min() >= 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            mixture.fit_beta_mixture(np.linspace(0.0, 1.0, 50))
+            mixture.fit_mixture("beta", np.linspace(0.0, 1.0, 50))
 
     def test_too_few_rejected(self):
         with pytest.raises(ValueError):
-            mixture.fit_beta_mixture(np.full(5, 0.5))
+            mixture.fit_mixture("beta", np.full(5, 0.5))
 
 
 class TestGaussianMixture:
     def test_recovers_reference_mixture(self):
         rng = np.random.default_rng(10)
         x = np.concatenate([rng.normal(0.1, 0.05, 500), rng.normal(2.0, 0.3, 500)])
-        fit = mixture.fit_gaussian_mixture(x)
+        fit = mixture.fit_mixture("gaussian", x)
         means = np.sort(fit.component_means())
         assert abs(means[0] - 0.1) < 0.1
         assert abs(means[1] - 2.0) < 0.1
@@ -92,7 +123,7 @@ class TestGaussianMixture:
 
     def test_tight_cluster_flagged_degenerate(self):
         x = np.full(100, 1.5) + 1e-13 * np.arange(100)
-        fit = mixture.fit_gaussian_mixture(x)
+        fit = mixture.fit_mixture("gaussian", x)
         assert fit.degenerate
         assert np.isfinite(fit.params).all()
 
@@ -100,8 +131,8 @@ class TestGaussianMixture:
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.normal(0.1, 0.05, 300), rng.normal(2.0, 0.3, 300)])
         init = mixture._median_split_resp(x)
-        a = mixture.fit_gaussian_mixture(x, init_resp=init)
-        b = mixture.fit_gaussian_mixture(x, init_resp=init[:, ::-1])
+        a = mixture.fit_mixture("gaussian", x, init_resp=init)
+        b = mixture.fit_mixture("gaussian", x, init_resp=init[:, ::-1])
         pa = a.params[np.argsort(a.params[:, 0])]
         pb = b.params[np.argsort(b.params[:, 0])]
         np.testing.assert_allclose(pa, pb, atol=1e-6)
@@ -111,7 +142,7 @@ class TestSplit:
     def make_fit(self):
         rng = np.random.default_rng(12)
         x, labels = beta_sample(rng, 600)
-        fit = mixture.fit_beta_mixture(x)
+        fit = mixture.fit_mixture("beta", x)
         return fit, x, labels
 
     def test_threshold_zero_all_labeled(self):
@@ -179,10 +210,10 @@ class TestSplit:
             return np.concatenate([rng.beta(2, 8, 100 + seed), rng.beta(8, 2, 60)])
 
         fits = {
-            "tol": mixture.fit_beta_mixture(sample(0)),
-            "ll_drop_reverted": mixture.fit_beta_mixture(sample(1)),
-            "max_iters": mixture.fit_beta_mixture(sample(0), max_iters=1),
-            "degenerate": mixture.fit_beta_mixture(np.full(20, 0.5)),
+            "tol": mixture.fit_mixture("beta", sample(0)),
+            "ll_drop_reverted": mixture.fit_mixture("beta", sample(1)),
+            "max_iters": mixture.fit_mixture("beta", sample(0), max_iters=1),
+            "degenerate": mixture.fit_mixture("beta", np.full(20, 0.5)),
         }
         for reason, fit in fits.items():
             assert fit.stop_reason == reason

@@ -238,9 +238,8 @@ def _count_sample_forwards(monkeypatch, n):
 
 class TestOneForwardPerCheckpoint:
     """The scoring pass gives a scored checkpoint's probabilities at the
-    samples, and every column reads them: no f or ce checkpoint is
-    forwarded from its inputs over the samples, and a cene checkpoint,
-    which no pass scores, once."""
+    samples, and every column reads them: no f, ce or cene checkpoint is
+    forwarded from its inputs over the samples."""
 
     def test_pipeline(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "run")
@@ -255,10 +254,10 @@ class TestOneForwardPerCheckpoint:
         seen = _count_sample_forwards(monkeypatch, cfg.n)
         result = run_pipeline(cfg, quiet=True)
         assert [t.epoch for t in result.score_tables] == [5, 10]
-        for offset, want in ((3, 0), (4, 0), (5, 1)):
+        for offset in (3, 4, 5):
             models = [m for _, m in trained[offset].checkpoints]
             assert len(models) == 2
-            assert [sum(m is model for m in seen) for model in models] == [want, want], offset
+            assert [sum(m is model for m in seen) for model in models] == [0, 0], offset
         # the losses are those of the probabilities a forward gives, bit for bit
         ds = result.dataset
         for offset, kind in ((4, "ce"), (5, "cene")):
@@ -290,6 +289,39 @@ class TestOneForwardPerCheckpoint:
         for kind in ("ce", "cene"):
             want = tinynet.per_sample_loss(probs, ds.observed_labels, kind)
             assert table.values[f"loss_{kind}"].tobytes() == want.tobytes()
+
+
+    def test_score_with_loss_kinds_only(self, world, tmp_path, monkeypatch):
+        """Loss columns alone read only the probabilities at the samples, so
+        their pass runs at L = H = 1: at most 2n rows, the samples and
+        their 1-NN midpoints, reach the checkpoint, whatever --h and --l."""
+        root = world["root"]
+        f = str(root / "f.ckpt")
+        loaded = {}
+        load = tinynet.load_checkpoint
+
+        def recorded(path):
+            loaded[str(path)] = got = load(path)
+            return got
+
+        monkeypatch.setattr(tinynet, "load_checkpoint", recorded)
+        rows = []
+        forward = tinynet.Model.forward
+
+        def counted(self, inputs, start=0):
+            rows.append((self, np.shape(inputs)[0]))
+            return forward(self, inputs, start)
+
+        monkeypatch.setattr(tinynet.Model, "forward", counted)
+        assert main(["score", "--data", world["csv"], "--model", f,
+                     "--features-from", str(root / "h.ckpt"), "--l", "3", "--h", "10",
+                     "--kinds", "loss_ce", "--out", str(tmp_path)]) == 0
+        model = loaded[f][0]
+        assert 0 < sum(n for m, n in rows if m is model) <= 2 * 30
+        (table,) = scorer.read_score_csv(tmp_path / "scores.csv")
+        ds = data.read_csv(world["csv"])
+        want = tinynet.per_sample_loss(model.predict_proba(ds.features), ds.observed_labels, "ce")
+        assert table.values["loss_ce"].tobytes() == want.tobytes()
 
 
 class TestCli:
@@ -1102,3 +1134,35 @@ class TestCorruptFilesCli:
             if rc == 0:
                 rows = open(os.path.join(tmp, "scores.csv")).read().splitlines()[1:]
                 assert np.isfinite([float(row.rsplit(",", 1)[1]) for row in rows]).all()
+
+
+class TestEvalById:
+    """`eval` pairs each score with the dataset row of its id, whatever the
+    order of the dataset's rows and however few of its ids the table holds."""
+
+    def test_permuted_dataset_gives_the_same_outputs(self, world, tmp_path):
+        ds = data.read_csv(world["csv"])
+        permuted = data.write_csv(ds.subset(np.random.default_rng(0).permutation(ds.n)),
+                                  tmp_path / "permuted.csv")
+        for name, path in (("plain", world["csv"]), ("permuted", permuted)):
+            assert main(["eval", "--scores", world["scores"], "--data", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert "histograms_inn.csv" in names
+        assert names == sorted(os.listdir(tmp_path / "permuted"))
+        for name in names:
+            if name != "manifest.json":  # it records the --data path
+                assert ((tmp_path / "plain" / name).read_bytes()
+                        == (tmp_path / "permuted" / name).read_bytes()), name
+
+    def test_table_over_a_subset_of_the_ids(self, world, tmp_path):
+        keep = np.arange(29, 0, -2)  # every other row, in reverse
+        tables = [scorer.ScoreTable(t.epoch, t.ids[keep],
+                                    {kind: v[keep] for kind, v in t.values.items()})
+                  for t in scorer.read_score_csv(world["scores"])]
+        path = scorer.write_score_csv(tables, tmp_path / "scores.csv")
+        assert main(["eval", "--scores", str(path), "--data", world["csv"],
+                     "--out", str(tmp_path / "eval")]) == 0
+        for kind in ("inn", "midpoint"):
+            lines = (tmp_path / "eval" / f"histograms_{kind}.csv").read_text().splitlines()
+            assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == keep.size
