@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands compose the library: `synth` and `corrupt` build datasets,
-`train` fits a model, `score` evaluates score columns for saved
-checkpoints, `oracle` enumerates the analytic separation check, `split`
-and `eval` post-process score tables, and `pipeline` / `timing` run the
-whole protocol. Exit codes: 0 success, 2 bad configuration (a missing
-input file among them), 3 numeric failure, 4 I/O failure.
+Subcommands compose the library's stage functions, which `pipeline` and
+`timing` run in sequence: `synth` and `corrupt` build datasets, `train`
+fits a model (`tinynet.build_and_train`), `score` scores checkpoints
+(`config.check_neighbor_count`, `check_probe_rows`, `scorer.score_models`,
+`write_scores`), `oracle` enumerates the analytic separation check, and
+`split` and `eval` post-process score tables (`mixture.split_to_files`,
+`evaluate`). Exit codes: 0 success, 2 bad configuration (a missing input
+file among them), 3 numeric failure, 4 I/O failure.
 
 Heavy imports happen inside handlers so that --threads can cap the BLAS
 pools via environment variables before numpy loads. For `pipeline`
@@ -24,9 +26,9 @@ import sys
 from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from .config import (SCORE_KINDS, RunConfig, TrainConfig, boolean, check_probe_rows,
-                     check_score_kinds, check_threads, check_training_steps, field_parser,
-                     fields_from, label_map, write_manifest)
+from .config import (SCORE_KINDS, RunConfig, TrainConfig, boolean, check_neighbor_count,
+                     check_probe_rows, check_score_kinds, check_threads, check_training_steps,
+                     field_parser, fields_from, label_map, write_manifest)
 from .errors import NumericError
 
 
@@ -76,9 +78,9 @@ def build_parser():
     _add_flags(p, RunConfig, ("n_neighbors", "out_dir"))  # --l
     p.add_argument("--h", dest="trapezoids", type=int, default=10, help="trapezoid count")
     p.add_argument("--kinds", default="inn,midpoint",
-                   help=f"columns to emit ({','.join(SCORE_KINDS)}); "
-                        "loss columns use the scored checkpoint's own losses, and "
-                        "with loss columns alone the pass runs at --h 1 --l 1")
+                   help=f"columns to emit ({','.join(SCORE_KINDS)}); loss columns use the "
+                        "scored checkpoint's own losses, and with loss columns alone the pass "
+                        "runs, and the probe budget charges it, at --h 1 --l 1")
     p.add_argument("--neighbors", default=None, help="reuse a neighbor cache CSV")
 
     p = sub.add_parser("oracle", help="enumerate the analytic separation check")
@@ -221,9 +223,7 @@ def _cmd_train(args):
     RunConfig(hidden=args.hidden)  # rejects a --hidden width below 1
     ds = data.read_csv(args.data_path)
     check_training_steps(ds.n, tc.batch_size, tc.epochs, f"epochs {tc.epochs}")
-    dims = [ds.d, *args.hidden, ds.n_classes]
-    model = tinynet.init_model(dims, args.seed, lift_freq=args.lift_freq)
-    result = tinynet.train(model, ds, tc)
+    result = tinynet.build_and_train(ds, args.hidden, args.lift_freq, tc)
     os.makedirs(args.out_dir, exist_ok=True)
     for epoch, snap in result.checkpoints:
         tinynet.save_checkpoint(snap, os.path.join(args.out_dir, f"model_epoch{epoch}.ckpt"),
@@ -245,10 +245,8 @@ def _cmd_score(args):
     kinds = check_score_kinds([k.strip() for k in args.kinds.split(",") if k.strip()]
                               or [args.kinds])  # no kind: reject the whole text
     ds = data.read_csv(args.data_path)
-    if L > ds.n - 1:
-        raise ValueError(f"--l is {L}, but the dataset's {ds.n} rows allow at most "
-                         f"{ds.n - 1} neighbors")
-    check_probe_rows(ds.n, L, args.trapezoids, len(args.model),
+    check_neighbor_count(ds.n, L, f"--l is {L}")
+    check_probe_rows(ds.n, L, args.trapezoids, len(args.model), kinds,
                      f"--h {args.trapezoids}, --l {L} and {len(args.model)} --model checkpoints")
     top = int(ds.observed_labels.max())
 
@@ -281,14 +279,9 @@ def _cmd_score(args):
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
-    # a cache may hold more than --l columns; loss columns alone read only f at
-    # the samples, which the pass gives at L = H = 1
-    width, H = (1, 1) if all(k.startswith("loss_") for k in kinds) else (L, args.trapezoids)
-    tables, _ = scorer.score_models(ds, nbr[:, :width], H, checkpoints, kinds=kinds)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = scorer.write_score_csv(tables, os.path.join(args.out_dir, "scores.csv"))
-    scorer.write_score_summary(tables, args.trapezoids, L,
-                               os.path.join(args.out_dir, "scores_summary.json"))
+    # a cache may hold more than --l columns
+    tables, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints, kinds=kinds)
+    path, _ = scorer.write_scores(tables, args.trapezoids, L, args.out_dir)
     print(f"wrote {path} ({len(tables)} checkpoints, kinds: {','.join(kinds)})")
     write_manifest({**settings, "model": args.model, "features_from": args.features_from,
                     "kinds": kinds, "neighbors": args.neighbors}, args.command)
@@ -318,13 +311,9 @@ def _cmd_split(args):
     table = next((t for t in tables if t.epoch == wanted), None)
     if table is None or args.kind not in table.values:
         raise ValueError(f"no {args.kind!r} scores at epoch {wanted}")
-    fit, result = mixture.split_column(
-        table.values[args.kind], args.kind, args.normalize, args.threshold, table.ids
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    fit.to_json(os.path.join(args.out_dir, f"{fit.kind}_fit.json"))
-    path = result.to_csv(os.path.join(args.out_dir, "split.csv"))
-    print(f"wrote {path} ({len(result.labeled_ids)} labeled / "
+    fit, result = mixture.split_to_files(table.values[args.kind], args.kind, args.normalize,
+                                         args.threshold, table.ids, args.out_dir, "split.csv")
+    print(f"wrote {os.path.join(args.out_dir, 'split.csv')} ({len(result.labeled_ids)} labeled / "
           f"{len(result.unlabeled_ids)} unlabeled)")
     if fit.kind != "beta":  # only the beta fit normalizes
         del settings["normalize"]

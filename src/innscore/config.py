@@ -95,11 +95,26 @@ def check_training_steps(rows, batch_size, model_epochs, settings):
                          f"more than the budget of {MAX_TRAINING_STEPS:.0e}")
 
 
-def check_probe_rows(rows, n_neighbors, trapezoids, checkpoints, settings):
-    """Reject a scoring pass of `checkpoints` checkpoints over `rows` rows
-    with `n_neighbors` neighbors and `trapezoids` trapezoids when its
-    interior probe rows exceed MAX_PROBE_ROWS; the ValueError names
-    `settings`, the settings that asked for them."""
+def check_neighbor_count(rows, n_neighbors, setting):
+    """Reject `n_neighbors` neighbors of each of `rows` rows, more than there
+    are other rows; the ValueError starts with `setting`, which asked for them."""
+    if n_neighbors > rows - 1:
+        raise ValueError(f"{setting}, but the dataset's {rows} rows allow at most "
+                         f"{rows - 1} neighbors")
+
+
+def scoring_pass(n_neighbors, trapezoids, kinds):
+    """(L, H) of the scoring pass giving score columns `kinds`: loss columns
+    alone read only f at the samples, which the pass gives at L = H = 1."""
+    return (1, 1) if all(k.startswith("loss_") for k in kinds) else (n_neighbors, trapezoids)
+
+
+def check_probe_rows(rows, n_neighbors, trapezoids, checkpoints, kinds, settings):
+    """Reject the `scoring_pass` for columns `kinds` of `checkpoints`
+    checkpoints over `rows` rows with `n_neighbors` neighbors and
+    `trapezoids` trapezoids when its interior probe rows exceed
+    MAX_PROBE_ROWS; the ValueError names `settings`, which asked for them."""
+    n_neighbors, trapezoids = scoring_pass(n_neighbors, trapezoids, kinds)
     probes = rows * n_neighbors * (trapezoids - 1) * checkpoints
     if probes > MAX_PROBE_ROWS:
         raise ValueError(f"{settings} ask for {probes:.3g} probe rows of {rows} rows, "
@@ -187,6 +202,8 @@ class TrainConfig:
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive or None")
         _reject_non_finite(self)
+        if not 0.0 < self.lr_drop_factor * self.lr_drop_factor < math.inf:
+            raise ValueError(f"lr_drop_factor is {self.lr_drop_factor}, too big or small to square")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Two-component mixture EM on scores and losses, plus the posterior split.
-`split_column` is the one normalize -> fit -> split sequence, run by both
-`pipeline` and the `split` command; the column's kind picks the mixture.
+`split_column` is the one normalize -> fit -> split sequence, the column's
+kind picking the mixture; `split_to_files` writes it for `pipeline` and `split`.
 
 `fit_mixture(kind, values)` is the one EM fitter: two beta components on
 scores in (0, 1), or two Gaussians on per-sample losses. Its M-step takes
@@ -14,6 +14,7 @@ scipy supplies only `betaln`; the two-column log-normaliser is numpy.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,3 +245,14 @@ def split_column(values, kind, normalize=True, threshold=0.5, ids=None):
         x, degenerate = normalize_scores(x) if normalize else (x, False)
         fit = _degenerate_fit("beta", x) if degenerate else fit_mixture("beta", x)
     return fit, split(fit, x, threshold, ids)
+
+
+def split_to_files(values, kind, normalize, threshold, ids, out_dir, split_name, fit_name=None):
+    """`split_column`, then the split and the fit as files split_name and
+    fit_name (by default `beta_fit.json` or `gaussian_fit.json`) in out_dir,
+    made after the fit; returns (fit, SplitResult)."""
+    fit, result = split_column(values, kind, normalize, threshold, ids)
+    os.makedirs(out_dir, exist_ok=True)
+    fit.to_json(os.path.join(out_dir, fit_name or f"{fit.kind}_fit.json"))
+    result.to_csv(os.path.join(out_dir, split_name))
+    return fit, result

@@ -1,16 +1,16 @@
-"""End-to-end runs: data, training, neighbor search, scoring, splits, reports.
+"""End-to-end runs: the stage functions of the step commands, in sequence.
 
-A run trains four independent models on one dataset: a feature model h
-(cross-entropy by default), the scored model f (mixup by default) and the
-two small-loss baseline models (one per loss). It then builds the exact
-neighbor index on h's penultimate features, and records integral and
-midpoint scores of every checkpoint of f, from one scoring pass,
-alongside the baselines' per-sample losses at the same epochs, each from
-the endpoint probabilities of one L = H = 1 pass over that baseline's
-checkpoints (ce's pass also gives its consistency rows). Each model's
-checkpoints end with its final model. Scores feed a beta-mixture split,
-losses a Gaussian-mixture split, and the sweep report compares AUC
-stability across checkpoints.
+`config.check_neighbor_count`, `check_training_steps` and `check_probe_rows`
+vet the settings before any training. `tinynet.build_and_train` fits four
+independent models, as `train` does: a feature model h (cross-entropy by
+default), the scored model f (mixup by default) and the two small-loss
+baselines. One pass over the exact neighbors of h's penultimate features
+scores every checkpoint of f (integral and midpoint), `scorer.score_models`
+gives each baseline's losses at the same epochs from an L = H = 1 pass (ce's
+also its consistency rows), and `scorer.write_scores` writes them, as
+`score` does. Each model's checkpoints end with its final model.
+`mixture.split_to_files` splits scores (beta) and losses (Gaussian), as
+`split` does, and the sweep report compares AUC across checkpoints.
 
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
@@ -35,8 +35,8 @@ from dataclasses import asdict, dataclass, field
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet, workers
 from ._records import write_json, write_rows
-from .config import (RunConfig, check_probe_rows, check_training_steps, fields_from,
-                     write_manifest)
+from .config import (RunConfig, check_neighbor_count, check_probe_rows, check_training_steps,
+                     fields_from, write_manifest)
 
 
 @dataclass
@@ -85,17 +85,13 @@ def make_dataset(cfg):
                             imbalance)
 
 
-def _train_model(ds, cfg, loss_kind, epochs, seed, checkpoint_every=None, feature_model=False):
-    if feature_model:
-        dims = [ds.d, *cfg.h_hidden, ds.n_classes]
-        model = tinynet.init_model(dims, seed)
-    else:
-        dims = [ds.d, *cfg.hidden, ds.n_classes]
-        model = tinynet.init_model(dims, seed, lift_freq=cfg.lift_freq)
+def _train_model(ds, cfg, hidden, lift_freq, loss_kind, epochs, offset, checkpoint_every):
+    """(TrainResult, TrainConfig, seconds) of one of the run's models."""
+    t0 = time.perf_counter()
     tc = tinynet.TrainConfig(**{**fields_from(tinynet.TrainConfig, cfg), "loss_kind": loss_kind,
-                                "epochs": epochs, "seed": seed,
+                                "epochs": epochs, "seed": cfg.seed + offset,
                                 "checkpoint_every": checkpoint_every})
-    return tinynet.train(model, ds, tc), tc
+    return tinynet.build_and_train(ds, hidden, lift_freq, tc), tc, time.perf_counter() - t0
 
 
 def _scored_checkpoints(result, epochs):
@@ -107,21 +103,14 @@ def _scored_checkpoints(result, epochs):
     return [*result.checkpoints, (epochs, result.model)]
 
 
-def _timed(job):
-    t0 = time.perf_counter()
-    return job(), time.perf_counter() - t0
-
-
 def run_pipeline(cfg, quiet=False, threads=None):
     clock = _PhaseClock()
     out = cfg.out_dir
     paths = {}
     ds = make_dataset(cfg)
     l_max = max([cfg.n_neighbors, *(cfg.l_sweep or ())])  # one search serves both
-    if l_max > ds.n - 1:
-        name = "n_neighbors" if l_max == cfg.n_neighbors else "l_sweep"
-        raise ValueError(f"{name} is {getattr(cfg, name)}, but the dataset's {ds.n} rows "
-                         f"allow at most {ds.n - 1} neighbors")
+    name = "n_neighbors" if l_max == cfg.n_neighbors else "l_sweep"
+    check_neighbor_count(ds.n, l_max, f"{name} is {getattr(cfg, name)}")
     h_unscaled = cfg.epochs if cfg.share_epochs else cfg.h_epochs
     model_epochs = ((3 if cfg.baselines else 1) * cfg.epochs + h_unscaled) * cfg.epoch_scale
     check_training_steps(ds.n, cfg.batch_size, model_epochs,
@@ -131,32 +120,32 @@ def run_pipeline(cfg, quiet=False, threads=None):
     h_epochs = f_epochs if cfg.share_epochs else cfg.scaled(cfg.h_epochs)
     ckpt_every = None if cfg.checkpoint_every is None else cfg.scaled(cfg.checkpoint_every)
     n_ckpts = -(-f_epochs // ckpt_every) if ckpt_every else 1  # the final model among them
-    check_probe_rows(ds.n, l_max, cfg.trapezoids, n_ckpts,
+    check_probe_rows(ds.n, l_max, cfg.trapezoids, n_ckpts, ("inn", "midpoint"),
                      f"trapezoids {cfg.trapezoids}, {l_max} neighbors and {n_ckpts} checkpoints")
-    os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
+    ckpt_dir = os.path.join(out, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
     if ds.true_labels is not None and cfg.noise_kind != "none":
         _log(f"dataset: n={ds.n} d={ds.d} K={ds.n_classes} "
              f"noisy_fraction={ds.noisy_fraction():.4f}", quiet)
     paths["dataset"] = data_mod.write_csv(ds, os.path.join(out, "dataset.csv"))
     clock.lap("data")
 
-    train = functools.partial(_train_model, ds, cfg)
-    jobs = {"f": functools.partial(train, cfg.f_loss, f_epochs, cfg.seed + 3, ckpt_every)}
-    if cfg.baselines:
-        for offset, loss_kind in ((4, "ce"), (5, "cene")):
-            jobs[loss_kind] = functools.partial(train, loss_kind, f_epochs, cfg.seed + offset,
-                                                ckpt_every)
-    jobs["h"] = functools.partial(train, cfg.h_loss, h_epochs, cfg.seed + 2, feature_model=True)
-    results = workers.run([functools.partial(_timed, job) for job in jobs.values()], threads)
-    done = {tag: result for tag, (result, _) in zip(jobs, results)}
-    train_models = {tag: seconds for tag, (_, seconds) in zip(jobs, results)}
+    # longest first: (hidden widths, lift, loss, epochs, seed offset, checkpoint_every)
+    models = {"f": (cfg.hidden, cfg.lift_freq, cfg.f_loss, f_epochs, 3, ckpt_every),
+              "ce": (cfg.hidden, cfg.lift_freq, "ce", f_epochs, 4, ckpt_every),
+              "cene": (cfg.hidden, cfg.lift_freq, "cene", f_epochs, 5, ckpt_every),
+              "h": (cfg.h_hidden, 0.0, cfg.h_loss, h_epochs, 2, None)}
+    jobs = {tag: functools.partial(_train_model, ds, cfg, *model) for tag, model in models.items()
+            if cfg.baselines or tag in ("f", "h")}
+    done = dict(zip(jobs, workers.run(list(jobs.values()), threads)))
+    train_models = {tag: seconds for tag, (_, _, seconds) in done.items()}
     trained = {tag: done[tag][0] for tag in ("h", "f", "ce", "cene") if tag in done}
     rows = ([str(epoch), tag, repr(loss)] for tag, res in trained.items()
             for epoch, loss in enumerate(res.epoch_loss, 1))
     paths["train_trace"] = write_rows(
         os.path.join(out, "train_trace.csv"), ("epoch", "model", "mean_loss"), rows
     )
-    h_result, h_tc = done["h"]
+    h_result, h_tc, _ = done["h"]
     _log(f"trained h ({cfg.h_loss}, {h_epochs} epochs)", quiet)
     clock.lap("train")
 
@@ -169,7 +158,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
          f"{cfg.n_neighbors} at distance 0)", quiet)
     clock.lap("neighbor_search")
 
-    f_result, f_tc = done["f"]
+    f_result, f_tc, _ = done["f"]
     f_ckpts = _scored_checkpoints(f_result, f_epochs)
     _log(f"trained f ({cfg.f_loss}, {f_epochs} epochs, {len(f_ckpts)} checkpoints)", quiet)
     base_ckpts = {tag: _scored_checkpoints(res, f_epochs)
@@ -182,19 +171,16 @@ def run_pipeline(cfg, quiet=False, threads=None):
     tables, f_stats = scorer.summarize(ds, f_ckpts, f_segments, cfg.n_neighbors)
     stats = {"f": f_stats}
     for tag, ckpts in base_ckpts.items():
-        # L = H = 1 evaluates only the samples and their 1-NN midpoints
-        kind = f"loss_{tag}"
-        base_tables, stats[tag] = scorer.score_models(ds, nbr[:, :1], 1, ckpts, threads,
+        kind = f"loss_{tag}"  # a pass at L = H = 1
+        base_tables, stats[tag] = scorer.score_models(ds, nbr, cfg.trapezoids, ckpts, threads,
                                                       kinds=(kind,))
         for table, base_table in zip(tables, base_tables):
             table.add(kind, base_table.values[kind])
     consistency = [(epoch, tag, stats[tag][c])  # none without true labels
                    for c, (epoch, _) in enumerate(f_ckpts) for tag in ("ce", "f")
                    if tag in stats and stats[tag][c] is not None]
-    paths["scores"] = scorer.write_score_csv(tables, os.path.join(out, "scores.csv"))
-    paths["scores_summary"] = scorer.write_score_summary(
-        tables, cfg.trapezoids, cfg.n_neighbors, os.path.join(out, "scores_summary.json")
-    )
+    paths["scores"], paths["scores_summary"] = scorer.write_scores(tables, cfg.trapezoids,
+                                                                   cfg.n_neighbors, out)
     if consistency:
         paths["consistency"] = write_rows(
             os.path.join(out, "consistency.csv"),
@@ -208,26 +194,21 @@ def run_pipeline(cfg, quiet=False, threads=None):
 
     main_kind = "inn" if cfg.mode == "integral" else "midpoint"
     final = tables[-1]
-    fit, score_split = mixture.split_column(
-        final.values[main_kind], main_kind, cfg.normalize, cfg.threshold, final.ids
-    )
-    fit.to_json(os.path.join(out, "bmm_fit.json"))
-    paths["split_scores"] = score_split.to_csv(os.path.join(out, "split_scores.csv"))
-    loss_split = None
-    if "loss_ce" in final.values:
-        loss_fit, loss_split = mixture.split_column(
-            final.values["loss_ce"], "loss_ce", cfg.normalize, cfg.threshold, final.ids
-        )
-        loss_fit.to_json(os.path.join(out, "gmm_fit.json"))
-        paths["split_loss"] = loss_split.to_csv(os.path.join(out, "split_loss.csv"))
+    splits = {}
+    for kind, fit_name, stem in ((main_kind, "bmm_fit.json", "split_scores"),
+                                 ("loss_ce", "gmm_fit.json", "split_loss")):
+        if kind in final.values:
+            _, splits[stem] = mixture.split_to_files(final.values[kind], kind, cfg.normalize,
+                                                     cfg.threshold, final.ids, out,
+                                                     f"{stem}.csv", fit_name)
+            paths[stem] = os.path.join(out, f"{stem}.csv")
     clock.lap("mixture")
 
     report = None
-    one_sided = ds.true_labels is not None and len(set(ds.clean_mask().tolist())) < 2
-    if one_sided:
+    clean = None if ds.true_labels is None else ds.clean_mask()
+    if clean is not None and len(set(clean.tolist())) < 2:
         _log("skipping AUC report: dataset is entirely clean or entirely noisy", quiet)
-    if ds.true_labels is not None and len(tables) >= 2 and not one_sided:
-        clean = ds.clean_mask()
+    elif clean is not None and len(tables) >= 2:
         report = evaluate.sweep_report(tables, clean)
         if cfg.l_sweep:
             report.flags["l_sweep"] = _l_sweep_aucs(f_segments[-1].inn, cfg.l_sweep, clean)
@@ -243,17 +224,12 @@ def run_pipeline(cfg, quiet=False, threads=None):
               "train_workers": workers.pool_size(threads, len(jobs))}
     write_manifest(asdict(cfg))  # JSON writes the tuple fields as lists
     write_json(os.path.join(out, "timing.json"), timing)
-    tinynet.save_checkpoint(
-        h_result.model, os.path.join(out, "checkpoints", "h_final.ckpt"), h_epochs, h_tc
-    )
+    tinynet.save_checkpoint(h_result.model, os.path.join(ckpt_dir, "h_final.ckpt"), h_epochs, h_tc)
     for epoch, model in f_ckpts:
-        tinynet.save_checkpoint(
-            model, os.path.join(out, "checkpoints", f"f_epoch{epoch}.ckpt"), epoch, f_tc
-        )
+        tinynet.save_checkpoint(model, os.path.join(ckpt_dir, f"f_epoch{epoch}.ckpt"), epoch, f_tc)
 
-    return PipelineResult(
-        cfg, ds, tables, report, consistency, score_split, loss_split, timing, paths
-    )
+    return PipelineResult(cfg, ds, tables, report, consistency, splits["split_scores"],
+                          splits.get("split_loss"), timing, paths)
 
 
 def _l_sweep_aucs(segments, l_sweep, clean_mask):

@@ -35,6 +35,7 @@ the pool size.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from . import tinynet, workers
 from ._records import read_rows, write_json, write_lines
 from .config import CHUNK_PROBES as _CHUNK_PROBES  # interior probe rows per chunk
-from .config import check_score_kinds
+from .config import check_score_kinds, scoring_pass
 from .errors import NumericError
 
 # about as many (edge, unit) arrays as a rotating chunk holds besides its
@@ -352,10 +353,11 @@ def score_models(dataset, neighbor_ids, trapezoids, checkpoints, threads=None,
     Arguments, threads among them, as for segment_scores. Returns
     (tables, stats) as summarize does, averaging over every column of
     neighbor_ids. The statistics and the losses read only the samples and
-    their 1-NN midpoints, which `nbr[:, :1]` at H = 1 evaluates alone.
+    their 1-NN midpoints, so loss kinds alone run the pass at L = H = 1.
     """
-    segments = segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads)
-    return summarize(dataset, checkpoints, segments, np.shape(neighbor_ids)[1], kinds)
+    L, H = scoring_pass(np.shape(neighbor_ids)[-1], trapezoids, kinds)
+    segments = segment_scores(dataset, np.asarray(neighbor_ids)[..., :L], H, checkpoints, threads)
+    return summarize(dataset, checkpoints, segments, L, kinds)
 
 
 def _consistency(p_self, p_mid, clean, epoch):
@@ -390,9 +392,11 @@ def write_score_csv(tables, path):
     return write_lines(path, _SCORE_HEADER, columns)
 
 
-def write_score_summary(tables, trapezoids, n_neighbors, path):
-    """JSON companion to the score CSV: H and L plus table shape."""
-    return write_json(path, {
+def write_scores(tables, trapezoids, n_neighbors, out_dir):
+    """scores.csv and scores_summary.json (H, L, table shape) in out_dir, made if missing."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = write_score_csv(tables, os.path.join(out_dir, "scores.csv"))
+    return path, write_json(os.path.join(out_dir, "scores_summary.json"), {
         "config": {"trapezoids": trapezoids, "n_neighbors": n_neighbors},
         "epochs": [t.epoch for t in tables],
         "kinds": sorted({k for t in tables for k in t.values}),

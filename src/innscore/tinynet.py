@@ -303,6 +303,12 @@ def train(model, dataset, config):
     return TrainResult(model, checkpoints, epoch_loss)
 
 
+def build_and_train(dataset, hidden, lift_freq, config):
+    """`train` a new `init_model` of `hidden` widths and `lift_freq` at config.seed."""
+    model = init_model([dataset.d, *hidden, dataset.n_classes], config.seed, lift_freq)
+    return train(model, dataset, config)
+
+
 def per_sample_loss(probs, labels, loss_kind):
     """Per-sample ce or cene loss of each row of `probs` (n, K) at `labels` (n,).
 

@@ -437,14 +437,46 @@ class TestCli:
                      "--out", str(steps / "gauss")]) == 0
         assert main(["eval", "--scores", scores, "--data", str(run / "dataset.csv"),
                      "--out", str(steps / "eval")]) == 0
+        # h at seed + 2 without the lift, f and the baselines at seed + 3, 4 and 5 with it
+        shared = ["--epochs", str(cfg.epochs), "--checkpoint-every", str(cfg.checkpoint_every),
+                  "--hidden", ",".join(map(str, cfg.hidden)), "--lift-freq", str(cfg.lift_freq)]
+        for tag, argv in (
+            ("h", ["--loss", cfg.h_loss, "--epochs", str(cfg.h_epochs),
+                   "--hidden", ",".join(map(str, cfg.h_hidden)), "--seed", str(cfg.seed + 2)]),
+            ("f", ["--loss", cfg.f_loss, *shared, "--seed", str(cfg.seed + 3)]),
+            ("ce", ["--loss", "ce", *shared, "--seed", str(cfg.seed + 4)]),
+            ("cene", ["--loss", "cene", *shared, "--seed", str(cfg.seed + 5)]),
+        ):
+            assert main(["train", "--data", str(steps / "dataset.csv"), *argv,
+                         "--out", str(steps / tag)]) == 0, tag
+        epochs = (5, 10)
+        for kinds, tag in (("inn,midpoint", "f"), ("loss_ce", "ce"), ("loss_cene", "cene")):
+            models = [arg for epoch in epochs
+                      for arg in ("--model", str(steps / tag / f"model_epoch{epoch}.ckpt"))]
+            assert main(["score", "--data", str(steps / "dataset.csv"), *models,
+                         "--features-from", str(steps / "h" / "model_final.ckpt"),
+                         "--l", str(cfg.n_neighbors), "--h", str(cfg.trapezoids),
+                         "--kinds", kinds, "--out", str(steps / f"score_{tag}")]) == 0, kinds
+            theirs = scorer.read_score_csv(steps / f"score_{tag}" / "scores.csv")
+            assert [t.epoch for t in theirs] == list(epochs)
+            for ours, table in zip(scorer.read_score_csv(run / "scores.csv"), theirs):
+                for kind in kinds.split(","):
+                    assert ours.values[kind].tobytes() == table.values[kind].tobytes(), kind
         for ours, theirs in (
             ("dataset.csv", "dataset.csv"),
             ("split_scores.csv", "beta/split.csv"), ("bmm_fit.json", "beta/beta_fit.json"),
             ("split_loss.csv", "gauss/split.csv"), ("gmm_fit.json", "gauss/gaussian_fit.json"),
             ("auc.csv", "eval/auc.csv"), ("report.json", "eval/report.json"),
             ("histograms_inn.csv", "eval/histograms_inn.csv"),
+            ("checkpoints/h_final.ckpt", "h/model_final.ckpt"),
+            *((f"checkpoints/f_epoch{epoch}.ckpt", f"f/model_epoch{epoch}.ckpt")
+              for epoch in epochs),
+            ("checkpoints/f_epoch10.ckpt", "f/model_final.ckpt"),
         ):
             assert filecmp.cmp(run / ours, steps / theirs, shallow=False), ours
+            if ours.endswith(".ckpt"):  # and the JSON sidecar
+                assert filecmp.cmp(run / f"{ours}.json", steps / f"{theirs}.json",
+                                   shallow=False), ours
 
     def test_corrupt_sym_zero_identical_labels(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -717,6 +749,8 @@ class TestCli:
         (["--k", "0"], "n_classes"),
         (["--k", "1"], "n_classes"),
         (["--trapezoids", "4097"], "trapezoids"),
+        (["--lr-drop-factor", "1e300"], "lr_drop_factor"),  # its square overflows
+        (["--lr-drop-factor", "1e-300"], "lr_drop_factor"),  # its square is 0
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -747,6 +781,39 @@ class TestCli:
         assert done.stderr.count("\n") == 1 and named in done.stderr, done.stderr
         assert "more than the budget of 1e+07" in done.stderr
         assert not (tmp_path / "run" / "train_trace.csv").exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        pytest.param(f.metadata.get("flag", "--" + f.name.replace("_", "-")), text,
+                     id=f"{f.name}={text}")
+        for f in fields(RunConfig)
+        for text in {"int": ("0", "-1"), "int | None": ("0", "-1"),
+                     "float": ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")}.get(f.type, ())
+    ])
+    def test_every_numeric_flag_keeps_the_exit_code_contract(self, tmp_path, flag, text):
+        """Each numeric RunConfig flag at the edges of its type (no memory-sized
+        value among them) exits 0, 2, 3 or 4: one stderr line on a failure, no
+        warning or exception out of main, and strict JSON in the manifest of a
+        success. `--flag=-inf` keeps argparse from reading the value as a flag."""
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
+                "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2",
+                f"{flag}={text}", "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(argv)
+        shown = err.getvalue()
+        assert rc in (0, 2, 3, 4), (rc, shown)
+        if rc:
+            assert shown.count("\n") == 1, shown
+            return
+        assert shown == ""
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(tmp_path / "run" / "manifest.json") as fh:
+            json.load(fh, parse_constant=reject)
 
     @pytest.mark.parametrize("argv, named", [
         (["pipeline", "--quiet", "--trapezoids", "4097"],
@@ -780,6 +847,21 @@ class TestCli:
         assert done.returncode == 2, done.stderr
         assert done.stderr.count("\n") == 1 and named in done.stderr, done.stderr
         assert not (tmp_path / "run").exists()
+
+    def test_loss_columns_alone_are_charged_their_narrow_pass(self, tmp_path, capsys):
+        """Loss columns alone are scored at L = H = 1, and the probe budget
+        charges that pass: an --l and --h asking for 2e9 probe rows give the
+        table of a small --l and --h."""
+        data.write_csv(data.synth("blobs", 2000, 3, 2, 0.5, seed=0), tmp_path / "d.csv")
+        for name, seed in (("h", 0), ("f", 1)):
+            tinynet.save_checkpoint(tinynet.init_model([2, 4, 3], seed), tmp_path / f"{name}.ckpt")
+        argv = ["score", "--data", str(tmp_path / "d.csv"), "--model", str(tmp_path / "f.ckpt"),
+                "--features-from", str(tmp_path / "h.ckpt"), "--kinds", "loss_ce"]
+        for L, H in ((1000, 1000), (3, 2)):
+            assert main([*argv, "--l", str(L), "--h", str(H),
+                         "--out", str(tmp_path / f"l{L}")]) == 0, capsys.readouterr().err
+        assert filecmp.cmp(tmp_path / "l1000" / "scores.csv", tmp_path / "l3" / "scores.csv",
+                           shallow=False)
 
     def test_diverged_model_exits_three(self, tmp_path, capsys):
         """Parameters that diverge are a numeric failure, without numpy warnings."""
@@ -967,6 +1049,10 @@ class TestMalformedInputsCli:
              "n_neighbors is 0, not a positive integer"),
             (["train", "--data", world["csv"], "--lr0", "nan", "--out", out],
              "lr0 is nan, not positive"),
+            (["train", "--data", world["csv"], "--lr-drop-factor", "1e300", "--out", out],
+             "lr_drop_factor is 1e+300, too big or small to square"),
+            (["train", "--data", world["csv"], "--lr-drop-factor", "1e-300", "--out", out],
+             "lr_drop_factor is 1e-300, too big or small to square"),
             (["eval", "--scores", world["scores"], "--data", world["csv"], "--bins", "0",
               "--out", out], "bins is 0, not a positive integer"),
             (["corrupt", "--data", world["csv"], "--sym", "0.2", "--rate", "0.5", "--out", out],
