@@ -3,7 +3,8 @@
 Subcommands compose the library's stage functions, which `pipeline` and
 `timing` run in sequence: `synth` and `corrupt` build datasets, `train`
 fits a model (`tinynet.build_and_train`), `score` scores checkpoints
-(`config.check_neighbor_count`, `check_probe_rows`, `scorer.score_models`,
+(`config.check_neighbor_count`, `check_probe_rows`, `neighbors.search` on
+the penultimate layer of --features-from, `scorer.score_models`,
 `write_scores`), `oracle` enumerates the analytic separation check, and
 `split` and `eval` post-process score tables (`mixture.split_to_files`,
 `evaluate`). Exit codes: 0 success, 2 bad configuration (a missing input
@@ -74,14 +75,14 @@ def build_parser():
     p.add_argument("--model", action="append", required=True,
                    help="f checkpoint; repeat for an epoch sweep")
     p.add_argument("--features-from", required=True,
-                   help="checkpoint whose penultimate layer defines neighbors")
+                   help="checkpoint whose penultimate layer defines the neighbors, "
+                        "searched on every run")
     _add_flags(p, RunConfig, ("n_neighbors", "out_dir"))  # --l
     p.add_argument("--h", dest="trapezoids", type=int, default=10, help="trapezoid count")
     p.add_argument("--kinds", default="inn,midpoint",
                    help=f"columns to emit ({','.join(SCORE_KINDS)}); loss columns use the "
                         "scored checkpoint's own losses, and with loss columns alone the pass "
                         "runs, and the probe budget charges it, at --h 1 --l 1")
-    p.add_argument("--neighbors", default=None, help="reuse a neighbor cache CSV")
 
     p = sub.add_parser("oracle", help="enumerate the analytic separation check")
     p.add_argument("--k", type=int, default=2)
@@ -182,7 +183,7 @@ def _cmd_synth(args):
 
     _check_name(args.name)
     settings = fields_from(RunConfig, args)
-    RunConfig(**settings)  # rejects a non-finite --spread
+    RunConfig(**settings)  # rejects a --spread, --seed or --n out of range
     ds = data.synth(args.synth_kind, args.n, args.n_classes, args.dim, args.spread, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     path = data.write_csv(ds, os.path.join(args.out_dir, args.name))
@@ -220,7 +221,7 @@ def _cmd_train(args):
     from . import data, tinynet
 
     tc = TrainConfig(**fields_from(TrainConfig, args))
-    RunConfig(hidden=args.hidden)  # rejects a --hidden width below 1
+    RunConfig(hidden=args.hidden, lift_freq=args.lift_freq)  # rejects them out of range
     ds = data.read_csv(args.data_path)
     check_training_steps(ds.n, tc.batch_size, tc.epochs, f"epochs {tc.epochs}")
     result = tinynet.build_and_train(ds, args.hidden, args.lift_freq, tc)
@@ -272,19 +273,15 @@ def _cmd_score(args):
         path_of[epoch] = ckpt
         checkpoints.append((epoch, model))
 
-    if args.neighbors:
-        nbr, dist = neighbors.read_cache(args.neighbors, ds.ids, L)
-    else:
-        nbr, dist = neighbors.search(h_model.penultimate(ds.features), L)
+    nbr, dist = neighbors.search(h_model.penultimate(ds.features), L)
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
-    # a cache may hold more than --l columns
-    tables, _ = scorer.score_models(ds, nbr[:, :L], args.trapezoids, checkpoints, kinds=kinds)
+    tables, _ = scorer.score_models(ds, nbr, args.trapezoids, checkpoints, kinds=kinds)
     path, _ = scorer.write_scores(tables, args.trapezoids, L, args.out_dir)
     print(f"wrote {path} ({len(tables)} checkpoints, kinds: {','.join(kinds)})")
     write_manifest({**settings, "model": args.model, "features_from": args.features_from,
-                    "kinds": kinds, "neighbors": args.neighbors}, args.command)
+                    "kinds": kinds}, args.command)
     return 0
 
 

@@ -201,6 +201,8 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive or None")
+        if self.seed < 0:
+            raise ValueError(f"seed is {self.seed}, not at least 0")
         _reject_non_finite(self)
         if not 0.0 < self.lr_drop_factor * self.lr_drop_factor < math.inf:
             raise ValueError(f"lr_drop_factor is {self.lr_drop_factor}, too big or small to square")
@@ -283,6 +285,13 @@ class RunConfig:
                                  "does not read it")
         TrainConfig(**fields_from(TrainConfig, self))  # checks the shared training settings
         _reject_non_finite(self)
+        for name in ("spread", "lift_freq"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} is {getattr(self, name)}, not at least 0")
+        if self.lift_freq > 0 and not self.hidden:
+            raise ValueError(f"hidden is (), but lift_freq {self.lift_freq} needs a hidden layer")
+        if self.data_path is None and self.n < self.n_classes:
+            raise ValueError(f"n is {self.n}, fewer than the {self.n_classes} classes")
 
     def scaled(self, value):
         return max(1, int(round(value * self.epoch_scale)))

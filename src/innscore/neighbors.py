@@ -57,7 +57,7 @@ import functools
 import numpy as np
 
 from . import workers
-from ._records import read_rows, write_lines
+from ._records import write_lines
 
 # pairs per block and per recheck pass; bounds the search's working memory
 _CHUNK_ELEMENTS = 1 << 17
@@ -194,58 +194,16 @@ def search(features, n_neighbors, threads=None):
     return ids, dist
 
 
-# --- neighbor cache file ----------------------------------------------
+# --- neighbor table file ----------------------------------------------
 #
-# CSV `id,n1..nL,d1..dL` keyed by dataset ids so an expensive search can
-# be reused across score sweeps.
-
-
-def _cache_header(L):
-    return ["id"] + [f"n{k+1}" for k in range(L)] + [f"d{k+1}" for k in range(L)]
-
-
-def _distance(cell):
-    value = float(cell)
-    if not 0.0 <= value < np.inf:
-        raise ValueError("a distance is not finite, >= 0")
-    return value
+# CSV `id,n1..nL,d1..dL` keyed by dataset ids: the pipeline's neighbors.csv,
+# a run output that nothing in innscore reads back.
 
 
 def write_cache(ids, dist, dataset_ids, path):
     ds_ids = np.asarray(dataset_ids, dtype=np.int64)
     L = ids.shape[1]
+    header = ["id"] + [f"n{k+1}" for k in range(L)] + [f"d{k+1}" for k in range(L)]
     line = ",".join(["{}"] * (1 + L) + ["{!r}"] * L) + "\n"  # str(id), repr(distance)
     columns = [ds_ids.tolist(), *ds_ids[ids].T.tolist(), *dist.T.tolist()]
-    return write_lines(path, _cache_header(L), map(line.format, *columns))
-
-
-def read_cache(path, dataset_ids, n_neighbors=1):
-    """(ids, dist) of a cache in dataset order; ValueError names the bad line or missing id."""
-    ds_ids = np.asarray(dataset_ids, dtype=np.int64)
-    row_of = {int(v): r for r, v in enumerate(ds_ids)}
-    names, rows = read_rows(path, lambda names: _cache_header(max(1, (len(names) - 1) // 2)),
-                            {"id": int, "n": int, "d": _distance})
-    L = (len(names) - 1) // 2
-    if L < max(1, n_neighbors):
-        raise ValueError(f"{path}: line 1: {L} neighbor columns, fewer than L={n_neighbors}")
-    ids = np.full((ds_ids.size, L), -1, dtype=np.int64)
-    dist = np.empty((ds_ids.size, L))
-    for lineno, cells in rows:
-        try:
-            owner, *nbrs = [row_of[v] for v in cells[: 1 + L]]
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {lineno}: id {exc} is not in the dataset") from None
-        d = cells[1 + L :]
-        for bad, what in (
-            (any(a > b for a, b in zip(d, d[1:])), "distances decrease along the row"),
-            (owner in nbrs, "the row lists its own id as a neighbor"),
-            (len(set(nbrs)) < L, "the row lists one neighbor twice"),
-            (ids[owner, 0] >= 0, "the id already has a row"),
-        ):
-            if bad:
-                raise ValueError(f"{path}: line {lineno}: {what}")
-        ids[owner], dist[owner] = nbrs, d
-    missing = np.flatnonzero(ids[:, 0] < 0)
-    if missing.size:
-        raise ValueError(f"{path}: line {rows[-1][0] + 1}: id {ds_ids[missing[0]]} has no row")
-    return ids, dist
+    return write_lines(path, header, map(line.format, *columns))

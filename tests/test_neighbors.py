@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_knn as brute_force
 from innscore import data, neighbors
+from innscore._records import read_rows
 
 
 class TestQuery:
@@ -221,55 +222,13 @@ class TestHelpers:
             assert np.array_equal(labels[i], ds.observed_labels[ids_i])
 
     def test_cache_roundtrip(self, tmp_path):
+        """The writer's table, read back by the generic CSV reader."""
         ds = data.synth("blobs", 25, 2, 2, 0.2, seed=1)
         ds_ids = ds.ids + 1000  # non-contiguous ids must survive
         ids, dist = neighbors.search(ds.features, 3)
         path = neighbors.write_cache(ids, dist, ds_ids, tmp_path / "nn.csv")
-        back_ids, back_dist = neighbors.read_cache(path, ds_ids)
-        assert np.array_equal(ids, back_ids)
-        assert np.array_equal(dist, back_dist)
-
-    def test_cache_rows_in_any_order(self, tmp_path):
-        ds = data.synth("blobs", 12, 2, 2, 0.2, seed=2)
-        ids, dist = neighbors.search(ds.features, 3)
-        path = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn.csv")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
-        back_ids, back_dist = neighbors.read_cache(path, ds.ids)
-        assert np.array_equal(ids, back_ids) and np.array_equal(dist, back_dist)
-
-    @pytest.mark.parametrize(
-        "edit, shown",
-        [
-            (lambda c: c[:4] + ["nan"] + c[5:], "line 3: a distance is not finite, >= 0"),
-            (lambda c: c[:6] + ["inf"], "line 3: a distance is not finite, >= 0"),
-            (lambda c: c[:4] + ["-1.0"] + c[5:], "line 3: a distance is not finite, >= 0"),
-            (lambda c: c[:4] + [c[6], c[5], c[4]], "line 3: distances decrease"),
-            (lambda c: [c[0], c[0]] + c[2:], "line 3: the row lists its own id"),
-            (lambda c: [c[0], c[2]] + c[2:], "line 3: the row lists one neighbor twice"),
-            (lambda c: ["1000"] + c[1:], "line 3: the id already has a row"),
-            (lambda c: c[:-1], "line 3: expected 7 fields"),
-            (lambda c: [c[0], "77"] + c[2:], "line 3: id 77 is not in the dataset"),
-        ],
-    )
-    def test_cache_reader_rejects(self, tmp_path, edit, shown):
-        ds = data.synth("blobs", 10, 2, 2, 0.2, seed=3)
-        ds_ids = ds.ids + 1000
-        ids, dist = neighbors.search(ds.features, 3)
-        path = neighbors.write_cache(ids, dist, ds_ids, tmp_path / "nn.csv")
-        lines = path.read_text().splitlines()
-        lines[2] = ",".join(edit(lines[2].split(",")))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=shown):
-            neighbors.read_cache(path, ds_ids)
-
-    def test_cache_reader_rejects_missing_row_and_short_table(self, tmp_path):
-        ds = data.synth("blobs", 10, 2, 2, 0.2, seed=4)
-        ids, dist = neighbors.search(ds.features, 3)
-        path = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn.csv")
-        with pytest.raises(ValueError, match="line 1: 3 neighbor columns, fewer than L=4"):
-            neighbors.read_cache(path, ds.ids, 4)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
-        with pytest.raises(ValueError, match=f"id {ds.ids[4]} has no row"):
-            neighbors.read_cache(path, ds.ids)
+        _, rows = read_rows(path, ["id", "n1", "n2", "n3", "d1", "d2", "d3"],
+                            {"id": int, "n": int, "d": float})
+        assert [cells[0] for _, cells in rows] == ds_ids.tolist()
+        assert np.array_equal([cells[1:4] for _, cells in rows], ds_ids[ids])
+        assert np.array_equal([cells[4:] for _, cells in rows], dist)  # repr is exact

@@ -22,7 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from innscore import data, neighbors, scorer, tinynet, workers
+from innscore._records import read_rows
 from innscore.cli import main
+from innscore.config import TrainConfig
 from innscore.pipeline import RunConfig, run_pipeline
 
 
@@ -82,8 +84,9 @@ class TestPipeline:
         np.testing.assert_array_equal(
             tables[-1].values["inn"], result.score_tables[-1].values["inn"]
         )
-        nbr, _ = neighbors.read_cache(out / "neighbors.csv", ds.ids)
-        assert len(nbr) == ds.n
+        header = ["id", *(f"n{k}" for k in range(1, 5)), *(f"d{k}" for k in range(1, 5))]
+        _, rows = read_rows(out / "neighbors.csv", header, {"id": int, "n": int, "d": float})
+        assert [cells[0] for _, cells in rows] == ds.ids.tolist()
 
         ckpts = os.listdir(out / "checkpoints")
         assert "h_final.ckpt" in ckpts
@@ -324,6 +327,49 @@ class TestOneForwardPerCheckpoint:
         assert table.values["loss_ce"].tobytes() == want.tobytes()
 
 
+def _flag(f):
+    """The command-line flag of settings field `f`."""
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+# the values at the edges of each numeric flag type
+_EDGE_VALUES = {"int": ("0", "-1"), "int | None": ("0", "-1"),
+                "float": ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")}
+# (command, flag, values) of the step commands' own numeric flags and train's --hidden
+_STEP_FLAGS = [
+    *(("train", _flag(f), _EDGE_VALUES[f.type]) for f in fields(TrainConfig)
+      if f.type in _EDGE_VALUES),
+    ("train", "--lift-freq", _EDGE_VALUES["float"]), ("train", "--hidden", ("", "0", "-1")),
+    ("score", "--l", _EDGE_VALUES["int"]), ("score", "--h", _EDGE_VALUES["int"]),
+    *(("synth", _flag(f), _EDGE_VALUES[f.type]) for f in fields(RunConfig)
+      if f.name in ("n", "n_classes", "dim", "spread", "seed")),
+]
+
+
+def _keeps_the_contract(argv, out_dir):
+    """`main(argv + --out out_dir)` exits 0, 2, 3 or 4: one stderr line on a
+    failure, no warning or exception out of main, and no stderr and strict
+    JSON in the manifest of a success. Values are passed as `--flag=value`,
+    which keeps argparse from reading `-inf` as a flag."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main([*argv, "--out", str(out_dir)])
+    shown = err.getvalue()
+    assert rc in (0, 2, 3, 4), (rc, shown)
+    if rc:
+        assert shown.count("\n") == 1, shown
+        return
+    assert shown == ""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        json.load(fh, parse_constant=reject)
+
+
 class TestCli:
     def test_synth_corrupt_train_score_split_eval(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -514,18 +560,6 @@ class TestCli:
         shown = capsys.readouterr().out
         assert "total" in shown
 
-    def test_score_uses_l_columns_of_a_wider_cache(self, world, tmp_path):
-        ds = data.read_csv(world["csv"])
-        h, _ = tinynet.load_checkpoint(world["root"] / "h.ckpt")
-        ids, dist = neighbors.search(h.penultimate(ds.features), 3)
-        cache = neighbors.write_cache(ids, dist, ds.ids, tmp_path / "nn3.csv")
-        args = ["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
-                "--features-from", str(world["root"] / "h.ckpt"), "--l", "2", "--h", "3"]
-        assert main([*args, "--neighbors", str(cache), "--out", str(tmp_path / "cached")]) == 0
-        assert main([*args, "--out", str(tmp_path / "searched")]) == 0
-        assert filecmp.cmp(tmp_path / "cached" / "scores.csv",
-                           tmp_path / "searched" / "scores.csv", shallow=False)
-
     @pytest.mark.parametrize("k, d, model, bad, shown", [
         (4, 2, "f.ckpt", "f.ckpt", "model has 2 classes, too few for observed label 3"),
         (2, 3, "f.ckpt", "h.ckpt", "model input width 2 is not the dataset's 3 feature columns"),
@@ -581,51 +615,18 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
             assert capsys.readouterr().err == f"error: hidden is {shown}, not all positive integers\n"
         assert not (tmp_path / "out").exists()
+        # no hidden layer and no lift: a softmax regression
+        assert main(["train", "--data", world["csv"], "--hidden", "", "--epochs", "1",
+                     "--out", str(tmp_path / "linear")]) == 0
 
-    def test_missing_file_is_config_error(self, world, tmp_path, capsys):
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["corrupt", "--data", "/no/such/file.csv", "--sym", "0.1",
                      "--out", str(tmp_path)]) == 2
         assert main(["score", "--data", "/no/such.csv", "--model", "/no/model",
                      "--features-from", "/no/h", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
-        for argv, missing in (
-            (["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
-              "--features-from", str(world["root"] / "h.ckpt"), "--l", "2",
-              "--neighbors", "/no/such/nn.csv", "--out", str(tmp_path)], "/no/such/nn.csv"),
-            (["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)], "/no/such.cfg"),
-        ):
-            assert main(argv) == 2, argv
-            assert capsys.readouterr().err == f"error: file not found: {missing}\n"
-
-    def test_neighbor_cache_errors_exit_two(self, tmp_path, capsys):
-        run_pipeline(tiny_config(tmp_path / "run", baselines=False), quiet=True)
-        run = tmp_path / "run"
-        lines = (run / "neighbors.csv").read_text().splitlines()
-        cells = lines[3].split(",")
-        unknown = "\n".join(lines[:3] + [",".join([cells[0], "99999", *cells[2:]])] + lines[4:])
-        short = "\n".join(lines[:3] + [",".join(cells[:-1])] + lines[4:])
-        # an id whose row is elsewhere and that is not among line 4's neighbors
-        other = next(row.split(",")[0] for row in lines[1:] if row.split(",")[0] not in cells[:5])
-        edits = {
-            "nan.csv": (cells[:5] + ["nan"] + cells[6:], "not finite, >= 0"),
-            "self.csv": ([cells[0], cells[0], *cells[2:]], "its own id"),
-            "decrease.csv": (cells[:5] + cells[5:][::-1], "decrease"),
-            "twice.csv": ([other, *cells[1:]], "already has a row"),
-        }
-        cases = [("unknown.csv", unknown, "99999"), ("short.csv", short, "fields")] + [
-            (name, "\n".join(lines[:3] + [",".join(row)] + lines[4:]), shown)
-            for name, (row, shown) in edits.items()
-        ]
-        for name, text, shown in cases:
-            (tmp_path / name).write_text(text + "\n")
-            rc = main(["score", "--data", str(run / "dataset.csv"),
-                       "--model", str(run / "checkpoints" / "f_epoch10.ckpt"),
-                       "--features-from", str(run / "checkpoints" / "h_final.ckpt"),
-                       "--neighbors", str(tmp_path / name), "--l", "4", "--h", "5",
-                       "--out", str(tmp_path / "scores")])
-            err = capsys.readouterr().err
-            assert rc == 2, name
-            assert err.count("\n") == 1 and "line 4" in err and shown in err, err
+        assert main(["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: file not found: /no/such.cfg\n"
 
     def test_threads_flag_overrides_preset_environment(self, tmp_path, monkeypatch):
         from innscore import cli
@@ -642,6 +643,28 @@ class TestCli:
         monkeypatch.setattr(cli, "_cmd_pipeline", fake_pipeline)
         assert main(["pipeline", "--threads", "1", "--out", str(tmp_path)]) == 0
         assert seen == {var: "1" for var in variables}
+
+    def test_train_and_score_load_no_mixture_and_warn_nothing(self, world, tmp_path):
+        """`train` and `score`, each in a fresh process with RuntimeWarnings as
+        errors, exit 0 with an empty stderr and load neither the mixture fits
+        nor scipy.special."""
+        import innscore
+
+        code = ("import sys; from innscore.cli import main; rc = main(sys.argv[1:]); "
+                "print('loaded:', [m for m in ('innscore.mixture', 'scipy.special') "
+                "if m in sys.modules]); sys.exit(rc)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(innscore.__file__)))
+        for argv in (["train", "--data", world["csv"], "--epochs", "2", "--hidden", "8,4",
+                      "--out", str(tmp_path / "t")],
+                     ["score", "--data", world["csv"], "--model",
+                      str(tmp_path / "t" / "model_final.ckpt"), "--features-from",
+                      str(world["root"] / "h.ckpt"), "--l", "3", "--h", "2",
+                      "--out", str(tmp_path / "s")]):
+            done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                                   *argv], capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": src})
+            assert (done.returncode, done.stderr) == (0, ""), (argv[0], done.stderr)
+            assert done.stdout.splitlines()[-1] == "loaded: []", (argv[0], done.stdout)
 
     def test_parsing_loads_no_numpy(self, tmp_path):
         """--threads sets the BLAS variables, so parsing must not load numpy."""
@@ -751,6 +774,11 @@ class TestCli:
         (["--trapezoids", "4097"], "trapezoids"),
         (["--lr-drop-factor", "1e300"], "lr_drop_factor"),  # its square overflows
         (["--lr-drop-factor", "1e-300"], "lr_drop_factor"),  # its square is 0
+        (["--lift-freq", "-1"], "lift_freq"),
+        (["--hidden", ""], "hidden"),  # the default lift needs a hidden layer
+        (["--spread", "-1"], "spread"),
+        (["--seed", "-1"], "seed"),
+        (["--n", "3", "--k", "4"], "n"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -783,37 +811,31 @@ class TestCli:
         assert not (tmp_path / "run" / "train_trace.csv").exists()
 
     @pytest.mark.parametrize("flag, text", [
-        pytest.param(f.metadata.get("flag", "--" + f.name.replace("_", "-")), text,
-                     id=f"{f.name}={text}")
-        for f in fields(RunConfig)
-        for text in {"int": ("0", "-1"), "int | None": ("0", "-1"),
-                     "float": ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")}.get(f.type, ())
+        pytest.param(_flag(f), text, id=f"{f.name}={text}")
+        for f in fields(RunConfig) for text in _EDGE_VALUES.get(f.type, ())
     ])
     def test_every_numeric_flag_keeps_the_exit_code_contract(self, tmp_path, flag, text):
         """Each numeric RunConfig flag at the edges of its type (no memory-sized
-        value among them) exits 0, 2, 3 or 4: one stderr line on a failure, no
-        warning or exception out of main, and strict JSON in the manifest of a
-        success. `--flag=-inf` keeps argparse from reading the value as a flag."""
-        out, err = io.StringIO(), io.StringIO()
-        argv = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
-                "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2",
-                f"{flag}={text}", "--out", str(tmp_path / "run")]
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            rc = main(argv)
-        shown = err.getvalue()
-        assert rc in (0, 2, 3, 4), (rc, shown)
-        if rc:
-            assert shown.count("\n") == 1, shown
-            return
-        assert shown == ""
+        value among them) keeps the exit-code contract of `_keeps_the_contract`."""
+        _keeps_the_contract(["pipeline", "--quiet", "--n", "60", "--epochs", "2",
+                             "--h-epochs", "1", "--hidden", "8,4", "--h-hidden", "4,2",
+                             "--l", "3", "--trapezoids", "2", f"{flag}={text}"], tmp_path / "run")
 
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        with open(tmp_path / "run" / "manifest.json") as fh:
-            json.load(fh, parse_constant=reject)
+    @pytest.mark.parametrize("command, flag, text", [
+        pytest.param(command, flag, text, id=f"{command} {flag}={text}")
+        for command, flag, values in _STEP_FLAGS for text in values
+    ])
+    def test_every_step_flag_keeps_the_exit_code_contract(self, world, tmp_path, command, flag,
+                                                           text):
+        """The numeric flags of `train`, `score` and `synth`, and `train --hidden`,
+        at the same edges keep the same contract."""
+        root = world["root"]
+        base = {"train": ["--data", world["csv"], "--loss", "mixup", "--epochs", "2",
+                          "--hidden", "8,4"],
+                "score": ["--data", world["csv"], "--model", str(root / "f.ckpt"),
+                          "--features-from", str(root / "h.ckpt"), "--l", "3", "--h", "2"],
+                "synth": ["--n", "30"]}[command]
+        _keeps_the_contract([command, *base, f"{flag}={text}"], tmp_path / "run")
 
     @pytest.mark.parametrize("argv, named", [
         (["pipeline", "--quiet", "--trapezoids", "4097"],
@@ -1058,6 +1080,14 @@ class TestMalformedInputsCli:
             (["corrupt", "--data", world["csv"], "--sym", "0.2", "--rate", "0.5", "--out", out],
              "--rate is the rate of --map and goes only with it"),
             (["synth", "--k", "0", "--out", out], "n_classes is 0, not at least 2"),
+            (["synth", "--n", "3", "--k", "4", "--out", out], "n is 3, fewer than the 4 classes"),
+            (["synth", "--spread", "-1", "--out", out], "spread is -1.0, not at least 0"),
+            (["train", "--data", world["csv"], "--seed", "-1", "--out", out],
+             "seed is -1, not at least 0"),
+            (["train", "--data", world["csv"], "--lift-freq", "-1", "--out", out],
+             "lift_freq is -1.0, not at least 0"),
+            (["train", "--data", world["csv"], "--hidden", "", "--lift-freq", "2", "--out", out],
+             "hidden is (), but lift_freq 2.0 needs a hidden layer"),
         ]
         for argv, shown in cases:
             assert main(argv) == 2, argv
@@ -1138,19 +1168,19 @@ class TestCorruptDatasetCli:
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """Valid input files of every format the CLI reads, for 30 samples."""
+    """Valid input files of every format the CLI reads, for 30 samples: a
+    dataset, two checkpoints and a score table."""
     root = tmp_path_factory.mktemp("world")
     ds = data.corrupt_symmetric(data.synth("blobs", 30, 2, 2, 0.5, seed=0), 0.3, seed=1)
     h = tinynet.init_model([2, 4, 2, 2], seed=0)
     f = tinynet.init_model([2, 8, 4, 2], seed=1, lift_freq=2.0)
     tinynet.save_checkpoint(h, root / "h.ckpt", epoch=3)
     tinynet.save_checkpoint(f, root / "f.ckpt", epoch=3)
-    ids, dist = neighbors.search(ds.features, 3)
-    tables, _ = scorer.score_models(ds, ids[:, :3], 2, [(1, h), (2, f)])
+    ids, _ = neighbors.search(ds.features, 3)
+    tables, _ = scorer.score_models(ds, ids, 2, [(1, h), (2, f)])
     return {
         "root": root,
         "csv": str(data.write_csv(ds, root / "d.csv")),
-        "cache": str(neighbors.write_cache(ids, dist, ds.ids, root / "nn.csv")),
         "scores": str(scorer.write_score_csv(tables, root / "scores.csv")),
     }
 
@@ -1189,22 +1219,6 @@ class TestCorruptFilesCli:
                          ["eval", "--scores", path, "--data", world["csv"], "--out", tmp]):
                 rc, shown = _run_quietly(argv)
                 assert rc != 0 and "line " in shown, (argv[0], shown)
-
-    @settings(max_examples=30, deadline=None)
-    @given(line=st.integers(2, 31), other=st.integers(2, 31), col=st.integers(0, 6),
-           edit=_LINE_EDITS)
-    def test_neighbor_cache(self, world, line, other, col, edit):
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = open(world["cache"]).read().splitlines()
-            assume(_corrupt_line(lines, line, other, col, edit))
-            path = os.path.join(tmp, "nn.csv")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            rc, shown = _run_quietly(
-                ["score", "--data", world["csv"], "--model", str(world["root"] / "f.ckpt"),
-                 "--features-from", str(world["root"] / "h.ckpt"), "--neighbors", path,
-                 "--l", "3", "--h", "2", "--out", tmp])
-            assert rc != 0 and "line " in shown, shown
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(["f.ckpt", "h.ckpt"]), at=st.floats(0, 1, exclude_max=True),
