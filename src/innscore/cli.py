@@ -39,8 +39,17 @@ def imbalance(text):
     return int(a), int(b), float(keep), float(flip)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments as every configuration error is rejected: one
+    `error: ...` line on stderr, without the usage block, and exit 2. The
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="innscore",
         description="Identify clean-labeled samples in noisy training data "
         "via integrated nearest-neighbor prediction scores.",
@@ -143,7 +152,7 @@ def _apply_config_file(args, argv):
     dest: a `RunConfig` field, `threads` or `quiet`. Its value goes through
     the flag's parser and choices. An unknown or repeated key, or a value
     either rejects, is a configuration error naming the file and line."""
-    parser = argparse.ArgumentParser(prog=f"innscore {args.command}")
+    parser = _Parser(prog=f"innscore {args.command}")
     _add_run_flags(parser)
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     values = {}

@@ -191,16 +191,17 @@ class TrainConfig:
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs is {self.epochs}, not at least 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+            raise ValueError(f"batch_size is {self.batch_size}, not a positive integer")
         for name in ("lr0", "lr_drop_factor", "mixup_alpha"):
             if not getattr(self, name) > 0:  # false for nan too
                 raise ValueError(f"{name} is {getattr(self, name)}, not positive")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+            raise ValueError(f"momentum is {self.momentum}, not in [0, 1)")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive or None")
+            raise ValueError(f"checkpoint_every is {self.checkpoint_every}, "
+                             "not a positive integer or None")
         if self.seed < 0:
             raise ValueError(f"seed is {self.seed}, not at least 0")
         _reject_non_finite(self)
@@ -292,6 +293,8 @@ class RunConfig:
             raise ValueError(f"hidden is (), but lift_freq {self.lift_freq} needs a hidden layer")
         if self.data_path is None and self.n < self.n_classes:
             raise ValueError(f"n is {self.n}, fewer than the {self.n_classes} classes")
+        if self.data_path is None and self.dim < 2:
+            raise ValueError(f"dim is {self.dim}, not at least 2")
 
     def scaled(self, value):
         return max(1, int(round(value * self.epoch_scale)))

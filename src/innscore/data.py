@@ -110,7 +110,7 @@ def synth(kind, n, n_classes, dim, spread, seed):
     if n < n_classes:
         raise ValueError("need at least one sample per class")
     if dim < 2:
-        raise ValueError("dim must be >= 2")
+        raise ValueError(f"dim is {dim}, not at least 2")
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % n_classes
     if kind == "blobs":

@@ -23,13 +23,15 @@ ReLU and identity first layers, and a sin layer at H <= 2, interpolate
 the pre-activations and then activate. The midpoint is node H/2 when H
 is even; for odd H it is one more interior node, evaluated directly.
 
-The pass runs on the `workers` pool of at most `threads` workers, one
-chunk of edges at a time. Within a chunk, the interior activations are
-computed in row slices, one per worker, and then each checkpoint's
-remaining layers are one job that writes only its own Segments. The
-chunks themselves do not depend on the pool size, and every job computes
-its part as the whole would, so the scores are the same bits whatever
-the pool size.
+The pass runs on the `workers` pool of at most `threads` workers, in two
+calls per group of checkpoints that share a first layer: one job per
+checkpoint evaluates f at the samples, then one job per chunk of edges
+builds the chunk's interior activations, in blocks of edges that bound
+the temporaries, runs every checkpoint's remaining layers on them and
+writes the chunk's own slots. A worker holds one chunk at a time, so the
+working memory is one chunk per worker. The chunks do not depend on the
+pool size, and every job computes its part as the whole would, so the
+scores are the same bits whatever the pool size.
 """
 
 from __future__ import annotations
@@ -46,10 +48,16 @@ from .config import CHUNK_PROBES as _CHUNK_PROBES  # interior probe rows per chu
 from .config import check_score_kinds, scoring_pass
 from .errors import NumericError
 
-# about as many (edge, unit) arrays as a rotating chunk holds besides its
-# probe rows: endpoints, sin and cos at a, the step, its phasor, the
-# running phasor; caps the edges per chunk when there are few nodes
+# about as many (edge, unit) arrays as a rotation holds besides its probe
+# rows: endpoints, sin and cos at a, the step, its phasor, the running
+# phasor; caps the edges per chunk when there are few nodes. The blocks
+# below now bound those arrays, but the chunk boundaries fix the bits of
+# the tails' matmuls, so the cap stays.
 _EDGE_ROWS = 8
+# (edge, unit) pairs per block of a chunk's interior activations: a
+# block's _EDGE_ROWS arrays take 1 MB whatever the width, an eighth of a
+# 256-wide chunk's probe rows (64 edges there, 256 at width 64)
+_BLOCK_PAIRS = 4 * _CHUNK_PROBES
 
 
 @dataclass
@@ -228,7 +236,10 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
     of (epoch, model). Returns one Segments per checkpoint. Checkpoints
     whose frozen first layer is identical share its activations, which
     are computed once per chunk. threads caps the worker pool (default:
-    the usable cores); the result does not depend on it.
+    the usable cores); the result does not depend on it. Each group of
+    such checkpoints is two pool calls, whatever the number of chunks:
+    one job per checkpoint at the samples, then one job per chunk of
+    edges, so that each worker holds one chunk's probes at a time.
 
     The pass runs over undirected edges: a segment listed by both of its
     ends is evaluated once, from its lower endpoint a, and the full
@@ -276,6 +287,7 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
         Z = affine(X)
         A = activate(Z)
         C = np.cos(Z) if rotate else None
+        block = max(1, _BLOCK_PAIRS // Z.shape[1])  # edges per block
 
         def endpoints(c, tail):
             P = tail(A)  # f at the n samples: every segment's endpoint nodes
@@ -285,12 +297,13 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
 
         workers.run([functools.partial(endpoints, c, tail)
                      for c, tail in zip(members, tails)], threads)
-        for e0, lo, hi in zip(range(0, a.size, chunk), bounds[:-1], bounds[1:]):
+
+        def chunk_job(e0, lo, hi):  # edges e0 .. e0 + chunk and their slots lo .. hi
             ea, eb = a[e0 : e0 + chunk], b[e0 : e0 + chunk]
             m = ea.size
             A_in = np.empty((m, T, Z.shape[1]))
-
-            def interior(part):  # rows `part` of A_in, elementwise: any split gives its bits
+            for i in range(0, m, block):  # elementwise: any split gives the same bits
+                part = slice(i, i + block)
                 za, zb = Z[ea[part]], Z[eb[part]]
                 if rotate:
                     rotate_sin(A[ea[part]], C[ea[part]], za, zb, H, out=A_in[part])
@@ -298,22 +311,17 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
                         A_in[part, H - 1] = np.sin(0.5 * za + 0.5 * zb)
                 else:
                     A_in[part] = activate(left * za[:, None, :] + right * zb[:, None, :])
-
-            cuts = np.linspace(0, m, workers.pool_size(threads, m) + 1).astype(int).tolist()
-            workers.run([functools.partial(interior, slice(i, j))
-                         for i, j in zip(cuts, cuts[1:])], threads)
             probes = A_in.reshape(m * T, -1)
             s = slots[lo:hi]
             at, label = slot_edge[lo:hi] - e0, y[s // L]
-
-            def tail_nodes(c, tail):
+            for c, tail in zip(members, tails):
                 # f_y of each slot's own sample, at its edge's interior nodes
                 nodes = tail(probes).reshape(m, T, -1)[at, :, label]
                 out[c].inn.reshape(-1)[s] += nodes[:, : H - 1] @ w[1:H]
                 out[c].midpoint.reshape(-1)[s] = nodes[:, mid]
 
-            workers.run([functools.partial(tail_nodes, c, tail)
-                         for c, tail in zip(members, tails)], threads)
+        workers.run([functools.partial(chunk_job, e0, lo, hi) for e0, lo, hi
+                     in zip(range(0, a.size, chunk), bounds[:-1], bounds[1:])], threads)
     return out
 
 

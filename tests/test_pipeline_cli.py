@@ -686,6 +686,21 @@ class TestCli:
             main(["pipeline", "--noise", "sideways"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["pipeline", "--n", "many"], "error: argument --n: invalid int value: 'many'\n"),
+        (["pipeline", "--noise", "sideways"], "error: argument --noise: invalid choice: "),
+        (["synth", "--spread", "-inf"], "error: argument --spread: expected one argument\n"),
+        (["pipeline", "--rate", "-inf"], "error: argument --rate: expected one argument\n"),
+        (["sideways"], "error: argument command: invalid choice: "),
+    ])
+    def test_argparse_rejection_is_one_line(self, capsys, argv, shown):
+        """argparse's rejections are one stderr line, without the usage block."""
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(shown), err
+
     def test_flags_and_config_file_set_every_field(self, tmp_path, monkeypatch):
         """Each RunConfig field has a flag and a config key, and the two agree."""
         from innscore import pipeline
@@ -779,6 +794,10 @@ class TestCli:
         (["--spread", "-1"], "spread"),
         (["--seed", "-1"], "seed"),
         (["--n", "3", "--k", "4"], "n"),
+        (["--d", "1"], "dim"),
+        (["--batch-size", "0"], "batch_size"),
+        (["--momentum", "nan"], "momentum"),
+        (["--momentum", "1"], "momentum"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -1088,6 +1107,15 @@ class TestMalformedInputsCli:
              "lift_freq is -1.0, not at least 0"),
             (["train", "--data", world["csv"], "--hidden", "", "--lift-freq", "2", "--out", out],
              "hidden is (), but lift_freq 2.0 needs a hidden layer"),
+            (["train", "--data", world["csv"], "--epochs=-1", "--out", out],
+             "epochs is -1, not at least 0"),
+            (["train", "--data", world["csv"], "--batch-size", "0", "--out", out],
+             "batch_size is 0, not a positive integer"),
+            (["train", "--data", world["csv"], "--momentum", "nan", "--out", out],
+             "momentum is nan, not in [0, 1)"),
+            (["train", "--data", world["csv"], "--checkpoint-every", "0", "--out", out],
+             "checkpoint_every is 0, not a positive integer or None"),
+            (["synth", "--d", "0", "--out", out], "dim is 0, not at least 2"),
         ]
         for argv, shown in cases:
             assert main(argv) == 2, argv

@@ -244,19 +244,21 @@ class TestScoreModels:
         assert tables[0].kinds() == ["inn", "midpoint"]
 
     def test_peak_memory_flat_in_n(self):
-        def peak(n):
+        """At most one chunk per worker is in flight, at any pool size."""
+        def peak(n, threads):
             ds = data.corrupt_symmetric(data.synth("blobs", n, 3, 2, 0.5, seed=0), 0.3, 1)
             nbr, _ = neighbors.search(ds.features, 10)
             m = tinynet.init_model([2, 64, 32, 3], seed=1, lift_freq=2.0)
             tracemalloc.start()
             try:
-                scorer.score_models(ds, nbr[:, :10], 10, [(0, m)])
+                scorer.score_models(ds, nbr[:, :10], 10, [(0, m)], threads)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(400), peak(1600)
-        assert large < 2 * small, (small, large)
+        for threads in (None, 4):
+            small, large = peak(400, threads), peak(1600, threads)
+            assert large < 2 * small, (threads, small, large)
 
 
 class CountingModel:

@@ -206,21 +206,46 @@ class TestScoringAnyPool:
         ties=st.booleans(),
         L=st.integers(1, 5),
         probes=st.integers(1, 200),
+        block=st.integers(1, 3),
     )
-    def test_bitwise_equal(self, seed, n, d, H, kind, n_ckpts, ties, L, probes):
+    def test_bitwise_equal(self, seed, n, d, H, kind, n_ckpts, ties, L, probes, block):
         ds = data.corrupt_symmetric(data.synth("blobs", n, 3, d, 0.5, seed=seed), 0.3, seed + 1)
         if ties:  # a grid with repeated rows: zero-length segments
             ds.features = np.round(ds.features)
         L = min(L, n - 1)
         nbr, _ = neighbors.search(ds.features, L)
         ckpts = _checkpoints(kind, n_ckpts, d, 3, seed)
-        # small chunks give many chunks of few edges, split unevenly across workers
+        # small chunks give many chunks of few edges, split unevenly across workers;
+        # blocks of `block` edges (the first layer is 6 wide) split the chunks
         with mock.patch.object(scorer, "_CHUNK_PROBES", probes):
-            runs = [scorer.segment_scores(ds, nbr, H, ckpts, threads) for threads in POOLS]
-        for segments in runs[1:]:
-            for got, want in zip(segments, runs[0]):
+            whole = scorer.segment_scores(ds, nbr, H, ckpts, 1)  # one block per chunk
+            with mock.patch.object(scorer, "_BLOCK_PAIRS", 6 * block):
+                runs = [scorer.segment_scores(ds, nbr, H, ckpts, threads) for threads in POOLS]
+        for segments in runs:
+            for got, want in zip(segments, whole):
                 for name in ("inn", "midpoint", "probs"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("kind, groups", [("shared", 1), ("distinct", 3), ("plain", 3)])
+    @pytest.mark.parametrize("probes", [9, 40, 4096])
+    def test_two_pool_calls_per_lift_group(self, monkeypatch, kind, groups, probes):
+        """Each group of checkpoints sharing a lift is one call at the samples
+        and one over the chunks, however many chunks there are."""
+        ds = data.corrupt_symmetric(data.synth("blobs", 40, 3, 2, 0.5, seed=3), 0.3, 4)
+        nbr, _ = neighbors.search(ds.features, 4)
+        ckpts = _checkpoints(kind, 3, 2, 3, 3)
+        calls, run = [], workers.run
+
+        def spy(jobs, threads=None):
+            jobs = list(jobs)
+            calls.append(len(jobs))
+            return run(jobs, threads)
+
+        monkeypatch.setattr(workers, "run", spy)
+        monkeypatch.setattr(scorer, "_CHUNK_PROBES", probes)
+        scorer.segment_scores(ds, nbr, 10, ckpts, 2)
+        chunks = -(-scorer._edges(nbr)[0].size // max(1, probes // 9))  # T = 9 interior nodes
+        assert calls == [3 // groups, chunks] * groups
 
     def test_score_models_takes_threads(self):
         ds = data.corrupt_symmetric(data.synth("blobs", 30, 3, 2, 0.5, seed=3), 0.3, 4)
