@@ -2,11 +2,11 @@
 
 A CSV file is a header line of column names and one comma-separated line
 per row; a JSON file is one object, written with sorted keys. Every
-reader rejection is a ValueError naming the path and the line. Standard
-library only: the CLI imports it before --threads sets the BLAS variables.
+reader rejection is a ValueError naming the path and the line. The CSV
+readers import numpy when called, not at import: the CLI imports this
+module before --threads sets the BLAS variables.
 """
 
-import io
 import json
 import math
 
@@ -36,38 +36,80 @@ def _int64(cell):
     return value
 
 
-def read_rows(path, header, columns):
-    """(header names, [(line number, parsed cells)]) of a CSV file with rows.
+def read_columns(path, header, columns):
+    """(header names, line numbers, columns) of a CSV file with rows: an
+    int64 array of each row's line number, and an array of each column.
 
     header: the column names, or a function from the file's names to the
-    names its shape requires. columns: the parser of each name's cells, by
-    the name without its trailing digits; `float` cells must be finite and
-    `int` cells must fit in int64.
+    names its shape requires. columns: the type of each name's cells, by
+    the name without its trailing digits: `float` cells are parsed as
+    `float` parses them and must be finite, `int` cells as `int` does and
+    must fit in int64, `str` cells stay text. Lines end at \\n, \\r\\n or
+    \\r, and blank lines are skipped. A rejection names the first bad line,
+    and on it the first bad field.
     """
-    lines = io.StringIO(_text(path), newline=None)
-    names = lines.readline().strip().split(",")
+    import numpy as np  # here, not above: see the module notes
+
+    text = _text(path).replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    names = lines[0].strip().split(",")
     expected = list(header(names) if callable(header) else header)
     if names != expected:
         raise ValueError(f"{path}: line 1: header {','.join(names)!r}, "
                          f"expected {','.join(expected)!r}")
-    parsers = [columns[name.rstrip("0123456789")] for name in names]
-    parsers = [{float: _finite, int: _int64}.get(parse, parse) for parse in parsers]
-    rows = []
-    lineno = 1
-    for lineno, line in enumerate(lines, 2):
-        if not line.strip():
-            continue
-        cells = line.rstrip("\n").split(",")
-        if len(cells) != len(names):
-            raise ValueError(f"{path}: line {lineno}: expected {len(names)} fields, "
-                             f"got {len(cells)} fields, the header has {len(names)}")
-        try:
-            rows.append((lineno, [parse(cell) for parse, cell in zip(parsers, cells)]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
     if not rows:
-        raise ValueError(f"{path}: line {lineno + 1}: no rows after the header")
-    return names, rows
+        raise ValueError(f"{path}: line {len(lines) + 1}: no rows after the header")
+    width = len(names)
+    short = next((r for r, (_, line) in enumerate(rows) if line.count(",") != width - 1),
+                 len(rows))  # the rows before it have every field
+    cells = ",".join(line for _, line in rows[:short]).split(",") if short else []
+    kinds = [columns[name.rstrip("0123456789")] for name in names]
+    values = [_array(np, cells[j::width], kind) for j, kind in enumerate(kinds)]
+    if any(column is None for column in values):  # name the first bad cell, in reading order
+        parsers = [{float: _finite, int: _int64}.get(kind, kind) for kind in kinds]
+        for r in range(short):
+            try:
+                for parse, cell in zip(parsers, cells[r * width : (r + 1) * width]):
+                    parse(cell)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {rows[r][0]}: {exc}") from None
+    if short < len(rows):
+        lineno, line = rows[short]
+        raise ValueError(f"{path}: line {lineno}: expected {width} fields, got "
+                         f"{line.count(',') + 1} fields, the header has {width}")
+    return names, np.array([lineno for lineno, _ in rows]), values
+
+
+def _array(np, cells, kind):
+    """The column `cells` as one array of `kind`, or None when a cell is not
+    a finite float or an int64 as `kind` asks."""
+    try:
+        column = np.array(cells, dtype={float: np.float64, int: np.int64}.get(kind, str))
+    except (ValueError, OverflowError):  # past int64, numpy raises OverflowError
+        return None
+    return column if kind is not float or np.isfinite(column).all() else None
+
+
+def check_unique(path, ids, lines):
+    """Reject an id that repeats: the ValueError names the first of `lines`
+    whose id is on an earlier one, and that earlier line."""
+    import numpy as np
+
+    order = np.argsort(ids, kind="stable")  # equal ids in line order
+    sorted_ids = ids[order]
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if repeats.size:
+        row = repeats.min()
+        first = order[np.searchsorted(sorted_ids, ids[row])]
+        raise ValueError(f"{path}: line {lines[row]}: id {ids[row]} already on line {lines[first]}")
+
+
+def read_rows(path, header, columns):
+    """(header names, [(line number, cells)]) of a CSV file read by
+    `read_columns`, a row of Python values each."""
+    names, lines, values = read_columns(path, header, columns)
+    return names, list(zip(lines.tolist(), map(list, zip(*(v.tolist() for v in values)))))
 
 
 def write_rows(path, header, rows):

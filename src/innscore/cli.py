@@ -15,7 +15,9 @@ pools via environment variables before numpy loads. For `pipeline`
 and `timing`, --threads also caps the worker pool (`workers.run`) that
 trains the four models side by side, searches the neighbours and scores;
 `score` searches and scores on that pool at its default size, the usable
-cores. The outputs do not depend on the pool size.
+cores. A command whose pool has helpers runs all of its BLAS on one
+thread from before its first BLAS call to its end (`workers.claim`). The
+outputs do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def _add_run_flags(p):
     p.add_argument("--config", default=None, help="flat key = value config file; flags win")
     p.add_argument("--threads", type=int, default=None,
                    help="cap the BLAS thread pools, and the workers that train, search and "
-                        "score (default there: the usable cores); outputs do not depend on it")
+                        "score (default there: the usable cores); with more than one worker, "
+                        "BLAS runs on one thread for the whole run; outputs do not depend on it")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -170,7 +173,7 @@ def _apply_config_file(args, argv):
             parse = actions[key].type or boolean  # the store_true / store_false flags
             try:  # the value is flag text, or a JSON string of it
                 values[key] = parse(json.loads(raw) if raw.startswith('"') else raw)
-            except ValueError:  # JSONDecodeError is one too
+            except (ValueError, argparse.ArgumentTypeError):  # JSONDecodeError is a ValueError
                 raise ValueError(f"{where}: {key} = {raw}: "
                                  f"invalid {parse.__name__} value") from None
             choices = actions[key].choices
@@ -247,7 +250,7 @@ def _cmd_train(args):
 
 
 def _cmd_score(args):
-    from . import data, neighbors, scorer, tinynet
+    from . import data, neighbors, scorer, tinynet, workers
 
     settings = fields_from(RunConfig, args)  # data_path, n_neighbors, trapezoids, out_dir
     RunConfig(**settings)  # rejects --h or --l below 1
@@ -282,6 +285,7 @@ def _cmd_score(args):
         path_of[epoch] = ckpt
         checkpoints.append((epoch, model))
 
+    workers.claim()  # before the embedding, the first BLAS call: see `workers`
     nbr, dist = neighbors.search(h_model.penultimate(ds.features), L)
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")

@@ -12,6 +12,7 @@ choices and the help text.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
@@ -29,9 +30,14 @@ def int_list(text):
 
 
 def label_map(text):
-    """'0:1,2:0' -> {0: 1, 2: 0}."""
-    pairs = (part.split(":") for part in text.split(",") if part)
-    return {int(src): int(dst) for src, dst in pairs}
+    """'0:1,2:0' -> {0: 1, 2: 0}. A source label given twice is an
+    ArgumentTypeError naming it, which argparse shows as it is."""
+    mapping = {}
+    for src, dst in (part.split(":") for part in text.split(",") if part):
+        if int(src) in mapping:
+            raise argparse.ArgumentTypeError(f"{text!r} maps label {int(src)} twice")
+        mapping[int(src)] = int(dst)
+    return mapping
 
 
 def boolean(text):

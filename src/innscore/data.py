@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import read_rows, write_rows
+from ._records import check_unique, read_columns, write_rows
 from .config import NOISE_KINDS
 
 _U64 = np.uint64
@@ -142,7 +142,7 @@ def corrupt_symmetric(ds, rate, seed):
     if ds.true_labels is None:
         raise ValueError("corruption requires true labels")
     if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
+        raise ValueError(f"noise_rate is {rate}, not in [0, 1]")
     flip = keyed_uniform(seed, ds.ids, _SALT_FLIP) < rate
     draw = np.floor(keyed_uniform(seed, ds.ids, _SALT_LABEL) * ds.n_classes).astype(np.int64)
     observed = np.where(flip, draw, ds.observed_labels)
@@ -160,14 +160,17 @@ def corrupt_asymmetric(ds, rate, seed, mapping=None):
     if ds.true_labels is None:
         raise ValueError("corruption requires true labels")
     if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
+        raise ValueError(f"noise_rate is {rate}, not in [0, 1]")
     flip = keyed_uniform(seed, ds.ids, _SALT_FLIP) < rate
     if mapping is None:
         target = (ds.true_labels + 1) % ds.n_classes
         eligible = np.ones(ds.n, dtype=bool)
     else:
-        if not all(0 <= label < ds.n_classes for pair in mapping.items() for label in pair):
-            raise ValueError("mapping references labels outside [0, K)")
+        outside = [label for pair in mapping.items() for label in pair
+                   if not 0 <= label < ds.n_classes]
+        if outside:
+            raise ValueError(f"noise_map is {mapping}, with label {outside[0]} outside the "
+                             f"dataset's classes [0, {ds.n_classes})")
         target = ds.true_labels.copy()
         eligible = np.zeros(ds.n, dtype=bool)
         for src, dst in mapping.items():
@@ -188,15 +191,16 @@ def build_imbalanced(ds, class_a, class_b, keep_frac, flip_p, seed):
     if ds.true_labels is None:
         raise ValueError("imbalanced construction requires true labels")
     if class_a == class_b:
-        raise ValueError("class_a and class_b must differ")
+        raise ValueError(f"imb_class_b is {class_b}, the same class as imb_class_a")
     if not 0.0 < keep_frac <= 1.0:
-        raise ValueError("keep_frac must lie in (0, 1]")
+        raise ValueError(f"imb_keep is {keep_frac}, not in (0, 1]")
     if not 0.0 <= flip_p <= 1.0:
-        raise ValueError("flip_p must lie in [0, 1]")
+        raise ValueError(f"imb_flip is {flip_p}, not in [0, 1]")
     is_a = ds.true_labels == class_a
     is_b = ds.true_labels == class_b
-    if not is_a.any() or not is_b.any():
-        raise ValueError("both classes must be present")
+    for name, label, present in (("imb_class_a", class_a, is_a), ("imb_class_b", class_b, is_b)):
+        if not present.any():
+            raise ValueError(f"{name} is {label}, a class with no samples in the dataset")
     keep_b = is_b & (keyed_uniform(seed, ds.ids, _SALT_KEEP) < keep_frac)
     rows = np.flatnonzero(is_a | keep_b)
     true = is_b[rows].astype(np.int64)  # majority -> 0, minority -> 1
@@ -246,23 +250,17 @@ def write_csv(ds, path):
 
 def read_csv(path):
     """Read a dataset CSV as written by write_csv. Besides the checks of
-    `_records.read_rows`, a repeated id raises ValueError, naming its line."""
+    `_records.read_columns`, a repeated id raises ValueError, naming its line."""
 
     def header(names):
         has_true = names[-1] == "true_label"
         return _dataset_header(max(1, len(names) - 2 - has_true), has_true)
 
-    names, rows = read_rows(path, header, {"id": int, "f": float, "label": int, "true_label": int})
-    line_of = {}
-    for lineno, (sid, *_) in rows:
-        if line_of.setdefault(sid, lineno) != lineno:
-            raise ValueError(f"{path}: line {lineno}: id {sid} already on line {line_of[sid]}")
+    names, lines, columns = read_columns(path, header, {"id": int, "f": float, "label": int,
+                                                        "true_label": int})
+    check_unique(path, columns[0], lines)
     has_true = names[-1] == "true_label"
     d = len(names) - 2 - has_true
-    cells = [row for _, row in rows]
-    labels = [row[1 + d] for row in cells]
-    trues = [row[2 + d] for row in cells] if has_true else None
-    n_classes = max(2, 1 + max(labels + (trues or [])))
-    features = np.array([row[1 : 1 + d] for row in cells])
-    return Dataset(features, labels, trues, n_classes, np.array([row[0] for row in cells]))
-
+    n_classes = max(2, 1 + int(np.max(columns[1 + d:])))  # over the label columns
+    return Dataset(np.stack(columns[1 : 1 + d], axis=1), columns[1 + d],
+                   columns[2 + d] if has_true else None, n_classes, columns[0])

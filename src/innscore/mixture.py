@@ -24,6 +24,7 @@ from ._records import write_json, write_rows
 from .errors import NumericError
 from .evaluate import score_orientation
 
+MIN_VALUES = 10  # the fewest values a mixture is fitted to
 _CLAMP = 1e-4
 _BETA_PARAM_LO = 1e-2
 _BETA_PARAM_HI = 1e4
@@ -148,8 +149,8 @@ def fit_mixture(kind, values, max_iters=200, tol=1e-8, init_resp=None):
     if kind not in ("beta", "gaussian"):
         raise ValueError(f"mixture kind is {kind!r}, not beta or gaussian")
     x = np.asarray(values, dtype=np.float64)
-    if x.shape[0] < 10:
-        raise ValueError("need at least 10 values to fit a mixture")
+    if x.shape[0] < MIN_VALUES:
+        raise ValueError(f"need at least {MIN_VALUES} values to fit a mixture")
     if kind == "beta" and (x.min() <= 0.0 or x.max() >= 1.0):
         raise ValueError("beta mixture needs scores strictly inside (0, 1)")
     spread = float(x.max() - x.min())

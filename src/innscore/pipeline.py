@@ -1,7 +1,8 @@
 """End-to-end runs: the stage functions of the step commands, in sequence.
 
 `config.check_neighbor_count`, `check_training_steps` and `check_probe_rows`
-vet the settings before any training. `tinynet.build_and_train` fits four
+vet the settings before any training, and a dataset of fewer rows than
+`mixture.MIN_VALUES` is rejected then too. `tinynet.build_and_train` fits four
 independent models, as `train` does: a feature model h (cross-entropy by
 default), the scored model f (mixup by default) and the two small-loss
 baselines. One pass over the exact neighbors of h's penultimate features
@@ -108,6 +109,9 @@ def run_pipeline(cfg, quiet=False, threads=None):
     out = cfg.out_dir
     paths = {}
     ds = make_dataset(cfg)
+    if ds.n < mixture.MIN_VALUES:  # imbalanced noise may have dropped rows
+        raise ValueError(f"the dataset has n = {ds.n} rows, fewer than the "
+                         f"{mixture.MIN_VALUES} that the mixture fits need")
     l_max = max([cfg.n_neighbors, *(cfg.l_sweep or ())])  # one search serves both
     name = "n_neighbors" if l_max == cfg.n_neighbors else "l_sweep"
     check_neighbor_count(ds.n, l_max, f"{name} is {getattr(cfg, name)}")
@@ -137,6 +141,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
               "h": (cfg.h_hidden, 0.0, cfg.h_loss, h_epochs, 2, None)}
     jobs = {tag: functools.partial(_train_model, ds, cfg, *model) for tag, model in models.items()
             if cfg.baselines or tag in ("f", "h")}
+    workers.claim(threads)  # BLAS on one thread from here on: see `workers`
     done = dict(zip(jobs, workers.run(list(jobs.values()), threads)))
     train_models = {tag: seconds for tag, (_, _, seconds) in done.items()}
     trained = {tag: done[tag][0] for tag in ("h", "f", "ce", "cene") if tag in done}

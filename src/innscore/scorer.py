@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tinynet, workers
-from ._records import read_rows, write_json, write_lines
+from ._records import check_unique, read_columns, write_json, write_lines
 from .config import CHUNK_PROBES as _CHUNK_PROBES  # interior probe rows per chunk
 from .config import check_score_kinds, scoring_pass
 from .errors import NumericError
@@ -418,23 +418,21 @@ def read_score_csv(path):
     Every (epoch, kind) column must list the ids of the file's first
     column, in the same order and each once; ValueError names the line.
     """
-    _, rows = read_rows(path, _SCORE_HEADER,
-                        {"id": int, "epoch": int, "score_kind": str, "value": float})
-    columns = {}
-    for lineno, (sid, epoch, kind, value) in rows:
-        columns.setdefault((epoch, kind), []).append((lineno, sid, value))
-    lines, first, _ = zip(*next(iter(columns.values())))
-    line_of = {}
-    for lineno, sid in zip(lines, first):
-        if line_of.setdefault(sid, lineno) != lineno:
-            raise ValueError(f"{path}: line {lineno}: id {sid} already on line {line_of[sid]}")
+    _, lines, (ids, epochs, kinds, values) = read_columns(
+        path, _SCORE_HEADER, {"id": int, "epoch": int, "score_kind": str, "value": float})
+    codes = np.unique(kinds, return_inverse=True)[1]
+    order = np.lexsort((codes, epochs))  # rows by (epoch, kind), each column in line order
+    change = (epochs[order][1:] != epochs[order][:-1]) | (codes[order][1:] != codes[order][:-1])
+    columns = sorted(np.split(order, np.flatnonzero(change) + 1), key=lambda rows: rows[0])
+    first = ids[columns[0]]
+    check_unique(path, first, lines[columns[0]])
     tables = {}
-    for (epoch, kind), column in columns.items():
-        lines, ids, values = zip(*column)
-        if ids != first:
-            at = next((j for j, (a, b) in enumerate(zip(ids, first)) if a != b), len(first))
-            raise ValueError(f"{path}: line {lines[min(at, len(lines) - 1)]}: {kind} at epoch "
-                             f"{epoch} does not list the ids of the first column in order")
-        table = tables.setdefault(epoch, ScoreTable(epoch, np.array(first, dtype=np.int64)))
-        table.add(kind, np.array(values))
+    for rows in columns:
+        epoch, kind = int(epochs[rows[0]]), str(kinds[rows[0]])
+        if not np.array_equal(ids[rows], first):
+            m = min(rows.size, first.size)
+            at = np.append(np.flatnonzero(ids[rows][:m] != first[:m]), first.size)[0]
+            raise ValueError(f"{path}: line {lines[rows[min(at, rows.size - 1)]]}: {kind} at "
+                             f"epoch {epoch} does not list the ids of the first column in order")
+        tables.setdefault(epoch, ScoreTable(epoch, first)).add(kind, values[rows])
     return [tables[epoch] for epoch in sorted(tables)]

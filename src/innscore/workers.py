@@ -4,15 +4,18 @@
 helper threads, at most `threads` threads in all (default: the usable
 cores), and returns their results in job order. Without the OpenBLAS
 bundled with numpy's wheel, or with one worker, the jobs run inline on
-the calling thread, BLAS threads untouched. Otherwise, while the jobs
-run, that OpenBLAS is pinned to one thread through its runtime setter,
-so that the workers do not oversubscribe the cores, and the previous
-count is restored after; and the first such call sets glibc's malloc to
-one arena for the rest of the process, so that the memory the helpers
-free is reused by the calling thread. Calls with helpers made from
-several threads at once take turns, one lock held from the pin to the
-restore, so that each restores the count it found and gets the results
-it would get alone.
+the calling thread, BLAS threads untouched. Otherwise `run` first calls
+`claim`, which pins that OpenBLAS to one thread through its runtime
+setter for the rest of the process, so that the workers do not
+oversubscribe the cores. Nothing restores the count: after a call on
+two threads, OpenBLAS's helper thread spins on a core for about 0.12 s,
+so a BLAS call made between pool calls would set it against the workers.
+A command that runs the pool therefore calls `claim` before its first
+BLAS call. `claim` also sets glibc's malloc to one arena, so that the
+memory the helpers free is reused by the calling thread. Calls with
+helpers made from several threads at once take turns, so that none swaps
+the executor under another's helpers, and each gets the results it
+would get alone.
 
 A job must write only what no other job of the same call reads or
 writes, and must not call `run`. OpenBLAS gives the same bits at any
@@ -68,10 +71,19 @@ def _one_arena():
         mallopt(-8, 1)  # M_ARENA_MAX
 
 
+def claim(threads=None):
+    """Pin the OpenBLAS that numpy's wheel bundles to one thread, and glibc's
+    malloc to one arena, for the rest of the process, when the pool of
+    `threads` workers has helpers (`pool_size(threads, 2) > 1`). The pin is
+    set on every call, as a caller may have reset the count since."""
+    if pool_size(threads, 2) > 1:  # then openblas_threads() is not None
+        _one_arena()
+        openblas_threads()[1](1)
+
+
 _executor, _executor_size = None, 0
-# held from the pin to the restore, so that no call saves another's pinned
-# count as its own or swaps the executor under another's helpers
-_pinned = threading.Lock()
+# held while a call's helpers run, so that no call swaps the executor under another's
+_turns = threading.Lock()
 
 
 def _helpers(count):
@@ -96,7 +108,8 @@ def run(jobs, threads=None):
     jobs in order, each the next one not yet taken. After a job fails no
     job is taken, every taken job finishes, and the first failed job in
     job order raises: every job before it was taken, so the error does
-    not depend on the pool size.
+    not depend on the pool size. With helpers, it first calls `claim`, so
+    OpenBLAS stays on one thread after it returns.
     """
     jobs = list(jobs)
     workers = pool_size(threads, len(jobs))
@@ -115,19 +128,13 @@ def run(jobs, threads=None):
                 with lock:
                     failed.append((i, exc))
 
-    if workers > 1:  # then openblas_threads() is not None
-        get, set_ = openblas_threads()
-        with _pinned:
-            _one_arena()
-            previous = get()
-            set_(1)
-            try:
-                helpers = [_helpers(workers - 1).submit(take) for _ in range(workers - 1)]
-                take()
-                for helper in helpers:
-                    helper.result()
-            finally:
-                set_(previous)
+    if workers > 1:
+        claim(workers)
+        with _turns:
+            helpers = [_helpers(workers - 1).submit(take) for _ in range(workers - 1)]
+            take()
+            for helper in helpers:
+                helper.result()
     else:
         take()
     if failed:

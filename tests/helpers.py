@@ -1,8 +1,12 @@
 """Shared independent oracles used by unit and acceptance tests."""
 
+import io
+import math
+
 import numpy as np
 
-from innscore import tinynet
+from innscore import scorer, tinynet
+from innscore._records import _text
 
 
 def fd_gradients(model, X, targets, loss_kind, step=1e-5):
@@ -104,3 +108,69 @@ def pairwise_auc(scores, clean_mask):
             elif a == b:
                 ties += 1
     return (gt + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def reference_read_rows(path, header, columns):
+    """(header names, [(line number, parsed cells)]) of a CSV file, read a
+    line and a cell at a time: the oracle of `_records.read_columns`."""
+
+    def finite(cell):
+        value = float(cell)
+        if not math.isfinite(value):
+            raise ValueError(f"{cell!r} is not a finite number")
+        return value
+
+    def int64(cell):
+        value = int(cell)
+        if not -2**63 <= value < 2**63:
+            raise ValueError(f"{cell!r} is outside the int64 range")
+        return value
+
+    lines = io.StringIO(_text(path), newline=None)
+    names = lines.readline().strip().split(",")
+    expected = list(header(names) if callable(header) else header)
+    if names != expected:
+        raise ValueError(f"{path}: line 1: header {','.join(names)!r}, "
+                         f"expected {','.join(expected)!r}")
+    parsers = [{float: finite, int: int64}.get(columns[name.rstrip("0123456789")], str)
+               for name in names]
+    rows = []
+    lineno = 1
+    for lineno, line in enumerate(lines, 2):
+        if not line.strip():
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(names):
+            raise ValueError(f"{path}: line {lineno}: expected {len(names)} fields, "
+                             f"got {len(cells)} fields, the header has {len(names)}")
+        try:
+            rows.append((lineno, [parse(cell) for parse, cell in zip(parsers, cells)]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: line {lineno + 1}: no rows after the header")
+    return names, rows
+
+
+def reference_read_score_csv(path):
+    """`scorer.read_score_csv` a row at a time, on `reference_read_rows`: its oracle."""
+    _, rows = reference_read_rows(path, ("id", "epoch", "score_kind", "value"),
+                                  {"id": int, "epoch": int, "score_kind": str, "value": float})
+    columns = {}
+    for lineno, (sid, epoch, kind, value) in rows:
+        columns.setdefault((epoch, kind), []).append((lineno, sid, value))
+    lines, first, _ = zip(*next(iter(columns.values())))
+    line_of = {}
+    for lineno, sid in zip(lines, first):
+        if line_of.setdefault(sid, lineno) != lineno:
+            raise ValueError(f"{path}: line {lineno}: id {sid} already on line {line_of[sid]}")
+    tables = {}
+    for (epoch, kind), column in columns.items():
+        lines, ids, values = zip(*column)
+        if ids != first:
+            at = next((j for j, (a, b) in enumerate(zip(ids, first)) if a != b), len(first))
+            raise ValueError(f"{path}: line {lines[min(at, len(lines) - 1)]}: {kind} at epoch "
+                             f"{epoch} does not list the ids of the first column in order")
+        table = tables.setdefault(epoch, scorer.ScoreTable(epoch, np.array(first, dtype=np.int64)))
+        table.add(kind, np.array(values))
+    return [tables[epoch] for epoch in sorted(tables)]

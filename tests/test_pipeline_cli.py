@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from innscore import data, neighbors, scorer, tinynet, workers
+from innscore import data, mixture, neighbors, scorer, tinynet, workers
 from innscore._records import read_rows
 from innscore.cli import main
 from innscore.config import TrainConfig
@@ -798,6 +798,13 @@ class TestCli:
         (["--batch-size", "0"], "batch_size"),
         (["--momentum", "nan"], "momentum"),
         (["--momentum", "1"], "momentum"),
+        (["--noise", "symmetric", "--rate", "2"], "noise_rate"),
+        (["--noise", "chain", "--rate=-0.5"], "noise_rate"),
+        (["--noise", "map", "--map", "0:9"], "noise_map"),
+        (["--noise", "imbalanced", "--imb-keep", "0"], "imb_keep"),
+        (["--noise", "imbalanced", "--imb-flip", "2"], "imb_flip"),
+        (["--noise", "imbalanced", "--imb-class-b", "0"], "imb_class_b"),
+        (["--noise", "imbalanced", "--imb-class-b", "7", "--k", "4"], "imb_class_b"),
     ])
     def test_out_of_range_setting_exits_two(self, tmp_path, capsys, argv, name):
         out = tmp_path / "run"
@@ -806,6 +813,22 @@ class TestCli:
         assert err.count("\n") == 1 and f"error: {name} is " in err, err
         assert not (out / "dataset.csv").exists()
         assert not (out / "train_trace.csv").exists()
+
+    @pytest.mark.parametrize("argv, n", [
+        (["--n", "8", "--k", "2"], 8),
+        (["--n", "12", "--k", "2", "--noise", "imbalanced", "--imb-keep", "0.1"], 6),
+    ])
+    def test_dataset_too_small_for_the_mixture_exits_two(self, tmp_path, capsys, argv, n):
+        """A dataset of fewer rows than a mixture fit needs, imbalanced noise's
+        subsample among them, is refused before any work."""
+        out = tmp_path / "run"
+        assert main(["pipeline", "--quiet", *argv, "--epochs", "2", "--h-epochs", "1",
+                     "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: the dataset has n = {n} rows, fewer than the "
+                       f"{mixture.MIN_VALUES} that the mixture fits need\n")
+        assert not (out / "dataset.csv").exists()
 
     @pytest.mark.parametrize("argv, named", [
         (["pipeline", "--quiet", "--n", "60", "--epoch-scale", "1e300"], "epoch_scale 1e+300"),
@@ -917,7 +940,7 @@ class TestCli:
 
     def test_diverged_model_in_a_worker(self, tmp_path, capsys, monkeypatch):
         """A model diverging on the training pool is still one numeric-failure line,
-        and the OpenBLAS thread count, 1 while the pool runs, is restored after."""
+        and the OpenBLAS thread count, 1 while the pool runs, stays 1 after."""
         blas = workers.openblas_threads()
         seen = []
         train = tinynet.train
@@ -933,7 +956,7 @@ class TestCli:
         before = blas[0]() if blas else None
         try:
             if blas:
-                blas[1](2)  # so that a missing restore shows
+                blas[1](2)  # so that a restored count shows
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a RuntimeWarning would escape main
                 assert main(argv) == 3
@@ -944,7 +967,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure: "), err
         assert seen and set(seen) == {1 if blas else None}
-        assert after == (2 if blas else None)
+        assert after == (1 if blas else None)
 
     def test_threads_below_one_in_config_file_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -964,6 +987,10 @@ class TestCli:
         (["corrupt", "--data", "d.csv", "--imbalanced", "0,1,0.5"],
          "argument --imbalanced: invalid imbalance value: '0,1,0.5'"),
         (["pipeline", "--l-sweep", "1,two"], "argument --l-sweep: invalid int_list value"),
+        (["corrupt", "--data", "d.csv", "--map", "1:0,1:1"],
+         "argument --map: '1:0,1:1' maps label 1 twice"),
+        (["pipeline", "--noise", "map", "--map", "1:2,01:3"],
+         "argument --map: '1:2,01:3' maps label 1 twice"),
     ])
     def test_malformed_list_flag_named(self, capsys, argv, shown):
         with pytest.raises(SystemExit) as err:
@@ -1048,6 +1075,7 @@ class TestMalformedInputsCli:
             "\n".join(lines[:3] + [big + "," + lines[3].split(",", 1)[1]] + lines[4:]) + "\n")
         (tmp_path / "mode.cfg").write_text("n = 60\n\nmode = foo\n")
         (tmp_path / "loss.cfg").write_text('f_loss = "hinge"\n')
+        (tmp_path / "map.cfg").write_text("noise_kind = map\nnoise_map = 1:2,1:3\n")
         typed = {"n.cfg": "n = abc\n", "epochs.cfg": "seed = 1\nepochs = 1.5\n",
                  "base.cfg": "baselines = 3\n", "hidden.cfg": "hidden = [16, 8]\n",
                  "twice.cfg": "seed = 1\nn = 60\nseed = 2\n"}
@@ -1116,6 +1144,26 @@ class TestMalformedInputsCli:
             (["train", "--data", world["csv"], "--checkpoint-every", "0", "--out", out],
              "checkpoint_every is 0, not a positive integer or None"),
             (["synth", "--d", "0", "--out", out], "dim is 0, not at least 2"),
+            (["pipeline", "--config", str(tmp_path / "map.cfg"), "--out", out],
+             "map.cfg: line 2: noise_map = 1:2,1:3: invalid label_map value"),
+            (["corrupt", "--data", world["csv"], "--sym", "2", "--out", out],
+             "noise_rate is 2.0, not in [0, 1]"),
+            (["corrupt", "--data", world["csv"], "--chain", "-1", "--out", out],
+             "noise_rate is -1.0, not in [0, 1]"),
+            (["corrupt", "--data", world["csv"], "--map", "0:1", "--rate", "1.5", "--out", out],
+             "noise_rate is 1.5, not in [0, 1]"),
+            (["corrupt", "--data", world["csv"], "--map", "0:5", "--out", out],
+             "noise_map is {0: 5}, with label 5 outside the dataset's classes [0, 2)"),
+            (["corrupt", "--data", world["csv"], "--imbalanced", "1,1,0.5,0.1", "--out", out],
+             "imb_class_b is 1, the same class as imb_class_a"),
+            (["corrupt", "--data", world["csv"], "--imbalanced", "0,1,0,0.1", "--out", out],
+             "imb_keep is 0.0, not in (0, 1]"),
+            (["corrupt", "--data", world["csv"], "--imbalanced", "0,1,0.5,2", "--out", out],
+             "imb_flip is 2.0, not in [0, 1]"),
+            (["corrupt", "--data", world["csv"], "--imbalanced", "0,7,0.5,0.1", "--out", out],
+             "imb_class_b is 7, a class with no samples in the dataset"),
+            (["corrupt", "--data", world["csv"], "--imbalanced=-1,1,0.5,0.1", "--out", out],
+             "imb_class_a is -1, a class with no samples in the dataset"),
         ]
         for argv, shown in cases:
             assert main(argv) == 2, argv

@@ -1,10 +1,16 @@
 """The strict CSV and JSON record layer shared by every file format."""
 
+import math
 import re
+import struct
 
+import numpy as np
 import pytest
+from helpers import reference_read_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from innscore._records import read_json, read_rows, write_json, write_rows
+from innscore._records import read_columns, read_json, read_rows, write_json, write_rows
 
 COLUMNS = {"id": int, "x": float, "tag": str}
 
@@ -70,3 +76,87 @@ def test_json_roundtrip_and_rejections(tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
             write_json(path, {"a": [1.0, bad]})
         assert path.read_text() == '{"b": 5}'
+
+
+# cells written as a dataset's writer writes them, and the spellings `float` and `int` accept
+_FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # 17-digit values, +-0.0
+    st.integers(1, 2**52 - 1).map(lambda m: repr(struct.unpack("<d", struct.pack("<q", m))[0])),
+    st.sampled_from(["0", "-0", "1e-320", "4.9e-324", "1_0.5", " 1.5", "+5", "1E3", "\u0661.5",
+                     "1.7976931348623157e308", "0.1000000000000000055511151231257827",
+                     "2.5\u2028", "\x853", "\x0c1"]),  # str.splitlines would split at these
+)
+_INT_CELLS = st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
+                       st.sampled_from(["+5", " 7", "0007", "1_000", "\u0661"]))
+_BAD_CELLS = st.sampled_from(["", "abc", "nan", "-inf", "1e400", "0x1F", "1__0", "1,2", "\u2028"])
+_BAD_INT_CELLS = st.sampled_from(["1.5", "1e3", str(2**63), str(-2**63 - 1)])
+_COLUMNS = {"id": int, "f": float, "label": int}
+
+
+@st.composite
+def _table(draw):
+    """(file text, header) of a valid table of 1-12 rows, with CRLF, CR and blank lines."""
+    d = draw(st.integers(1, 3))
+    header = ["id", *(f"f{j}" for j in range(d)), "label"]
+    kinds = [int, *[float] * d, int]
+    rows = draw(st.lists(st.tuples(*(_INT_CELLS if kind is int else _FLOAT_CELLS
+                                     for kind in kinds)), min_size=1, max_size=12))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    blanks = draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=3))
+    for blank in blanks:
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    last = draw(st.booleans())  # a newline after the last line, or none
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (text if last else text[: -len(ends[-1])]), header
+
+
+def _write(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_table())
+def test_columns_equal_the_row_oracle_bit_for_bit(tmp_path_factory, table):
+    text, header = table
+    path = _write(tmp_path_factory, text)
+    names, want = reference_read_rows(path, header, _COLUMNS)
+    got_names, lines, columns = read_columns(path, header, _COLUMNS)
+    assert got_names == names and lines.tolist() == [lineno for lineno, _ in want]
+    for j, column in enumerate(columns):
+        cells = [row[j] for _, row in want]
+        assert column.dtype == (np.float64 if 0 < j < len(names) - 1 else np.int64)
+        assert column.tobytes() == np.array(cells, dtype=column.dtype).tobytes()
+        if column.dtype == np.float64:  # the signs of zeros too
+            assert [math.copysign(1, v) for v in column.tolist()] == \
+                [math.copysign(1, v) for v in cells]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_table(), data=st.data())
+def test_one_bad_cell_gives_the_oracle_error(tmp_path_factory, table, data):
+    """A bad cell, or a changed field count, on any line: the same message as the oracle."""
+    text, header = table
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [i for i, line in enumerate(lines) if i and line.strip()]
+    i = data.draw(st.sampled_from(rows))
+    cells = lines[i].split(",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    edit = data.draw(st.sampled_from(["cell", "drop", "extra"]))
+    if edit == "cell":  # the first and last columns hold ints
+        cells[j] = data.draw(_BAD_CELLS | _BAD_INT_CELLS if j in (0, len(cells) - 1)
+                             else _BAD_CELLS)
+    elif edit == "drop":
+        del cells[j]
+    else:
+        cells.insert(j, "0")
+    lines[i] = ",".join(cells)
+    path = _write(tmp_path_factory, "\n".join(lines))
+    with pytest.raises(ValueError) as want:
+        reference_read_rows(path, header, _COLUMNS)
+    with pytest.raises(ValueError) as got:
+        read_columns(path, header, _COLUMNS)
+    assert str(got.value) == str(want.value)

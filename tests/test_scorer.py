@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_read_score_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -412,3 +413,40 @@ class TestScoreCSV:
         path.write_text("id,epoch,score_kind,value\n" + body)
         with pytest.raises(ValueError, match=shown):
             scorer.read_score_csv(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), epochs=st.lists(st.integers(-3, 3), min_size=1, max_size=3,
+                                                unique=True),
+           kinds=st.lists(st.sampled_from(["inn", "midpoint", "loss_ce"]), min_size=1, max_size=3, unique=True),
+           data=st.data())
+    def test_columns_equal_the_row_oracle(self, tmp_path_factory, n, epochs, kinds, data):
+        """Rows in any order, with ids swapped, repeated or dropped: the same
+        tables as the row-at-a-time oracle, bit for bit, or the same error."""
+        ids = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
+        rows = [(sid, epoch, kind, repr(data.draw(st.floats(-1e3, 1e3))))
+                for epoch in epochs for kind in kinds for sid in ids]
+        edit = data.draw(st.sampled_from(["none", "shuffle", "swap", "repeat", "drop"]))
+        i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        if edit == "shuffle":
+            rows = data.draw(st.permutations(rows))
+        elif edit == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif edit == "repeat":
+            rows[i] = (rows[j][0], *rows[i][1:])
+        elif edit == "drop" and len(rows) > 1:
+            del rows[i]
+        path = tmp_path_factory.mktemp("s") / "scores.csv"
+        path.write_text("id,epoch,score_kind,value\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in rows))
+        try:
+            want = reference_read_score_csv(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                scorer.read_score_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        got = scorer.read_score_csv(path)
+        assert [t.epoch for t in got] == [t.epoch for t in want]
+        for a, b in zip(got, want):
+            assert a.ids.tobytes() == b.ids.tobytes() and list(a.values) == list(b.values)
+            assert all(a.values[k].tobytes() == b.values[k].tobytes() for k in b.values)

@@ -72,23 +72,44 @@ class TestRun:
             sys.setswitchinterval(interval)
         assert calls == [2] * 3000
 
-    def test_blas_pinned_to_one_and_restored(self):
+    def test_blas_pinned_to_one_for_the_rest_of_the_process(self):
+        """A call with helpers pins BLAS to one thread and leaves it there, also
+        after a failing call and after a caller has reset the count."""
         if BLAS is None:
             pytest.skip("no OpenBLAS thread setter in this numpy")
         before = blas_count()
         try:
             BLAS[1](2)
             seen = workers.run([blas_count] * 3, 2)
-            assert seen == [1, 1, 1] and blas_count() == 2
+            assert seen == [1, 1, 1] and blas_count() == 1
+            BLAS[1](2)
             with pytest.raises(ZeroDivisionError):
                 workers.run([lambda: 1 / 0, blas_count], 2)
-            assert blas_count() == 2
+            assert blas_count() == 1
         finally:
             BLAS[1](before)
 
-    def test_concurrent_callers_restore_blas(self):
+    def test_claim_pins_blas_only_for_a_pool_with_helpers(self, monkeypatch):
+        if BLAS is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        before = blas_count()
+        try:
+            BLAS[1](2)
+            _cores(monkeypatch, 1)
+            for threads in (1, None):  # one worker: jobs run inline, with every BLAS thread
+                workers.claim(threads)
+                assert blas_count() == 2
+            _cores(monkeypatch, 2)
+            for threads in (2, 4, None):
+                workers.claim(threads)
+                assert blas_count() == 1
+                BLAS[1](2)  # a count reset since is pinned again
+        finally:
+            BLAS[1](before)
+
+    def test_concurrent_callers_leave_blas_pinned(self):
         """Two threads each run four 10 ms jobs on two workers, started 5 ms
-        apart: BLAS is restored after both, and each gets the sequential results."""
+        apart: each gets the sequential results, and BLAS reads 1 after both."""
         def job(tag, k):
             time.sleep(0.01)
             return tag, k, blas_count()
@@ -98,10 +119,10 @@ class TestRun:
 
         before = blas_count()
         try:
-            if BLAS:
-                BLAS[1](2)  # so that a pinned count left behind shows
             want = {tag: call(tag) for tag in "ab"}
             for trial in range(5):
+                if BLAS:
+                    BLAS[1](2)  # so that a restored count shows
                 got = {}
                 threads = [threading.Thread(target=lambda tag=tag: got.update({tag: call(tag)}))
                            for tag in "ab"]
@@ -112,7 +133,7 @@ class TestRun:
                     thread.join(timeout=10)
                     assert not thread.is_alive(), trial
                 assert got == want, trial
-                assert blas_count() == (2 if BLAS else None), trial
+                assert blas_count() == (1 if BLAS else None), trial
         finally:
             if BLAS:
                 BLAS[1](before)
@@ -321,7 +342,8 @@ class TestScoreOnThePool:
 
     def test_diverged_checkpoint_in_a_worker(self, score_inputs, tmp_path, capsys, monkeypatch):
         """A checkpoint diverging on the scoring pool is one numeric-failure line,
-        and the OpenBLAS thread count, 1 while the pool runs, is restored after."""
+        and every forward, the search's embedding included, sees one OpenBLAS
+        thread, as does the process after."""
         _cores(monkeypatch, 2)
         seen = []
         forward = tinynet.Model.forward
@@ -335,7 +357,7 @@ class TestScoreOnThePool:
         before = blas_count()
         try:
             if BLAS:
-                BLAS[1](2)  # so that a missing restore shows
+                BLAS[1](2)  # so that a forward before the pin shows
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a RuntimeWarning would escape main
                 assert main(argv) == 3
@@ -346,7 +368,53 @@ class TestScoreOnThePool:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric failure: "), err
         # the search's embedding runs on the calling thread, every scoring forward on the pool
-        assert seen[0] == (2 if BLAS else None)
-        assert len(seen) > 1 and set(seen[1:]) == {1 if BLAS else None}
-        assert after == (2 if BLAS else None)
+        assert len(seen) > 1 and set(seen) == {1 if BLAS else None}
+        assert after == (1 if BLAS else None)
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter in this numpy")
+def test_every_stage_of_a_two_worker_command_sees_one_blas_thread(score_inputs, tmp_path,
+                                                                   monkeypatch):
+    """With 2 workers, the neighbour search, the scoring pass and each pool job
+    of `score` and of `pipeline` see one OpenBLAS thread."""
+    _cores(monkeypatch, 2)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "2")  # restored after the --threads run sets them
+    seen = {}
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def watched(*args, **kwargs):
+            seen.setdefault(name, []).append(blas_count())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, watched)
+
+    spy(neighbors, "search")
+    spy(scorer, "segment_scores")
+    run = workers.run
+
+    def watched_run(jobs, threads=None):
+        def job(call):
+            seen.setdefault("pool job", []).append(blas_count())
+            return call()
+
+        return run([functools.partial(job, call) for call in jobs], threads)
+
+    monkeypatch.setattr(workers, "run", watched_run)
+    pipeline = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
+                "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2",
+                "--threads", "2", "--out", str(tmp_path / "run")]
+    before = blas_count()
+    try:
+        for argv in (_score_argv(score_inputs, tmp_path / "out", "f1.ckpt", "f2.ckpt"), pipeline):
+            seen.clear()
+            BLAS[1](2)  # so that a stage before the pin shows
+            assert main(argv) == 0
+            assert sorted(seen) == ["pool job", "search", "segment_scores"], argv[0]
+            assert {name: set(counts) for name, counts in seen.items()} == dict.fromkeys(
+                seen, {1}), argv[0]
+    finally:
+        BLAS[1](before)
