@@ -7,8 +7,9 @@ fits a model (`tinynet.build_and_train`), `score` scores checkpoints
 the penultimate layer of --features-from, `scorer.score_models`,
 `write_scores`), `oracle` enumerates the analytic separation check, and
 `split` and `eval` post-process score tables (`mixture.split_to_files`,
-`evaluate`). Exit codes: 0 success, 2 bad configuration (a missing input
-file among them), 3 numeric failure, 4 I/O failure.
+`evaluate`). A step command makes its --out after its settings checks,
+before its work. Exit codes: 0 success, 2 bad configuration (a missing
+input file among them), 3 numeric failure, 4 I/O failure.
 
 Heavy imports happen inside handlers so that --threads can cap the BLAS
 pools via environment variables before numpy loads. For `pipeline`
@@ -29,9 +30,9 @@ import sys
 from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from .config import (SCORE_KINDS, RunConfig, TrainConfig, boolean, check_neighbor_count,
-                     check_probe_rows, check_score_kinds, check_threads, check_training_steps,
-                     field_parser, fields_from, label_map, write_manifest)
+from .config import (SCORE_KINDS, SEGMENT_KINDS, RunConfig, TrainConfig, boolean,
+                     check_neighbor_count, check_probe_rows, check_score_kinds, check_threads,
+                     check_training_steps, field_parser, fields_from, label_map, write_manifest)
 from .errors import NumericError
 
 
@@ -43,8 +44,12 @@ def imbalance(text):
 
 class _Parser(argparse.ArgumentParser):
     """Rejects bad arguments as every configuration error is rejected: one
-    `error: ...` line on stderr, without the usage block, and exit 2. The
-    subcommand parsers are of this class too."""
+    `error: ...` line on stderr, without the usage block, and exit 2. It
+    takes no abbreviated flag, so each setting has one spelling (and `--h`
+    does not read as `--help`). The subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -88,12 +93,11 @@ def build_parser():
     p.add_argument("--features-from", required=True,
                    help="checkpoint whose penultimate layer defines the neighbors, "
                         "searched on every run")
-    _add_flags(p, RunConfig, ("n_neighbors", "out_dir"))  # --l
-    p.add_argument("--h", dest="trapezoids", type=int, default=10, help="trapezoid count")
-    p.add_argument("--kinds", default="inn,midpoint",
+    _add_flags(p, RunConfig, ("n_neighbors", "trapezoids", "out_dir"))  # --l and --trapezoids
+    p.add_argument("--kinds", default=",".join(SEGMENT_KINDS),
                    help=f"columns to emit ({','.join(SCORE_KINDS)}); loss columns use the "
                         "scored checkpoint's own losses, and with loss columns alone the pass "
-                        "runs, and the probe budget charges it, at --h 1 --l 1")
+                        "runs, and the probe budget charges it, at --trapezoids 1 --l 1")
 
     p = sub.add_parser("oracle", help="enumerate the analytic separation check")
     p.add_argument("--k", type=int, default=2)
@@ -196,8 +200,8 @@ def _cmd_synth(args):
     _check_name(args.name)
     settings = fields_from(RunConfig, args)
     RunConfig(**settings)  # rejects a --spread, --seed or --n out of range
-    ds = data.synth(args.synth_kind, args.n, args.n_classes, args.dim, args.spread, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
+    ds = data.synth(args.synth_kind, args.n, args.n_classes, args.dim, args.spread, args.seed)
     path = data.write_csv(ds, os.path.join(args.out_dir, args.name))
     print(f"wrote {path} (n={ds.n}, d={ds.d}, K={ds.n_classes})")
     write_manifest({**settings, "name": args.name}, args.command)
@@ -236,8 +240,8 @@ def _cmd_train(args):
     RunConfig(hidden=args.hidden, lift_freq=args.lift_freq)  # rejects them out of range
     ds = data.read_csv(args.data_path)
     check_training_steps(ds.n, tc.batch_size, tc.epochs, f"epochs {tc.epochs}")
-    result = tinynet.build_and_train(ds, args.hidden, args.lift_freq, tc)
     os.makedirs(args.out_dir, exist_ok=True)
+    result = tinynet.build_and_train(ds, args.hidden, args.lift_freq, tc)
     for epoch, snap in result.checkpoints:
         tinynet.save_checkpoint(snap, os.path.join(args.out_dir, f"model_epoch{epoch}.ckpt"),
                                 epoch, tc)
@@ -253,14 +257,14 @@ def _cmd_score(args):
     from . import data, neighbors, scorer, tinynet, workers
 
     settings = fields_from(RunConfig, args)  # data_path, n_neighbors, trapezoids, out_dir
-    RunConfig(**settings)  # rejects --h or --l below 1
-    L = args.n_neighbors
+    RunConfig(**settings)  # rejects --trapezoids or --l below 1
+    L, H = args.n_neighbors, args.trapezoids
     kinds = check_score_kinds([k.strip() for k in args.kinds.split(",") if k.strip()]
                               or [args.kinds])  # no kind: reject the whole text
     ds = data.read_csv(args.data_path)
     check_neighbor_count(ds.n, L, f"--l is {L}")
-    check_probe_rows(ds.n, L, args.trapezoids, len(args.model), kinds,
-                     f"--h {args.trapezoids}, --l {L} and {len(args.model)} --model checkpoints")
+    check_probe_rows(ds.n, L, H, len(args.model), kinds,
+                     f"--trapezoids {H}, --l {L} and {len(args.model)} --model checkpoints")
     top = int(ds.observed_labels.max())
 
     def load(path, scored):
@@ -285,13 +289,14 @@ def _cmd_score(args):
         path_of[epoch] = ckpt
         checkpoints.append((epoch, model))
 
+    os.makedirs(args.out_dir, exist_ok=True)
     workers.claim()  # before the embedding, the first BLAS call: see `workers`
     nbr, dist = neighbors.search(h_model.penultimate(ds.features), L)
     zero = int((dist[:, L - 1] == 0).sum())  # neighbors picked by the id tie-break
     print(f"neighbors: {zero} of {ds.n} rows have neighbor {L} at distance 0")
 
-    tables, _ = scorer.score_models(ds, nbr, args.trapezoids, checkpoints, kinds=kinds)
-    path, _ = scorer.write_scores(tables, args.trapezoids, L, args.out_dir)
+    tables, _ = scorer.score_models(ds, nbr, H, checkpoints, kinds=kinds)
+    path, _ = scorer.write_scores(tables, H, L, args.out_dir)
     print(f"wrote {path} ({len(tables)} checkpoints, kinds: {','.join(kinds)})")
     write_manifest({**settings, "model": args.model, "features_from": args.features_from,
                     "kinds": kinds}, args.command)
@@ -301,10 +306,11 @@ def _cmd_score(args):
 def _cmd_oracle(args):
     from .oracle import verify_separation
 
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
     report = verify_separation(args.k, args.l, args.cond)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         report.to_json(os.path.join(args.out_dir, "oracle_report.json"))
         write_manifest({"n_classes": args.k, "n_neighbors": args.l, "cond": args.cond,
                         "out_dir": args.out_dir}, args.command)
@@ -321,6 +327,7 @@ def _cmd_split(args):
     table = next((t for t in tables if t.epoch == wanted), None)
     if table is None or args.kind not in table.values:
         raise ValueError(f"no {args.kind!r} scores at epoch {wanted}")
+    os.makedirs(args.out_dir, exist_ok=True)
     fit, result = mixture.split_to_files(table.values[args.kind], args.kind, args.normalize,
                                          args.threshold, table.ids, args.out_dir, "split.csv")
     print(f"wrote {os.path.join(args.out_dir, 'split.csv')} ({len(result.labeled_ids)} labeled / "
@@ -346,8 +353,8 @@ def _cmd_eval(args):
         ds = ds.subset([row_of[sid] for sid in tables[0].ids.tolist()])
     except KeyError as exc:
         raise ValueError(f"score table references id {exc} missing from the dataset") from exc
-    report = evaluate.sweep_report(tables, ds.clean_mask())
     os.makedirs(args.out_dir, exist_ok=True)
+    report = evaluate.sweep_report(tables, ds.clean_mask())
     report.write_outputs(args.out_dir, tables[-1], ds, tables[-1].kinds(), args.bins)
     for epoch, kind, value in report.aucs:
         print(f"epoch {epoch} {kind}: AUC {value:.4f}")

@@ -7,7 +7,8 @@ and set --threads, before numpy loads.
 A field's type names its text parser, which is the flag's argparse `type`
 and converts a config-file value. Its metadata holds only what the name,
 type and default cannot give: the flag where it is not `--field-name`, the
-choices and the help text.
+choices and the help text. `RunConfig` refuses a setting away from its
+default that the run does not read (`_READERS`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from ._records import write_json
 
 
 def int_list(text):
-    """'256,128' -> (256, 128); empty items are skipped."""
-    return tuple(int(v) for v in text.split(",") if v != "")
+    """'256,128' -> (256, 128) and '' -> (); an empty entry inside a list,
+    as in '8,,4', is a ValueError."""
+    return tuple(map(int, text.split(","))) if text else ()
 
 
 def label_map(text):
@@ -172,11 +174,19 @@ def _setting(default, **metadata):
 LOSS_KINDS = ("ce", "cene", "mixup")
 # the score columns of `scorer.summarize` and `score --kinds`
 SCORE_KINDS = ("inn", "midpoint", "loss_ce", "loss_cene")
+SEGMENT_KINDS = ("inn", "midpoint")  # f's columns in `pipeline`; the default kinds elsewhere
 NOISE_KINDS = ("none", "symmetric", "chain", "map", "imbalanced")  # `data.corrupt`'s protocols
-# the corruption settings that only some noise kinds read, and those kinds
-_NOISE_READERS = {
-    "noise_rate": ("symmetric", "chain", "map"), "noise_map": ("map",),
-    **dict.fromkeys(("imb_class_a", "imb_class_b", "imb_keep", "imb_flip"), ("imbalanced",)),
+# the settings that a run reads only under others: field -> (those others,
+# a test of their values that is true when the run reads the field)
+_READERS = {
+    "noise_rate": (("noise_kind",), lambda kind: kind in ("symmetric", "chain", "map")),
+    "noise_map": (("noise_kind",), lambda kind: kind == "map"),
+    **dict.fromkeys(("imb_class_a", "imb_class_b", "imb_keep", "imb_flip"),
+                    (("noise_kind",), lambda kind: kind == "imbalanced")),
+    **dict.fromkeys(("synth_kind", "n", "n_classes", "dim", "spread"),
+                    (("data_path",), lambda path: path is None)),
+    "mixup_alpha": (("f_loss", "h_loss"), lambda *losses: "mixup" in losses),
+    "h_epochs": (("share_epochs",), lambda share: not share),
 }
 
 
@@ -252,7 +262,6 @@ class RunConfig:
     # scorer
     trapezoids: int = 10
     n_neighbors: int = _setting(10, flag="--l")
-    mode: str = _setting("integral", choices=("integral", "midpoint"))
     # extras
     baselines: bool = _setting(True, flag="--no-baselines")
     l_sweep: tuple[int, ...] | None = _setting(None, help="e.g. '1,2,5,10'")
@@ -285,11 +294,12 @@ class RunConfig:
         if not 0.0 <= self.threshold <= 1.0:  # a clean posterior
             raise ValueError(f"threshold is {self.threshold}, not in [0, 1]")
         defaults = {f.name: f.default for f in fields(self)}
-        for name, kinds in _NOISE_READERS.items():
+        for name, (others, reads) in _READERS.items():
             value = getattr(self, name)
-            if self.noise_kind not in kinds and value != defaults[name]:
-                raise ValueError(f"{name} is {value}, but noise_kind {self.noise_kind} "
-                                 "does not read it")
+            if value != defaults[name] and not reads(*(getattr(self, o) for o in others)):
+                given = " and ".join(f"{o} {getattr(self, o)}" for o in others)
+                raise ValueError(f"{name} is {value}, but {given} "
+                                 f"{'does' if len(others) == 1 else 'do'} not read it")
         TrainConfig(**fields_from(TrainConfig, self))  # checks the shared training settings
         _reject_non_finite(self)
         for name in ("spread", "lift_freq"):
@@ -297,9 +307,9 @@ class RunConfig:
                 raise ValueError(f"{name} is {getattr(self, name)}, not at least 0")
         if self.lift_freq > 0 and not self.hidden:
             raise ValueError(f"hidden is (), but lift_freq {self.lift_freq} needs a hidden layer")
-        if self.data_path is None and self.n < self.n_classes:
+        if self.n < self.n_classes:  # with data_path both are their defaults
             raise ValueError(f"n is {self.n}, fewer than the {self.n_classes} classes")
-        if self.data_path is None and self.dim < 2:
+        if self.dim < 2:
             raise ValueError(f"dim is {self.dim}, not at least 2")
 
     def scaled(self, value):

@@ -10,8 +10,9 @@ scores every checkpoint of f (integral and midpoint), `scorer.score_models`
 gives each baseline's losses at the same epochs from an L = H = 1 pass (ce's
 also its consistency rows), and `scorer.write_scores` writes them, as
 `score` does. Each model's checkpoints end with its final model.
-`mixture.split_to_files` splits scores (beta) and losses (Gaussian), as
-`split` does, and the sweep report compares AUC across checkpoints.
+`mixture.split_to_files` splits the final `inn` scores (beta) and ce
+losses (Gaussian), as `split` does (`--kind midpoint` splits the other
+column), and the sweep report compares AUC across checkpoints.
 
 Every stage derives its seed from the master seed by a fixed offset
 (data +0, corruption +1, h +2, f +3, ce baseline +4, cene baseline +5),
@@ -36,8 +37,8 @@ from dataclasses import asdict, dataclass, field
 from . import data as data_mod
 from . import evaluate, mixture, neighbors, scorer, tinynet, workers
 from ._records import write_json, write_rows
-from .config import (RunConfig, check_neighbor_count, check_probe_rows, check_training_steps,
-                     fields_from, write_manifest)
+from .config import (SEGMENT_KINDS, RunConfig, check_neighbor_count, check_probe_rows,
+                     check_training_steps, fields_from, write_manifest)
 
 
 @dataclass
@@ -124,7 +125,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
     h_epochs = f_epochs if cfg.share_epochs else cfg.scaled(cfg.h_epochs)
     ckpt_every = None if cfg.checkpoint_every is None else cfg.scaled(cfg.checkpoint_every)
     n_ckpts = -(-f_epochs // ckpt_every) if ckpt_every else 1  # the final model among them
-    check_probe_rows(ds.n, l_max, cfg.trapezoids, n_ckpts, ("inn", "midpoint"),
+    check_probe_rows(ds.n, l_max, cfg.trapezoids, n_ckpts, SEGMENT_KINDS,
                      f"trapezoids {cfg.trapezoids}, {l_max} neighbors and {n_ckpts} checkpoints")
     ckpt_dir = os.path.join(out, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -197,10 +198,9 @@ def run_pipeline(cfg, quiet=False, threads=None):
     _log(f"scored {len(tables)} checkpoints", quiet)
     clock.lap("scoring")
 
-    main_kind = "inn" if cfg.mode == "integral" else "midpoint"
     final = tables[-1]
     splits = {}
-    for kind, fit_name, stem in ((main_kind, "bmm_fit.json", "split_scores"),
+    for kind, fit_name, stem in (("inn", "bmm_fit.json", "split_scores"),
                                  ("loss_ce", "gmm_fit.json", "split_loss")):
         if kind in final.values:
             _, splits[stem] = mixture.split_to_files(final.values[kind], kind, cfg.normalize,
@@ -221,7 +221,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
                 os.path.join(out, "lsweep.csv"), ("L", "auc"),
                 ([str(row["L"]), repr(row["auc"])] for row in report.flags["l_sweep"]["aucs"]),
             )
-        kinds = [kind for kind in (main_kind, "loss_ce") if kind in final.values]
+        kinds = [kind for kind in ("inn", "loss_ce") if kind in final.values]
         paths.update(report.write_outputs(out, final, ds, kinds, cfg.bins))
     clock.lap("eval")
 

@@ -45,7 +45,7 @@ import numpy as np
 from . import tinynet, workers
 from ._records import check_unique, read_columns, write_json, write_lines
 from .config import CHUNK_PROBES as _CHUNK_PROBES  # interior probe rows per chunk
-from .config import check_score_kinds, scoring_pass
+from .config import SEGMENT_KINDS, check_score_kinds, scoring_pass
 from .errors import NumericError
 
 # about as many (edge, unit) arrays as a rotation holds besides its probe
@@ -325,7 +325,7 @@ def segment_scores(dataset, neighbor_ids, trapezoids, checkpoints, threads=None)
     return out
 
 
-def summarize(dataset, checkpoints, segments, n_neighbors, kinds=("inn", "midpoint")):
+def summarize(dataset, checkpoints, segments, n_neighbors, kinds=SEGMENT_KINDS):
     """(tables, stats) from segment_scores' output: one ScoreTable per
     checkpoint with a column for each of `kinds` ("inn" and "midpoint"
     average the first n_neighbors neighbors, "loss_*" are the losses of
@@ -355,7 +355,7 @@ def summarize(dataset, checkpoints, segments, n_neighbors, kinds=("inn", "midpoi
 
 
 def score_models(dataset, neighbor_ids, trapezoids, checkpoints, threads=None,
-                 kinds=("inn", "midpoint")):
+                 kinds=SEGMENT_KINDS):
     """Score every sample under every checkpoint in one chunked pass.
 
     Arguments, threads among them, as for segment_scores. Returns

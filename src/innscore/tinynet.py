@@ -4,7 +4,8 @@ The network is an MLP: ReLU hidden layers, softmax output, and
 optionally a frozen sin first hidden layer (the lift). Everything is
 float64 numpy so gradients can be checked against finite differences at
 tight tolerances. The last hidden layer doubles as the feature embedding
-used for nearest-neighbor search.
+used for nearest-neighbor search. Inference and training share one
+hidden-layer loop, `Model._hidden`.
 """
 
 from __future__ import annotations
@@ -80,24 +81,22 @@ class Model:
             raise ValueError(
                 f"input dim {X.shape[1]} does not match model dim {self.layer_dims[start]}"
             )
-        A = X
-        for layer in range(start, len(self.weights) - 1):
-            # the bits of activate(layer, A @ W + b), with one array per layer
-            A = A @ self.weights[layer]
-            A += self.biases[layer]
-            self.activate(layer, A, out=A)
+        A = self._hidden(X, start)[-1]
         probs = _softmax(A @ self.weights[-1] + self.biases[-1])
         # an inf or nan feature reaches every logit of its row, so probs shows it too
         if not np.isfinite(probs).all():
             raise NumericError("non-finite model output; model parameters diverged")
         return probs, A
 
-    def _hidden(self, A, start):
-        """Yield (pre-activations, activations) of each hidden layer from `start` on."""
-        for layer in range(start, len(self.weights) - 1):
-            Z = A @ self.weights[layer] + self.biases[layer]
-            A = self.activate(layer, Z)
-            yield Z, A
+    def _hidden(self, A, start=0, stop=None):
+        """[A, activations of hidden layers start.. before `stop` (default: all)]
+        for A the inputs of layer `start`; each is one array: A @ W, += b, activate."""
+        acts = [A]
+        for layer in range(start, len(self.weights) - 1 if stop is None else stop):
+            A = A @ self.weights[layer]
+            A += self.biases[layer]
+            acts.append(self.activate(layer, A, out=A))
+        return acts
 
     def predict_proba(self, inputs):
         return self.forward(inputs)[0]
@@ -203,11 +202,8 @@ def loss_and_grad(model, inputs, targets, loss_kind):
 def _loss_and_grad(model, A, T, loss_kind, start):
     """Mean loss and (dW, db) of layers start.. for A, the inputs of layer
     `start`, and (n, K) targets T; nothing is propagated below `start`."""
-    acts, pre = [A], []
-    for Z, A in model._hidden(A, start):
-        pre.append(Z)
-        acts.append(A)
-    probs = _softmax(A @ model.weights[-1] + model.biases[-1])
+    acts = model._hidden(A, start)
+    probs = _softmax(acts[-1] @ model.weights[-1] + model.biases[-1])
 
     logp = np.log(np.maximum(probs, PROB_FLOOR))
     ce = -(T * logp).sum(axis=1)
@@ -226,11 +222,12 @@ def _loss_and_grad(model, A, T, loss_kind, start):
     delta = d_logits / T.shape[0]
     grads = []
     for layer in range(len(model.weights) - 1, start - 1, -1):
-        i = layer - start  # acts[i] is the input of `layer`, pre[i - 1] its pre-activation
+        i = layer - start  # acts[i] is the input of `layer`, the activations of layer - 1
         grads.append((acts[i].T @ delta, delta.sum(axis=0)))
         if layer > start:
-            sin = model.lift and layer == 1
-            local = np.cos(pre[i - 1]) if sin else (pre[i - 1] > 0)
+            sin = model.lift and layer == 1  # from layer 0: recompute the lift's Z for cos
+            # ReLU's from its activations: max(Z, 0) > 0 exactly where Z > 0, nan included
+            local = np.cos(acts[0] @ model.weights[0] + model.biases[0]) if sin else acts[i] > 0
             delta = (delta @ model.weights[layer].T) * local
     return loss, grads[::-1]
 
@@ -269,11 +266,7 @@ def train(model, dataset, config):
     T = one_hot(y, model.n_classes)
     start = 1 if model.lift else 0
     mixup = config.loss_kind == "mixup"
-
-    def prefix(inputs):
-        return model.activate(0, inputs @ model.weights[0] + model.biases[0]) if start else inputs
-
-    lifted = None if mixup else prefix(X)
+    lifted = None if mixup else model._hidden(X, 0, start)[-1]  # the inputs of layer `start`
     checkpoints, epoch_loss = [], []
     for epoch in range(config.epochs):
         lr = learning_rate(epoch, config)
@@ -286,7 +279,8 @@ def train(model, dataset, config):
                 partner = rng.permutation(idx.shape[0])
                 xb, tb = X[idx], T[idx]
                 xb, tb = mixup_batch(xb, tb, xb[partner], tb[partner], lam)
-                loss, grads = _loss_and_grad(model, prefix(xb), tb, "mixup", start)
+                loss, grads = _loss_and_grad(model, model._hidden(xb, 0, start)[-1], tb, "mixup",
+                                             start)
             else:
                 loss, grads = _loss_and_grad(model, lifted[idx], T[idx], config.loss_kind, start)
             batch_loss.append(loss)

@@ -47,6 +47,11 @@ def tiny_config(out_dir, **overrides):
         seed=0,
         out_dir=str(out_dir),
     )
+    if "data_path" in overrides:  # a run reads the synthesis settings only without a dataset
+        for name in ("n", "n_classes", "dim", "spread"):
+            del base[name]
+    if overrides.get("share_epochs"):  # and h_epochs only without share_epochs
+        del base["h_epochs"]
     base.update(overrides)
     return RunConfig(**base)
 
@@ -165,11 +170,26 @@ class TestPipeline:
         assert lines[0] == "L,auc"
         assert len(lines) == 4
 
-    def test_midpoint_mode_drives_split(self, tmp_path):
-        cfg = tiny_config(tmp_path / "run", mode="midpoint")
+    def test_midpoint_split_and_histograms_from_the_step_commands(self, tmp_path):
+        """`split --kind midpoint` and `eval` over a pipeline's scores give the
+        midpoint column's split, fit and histograms, as the pipeline's own
+        mixture and report stages make them."""
+        cfg = tiny_config(tmp_path / "run")
         result = run_pipeline(cfg, quiet=True)
-        assert "hist_midpoint" in result.paths
-        assert (tmp_path / "run" / "histograms_midpoint.csv").exists()
+        run, own = tmp_path / "run", tmp_path / "own"
+        assert main(["split", "--scores", str(run / "scores.csv"), "--kind", "midpoint",
+                     "--out", str(tmp_path / "split")]) == 0
+        assert main(["eval", "--scores", str(run / "scores.csv"),
+                     "--data", str(run / "dataset.csv"), "--out", str(tmp_path / "eval")]) == 0
+        final = result.score_tables[-1]
+        mixture.split_to_files(final.values["midpoint"], "midpoint", cfg.normalize, cfg.threshold,
+                               final.ids, own, "split_scores.csv", "bmm_fit.json")
+        paths = result.report.write_outputs(own, final, result.dataset, ["midpoint"], cfg.bins)
+        assert "hist_midpoint" in paths
+        for ours, theirs in (("split_scores.csv", "split/split.csv"),
+                             ("bmm_fit.json", "split/beta_fit.json"),
+                             ("histograms_midpoint.csv", "eval/histograms_midpoint.csv")):
+            assert filecmp.cmp(own / ours, tmp_path / theirs, shallow=False), ours
 
     def test_epoch_scale_and_share(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", epoch_scale=0.5, share_epochs=True)
@@ -317,7 +337,7 @@ class TestOneForwardPerCheckpoint:
 
         monkeypatch.setattr(tinynet.Model, "forward", counted)
         assert main(["score", "--data", world["csv"], "--model", f,
-                     "--features-from", str(root / "h.ckpt"), "--l", "3", "--h", "10",
+                     "--features-from", str(root / "h.ckpt"), "--l", "3", "--trapezoids", "10",
                      "--kinds", "loss_ce", "--out", str(tmp_path)]) == 0
         model = loaded[f][0]
         assert 0 < sum(n for m, n in rows if m is model) <= 2 * 30
@@ -340,7 +360,7 @@ _STEP_FLAGS = [
     *(("train", _flag(f), _EDGE_VALUES[f.type]) for f in fields(TrainConfig)
       if f.type in _EDGE_VALUES),
     ("train", "--lift-freq", _EDGE_VALUES["float"]), ("train", "--hidden", ("", "0", "-1")),
-    ("score", "--l", _EDGE_VALUES["int"]), ("score", "--h", _EDGE_VALUES["int"]),
+    ("score", "--l", _EDGE_VALUES["int"]), ("score", "--trapezoids", _EDGE_VALUES["int"]),
     *(("synth", _flag(f), _EDGE_VALUES[f.type]) for f in fields(RunConfig)
       if f.name in ("n", "n_classes", "dim", "spread", "seed")),
 ]
@@ -402,7 +422,7 @@ class TestCli:
                      "--model", f"{out}/f/model_epoch3.ckpt",
                      "--model", f"{out}/f/model_final.ckpt",
                      "--features-from", f"{out}/h/model_final.ckpt",
-                     "--l", "4", "--h", "5",
+                     "--l", "4", "--trapezoids", "5",
                      "--kinds", "inn,midpoint,loss_ce",
                      "--out", f"{out}/scores"]) == 0
         keep("score", f"{out}/scores")
@@ -501,7 +521,7 @@ class TestCli:
                       for arg in ("--model", str(steps / tag / f"model_epoch{epoch}.ckpt"))]
             assert main(["score", "--data", str(steps / "dataset.csv"), *models,
                          "--features-from", str(steps / "h" / "model_final.ckpt"),
-                         "--l", str(cfg.n_neighbors), "--h", str(cfg.trapezoids),
+                         "--l", str(cfg.n_neighbors), "--trapezoids", str(cfg.trapezoids),
                          "--kinds", kinds, "--out", str(steps / f"score_{tag}")]) == 0, kinds
             theirs = scorer.read_score_csv(steps / f"score_{tag}" / "scores.csv")
             assert [t.epoch for t in theirs] == list(epochs)
@@ -658,7 +678,7 @@ class TestCli:
                       "--out", str(tmp_path / "t")],
                      ["score", "--data", world["csv"], "--model",
                       str(tmp_path / "t" / "model_final.ckpt"), "--features-from",
-                      str(world["root"] / "h.ckpt"), "--l", "3", "--h", "2",
+                      str(world["root"] / "h.ckpt"), "--l", "3", "--trapezoids", "2",
                       "--out", str(tmp_path / "s")]):
             done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
                                    *argv], capture_output=True, text=True, timeout=60,
@@ -721,7 +741,7 @@ class TestCli:
             ("batch_size", "--batch-size", "32"), ("lr0", "--lr0", "0.05"),
             ("momentum", "--momentum", "0.5"), ("lr_drop_factor", "--lr-drop-factor", "2"),
             ("mixup_alpha", "--mixup-alpha", "0.5"), ("trapezoids", "--trapezoids", "4"),
-            ("n_neighbors", "--l", "6"), ("mode", "--mode", "midpoint"),
+            ("n_neighbors", "--l", "6"),
             ("baselines", "--no-baselines", None), ("l_sweep", "--l-sweep", "1,3"),
             ("epoch_scale", "--epoch-scale", "0.5"), ("share_epochs", "--share-epochs", None),
             ("normalize", "--no-normalize", None), ("threshold", "--threshold", "0.4"),
@@ -737,9 +757,13 @@ class TestCli:
             raise Built(cfg)
 
         monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
-        # each noise kind takes only the corruption settings it reads
-        unread = {"map": ("imb_class_a", "imb_class_b", "imb_keep", "imb_flip"),
-                  "imbalanced": ("noise_rate", "noise_map")}
+        # each run takes only the settings it reads: the map run synthesizes, trains f
+        # with mixup and h for its own epochs; the imbalanced run reads a dataset, trains
+        # no model with mixup and h for f's epochs
+        unread = {"map": ("imb_class_a", "imb_class_b", "imb_keep", "imb_flip", "data_path",
+                          "f_loss", "share_epochs"),
+                  "imbalanced": ("noise_rate", "noise_map", "synth_kind", "n", "n_classes", "dim",
+                                 "spread", "mixup_alpha", "h_epochs")}
         changed = set()
         for kind, skipped in unread.items():
             run = [(name, flag, kind if name == "noise_kind" else text)
@@ -875,7 +899,7 @@ class TestCli:
         base = {"train": ["--data", world["csv"], "--loss", "mixup", "--epochs", "2",
                           "--hidden", "8,4"],
                 "score": ["--data", world["csv"], "--model", str(root / "f.ckpt"),
-                          "--features-from", str(root / "h.ckpt"), "--l", "3", "--h", "2"],
+                          "--features-from", str(root / "h.ckpt"), "--l", "3", "--trapezoids", "2"],
                 "synth": ["--n", "30"]}[command]
         _keeps_the_contract([command, *base, f"{flag}={text}"], tmp_path / "run")
 
@@ -885,13 +909,14 @@ class TestCli:
         (["timing", "--quiet", "--n", "60", "--trapezoids", "100000"],
          "trapezoids is 100000, more than the 4096"),
         (["score", "--data", "{data}", "--model", "{f}", "--features-from", "{h}",
-          "--h", "4097"], "trapezoids is 4097, more than the 4096"),
+          "--trapezoids", "4097"], "trapezoids is 4097, more than the 4096"),
         (["pipeline", "--quiet", "--l", "1000", "--trapezoids", "4096"],
          "trapezoids 4096, 1000 neighbors and 6 checkpoints ask for 4.91e+10 probe rows "
          "of 2000 rows, more than the budget of 1e+09"),
         (["score", "--data", "{data}", "--model", "{f}", "--features-from", "{h}",
-          "--l", "1000", "--h", "1000"],
-         "--h 1000, --l 1000 and 1 --model checkpoints ask for 2e+09 probe rows of 2000 rows"),
+          "--l", "1000", "--trapezoids", "1000"],
+         "--trapezoids 1000, --l 1000 and 1 --model checkpoints ask for 2e+09 probe rows of "
+         "2000 rows"),
     ])
     def test_scoring_over_the_probe_bounds_exits_two(self, tmp_path, argv, named):
         """A scoring pass with more trapezoids than one chunk holds, or more
@@ -922,7 +947,7 @@ class TestCli:
         argv = ["score", "--data", str(tmp_path / "d.csv"), "--model", str(tmp_path / "f.ckpt"),
                 "--features-from", str(tmp_path / "h.ckpt"), "--kinds", "loss_ce"]
         for L, H in ((1000, 1000), (3, 2)):
-            assert main([*argv, "--l", str(L), "--h", str(H),
+            assert main([*argv, "--l", str(L), "--trapezoids", str(H),
                          "--out", str(tmp_path / f"l{L}")]) == 0, capsys.readouterr().err
         assert filecmp.cmp(tmp_path / "l1000" / "scores.csv", tmp_path / "l3" / "scores.csv",
                            shallow=False)
@@ -969,6 +994,106 @@ class TestCli:
         assert seen and set(seen) == {1 if blas else None}
         assert after == (1 if blas else None)
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--data", "{data}", "--k", "7"], "n_classes is 7, but data_path {data} does not read it"),
+        (["--data", "{data}", "--d", "5"], "dim is 5, but data_path {data} does not read it"),
+        (["--data", "{data}", "--kind", "two_moons"],
+         "synth_kind is two_moons, but data_path {data} does not read it"),
+        (["--mixup-alpha", "0.7", "--f-loss", "ce"],
+         "mixup_alpha is 0.7, but f_loss ce and h_loss ce do not read it"),
+        (["--h-epochs", "5", "--share-epochs"],
+         "h_epochs is 5, but share_epochs True does not read it"),
+    ])
+    def test_setting_the_run_does_not_read_exits_two(self, tmp_path, capsys, argv, shown):
+        """A setting away from its default that the run does not read is refused
+        before any work, as the noise settings are."""
+        path = data.write_csv(data.synth("blobs", 60, 4, 2, 0.5, seed=0), tmp_path / "d.csv")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--quiet", *(arg.format(data=path) for arg in argv),
+                     "--epochs", "2", "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3",
+                     "--trapezoids", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {shown.format(data=path)}\n"
+        assert not out.exists()
+
+    def test_defaults_and_read_settings_are_accepted(self):
+        RunConfig(data_path="d.csv", synth_kind="blobs", n=2000, n_classes=4, dim=2, spread=0.3)
+        RunConfig(f_loss="ce", h_loss="mixup", mixup_alpha=0.7)
+        RunConfig(h_epochs=50, share_epochs=True)
+
+    def test_removed_spellings_exit_two(self, world, tmp_path, capsys):
+        """`pipeline --mode`, the config key `mode` and `score --h` are gone:
+        each is refused with one line, `--h` as an unknown flag, not as `--help`."""
+        root = world["root"]
+        (tmp_path / "mode.cfg").write_text("mode = midpoint\n")
+        for argv, shown in (
+            (["pipeline", "--mode", "midpoint"],
+             "error: unrecognized arguments: --mode midpoint\n"),
+            (["pipeline", "--config", str(tmp_path / "mode.cfg")],
+             f"error: {tmp_path / 'mode.cfg'}: line 1: unknown key 'mode'\n"),
+            (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
+              "--features-from", str(root / "h.ckpt"), "--h", "4"],
+             "error: unrecognized arguments: --h 4\n"),
+        ):
+            try:
+                rc = main([*argv, "--out", str(tmp_path / "out")])
+            except SystemExit as exc:
+                rc = exc.code
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == (2, "", shown), argv
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["score", "train"])
+    def test_unusable_out_is_found_before_any_work(self, world, tmp_path, capsys, monkeypatch,
+                                                   command):
+        """A step command whose --out is a regular file exits 4 before the
+        neighbour search or the training."""
+        called = []
+        for module, name in ((neighbors, "search"), (tinynet, "build_and_train")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                                called.append(name) or real(*a, **k))
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        root = world["root"]
+        argv = {"score": ["--data", world["csv"], "--model", str(root / "f.ckpt"),
+                          "--features-from", str(root / "h.ckpt"), "--l", "3",
+                          "--trapezoids", "2"],
+                "train": ["--data", world["csv"], "--epochs", "1", "--hidden", "4"]}[command]
+        assert main([command, *argv, "--out", str(blocked)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("i/o error: "), err
+        assert called == []
+
+    def test_one_spelling_per_setting(self):
+        """Each option of a subcommand that sets a settings field takes that
+        field's flag and default: TrainConfig's for train's training flags,
+        RunConfig's otherwise. The exceptions are listed with their reasons."""
+        from innscore.cli import build_parser
+
+        exceptions = {
+            ("train", "--lift-freq"): "default 0.0, a plain ReLU stack; the benchmark's h "
+                                      "set-up trains at it (ROADMAP item 5)",
+            ("oracle", "--out"): "default None: the oracle's output files are optional",
+        }
+        by_name = {cls: {f.name: f for f in fields(cls)} for cls in (RunConfig, TrainConfig)}
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        seen, checked = set(), 0
+        for command, parser in commands.items():
+            for action in parser._actions:
+                cls = (TrainConfig if command == "train" and action.dest in by_name[TrainConfig]
+                       else RunConfig)
+                f = by_name[cls].get(action.dest)
+                if f is None:
+                    continue
+                if (command, action.option_strings[0]) in exceptions:
+                    seen.add((command, action.option_strings[0]))
+                    continue
+                assert (action.option_strings, action.default) == ([_flag(f)], f.default), \
+                    (command, action.option_strings)
+                checked += 1
+        assert seen == set(exceptions)
+        assert checked > 2 * len(fields(RunConfig))
+
     def test_threads_below_one_in_config_file_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         (tmp_path / "run.cfg").write_text("n = 60\nthreads = 0\n")
@@ -991,6 +1116,10 @@ class TestCli:
          "argument --map: '1:0,1:1' maps label 1 twice"),
         (["pipeline", "--noise", "map", "--map", "1:2,01:3"],
          "argument --map: '1:2,01:3' maps label 1 twice"),
+        (["pipeline", "--hidden", "8,,4"], "argument --hidden: invalid int_list value: '8,,4'"),
+        (["pipeline", "--l-sweep", "2,,3"], "argument --l-sweep: invalid int_list value: '2,,3'"),
+        (["train", "--data", "d.csv", "--hidden", "8,"],
+         "argument --hidden: invalid int_list value: '8,'"),
     ])
     def test_malformed_list_flag_named(self, capsys, argv, shown):
         with pytest.raises(SystemExit) as err:
@@ -1073,7 +1202,7 @@ class TestMalformedInputsCli:
         big = "99999999999999999999"
         (tmp_path / "big_id.csv").write_text(
             "\n".join(lines[:3] + [big + "," + lines[3].split(",", 1)[1]] + lines[4:]) + "\n")
-        (tmp_path / "mode.cfg").write_text("n = 60\n\nmode = foo\n")
+        (tmp_path / "kind.cfg").write_text("n = 60\n\nsynth_kind = foo\n")
         (tmp_path / "loss.cfg").write_text('f_loss = "hinge"\n')
         (tmp_path / "map.cfg").write_text("noise_kind = map\nnoise_map = 1:2,1:3\n")
         typed = {"n.cfg": "n = abc\n", "epochs.cfg": "seed = 1\nepochs = 1.5\n",
@@ -1086,8 +1215,8 @@ class TestMalformedInputsCli:
         cases = [
             (["train", "--data", str(tmp_path / "big_id.csv"), "--out", out],
              f"big_id.csv: line 4: '{big}' is outside the int64 range"),
-            (["pipeline", "--config", str(tmp_path / "mode.cfg"), "--out", out],
-             "mode.cfg: line 3: mode is 'foo', not one of integral, midpoint"),
+            (["pipeline", "--config", str(tmp_path / "kind.cfg"), "--out", out],
+             "kind.cfg: line 3: synth_kind is 'foo', not one of blobs, two_moons"),
             (["timing", "--config", str(tmp_path / "loss.cfg"), "--out", out],
              "loss.cfg: line 1: f_loss is 'hinge', not one of ce, cene, mixup"),
             (["pipeline", "--config", str(tmp_path / "n.cfg"), "--out", out],
@@ -1111,7 +1240,7 @@ class TestMalformedInputsCli:
               "--features-from", str(root / "h.ckpt"), "--kinds", ",", "--out", out],
              "unknown score kind ','"),
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
-              "--features-from", str(root / "h.ckpt"), "--h", "0", "--out", out],
+              "--features-from", str(root / "h.ckpt"), "--trapezoids", "0", "--out", out],
              "trapezoids is 0, not a positive integer"),
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--l", "0", "--out", out],
@@ -1305,7 +1434,7 @@ class TestCorruptFilesCli:
                              name, at, flip)
             rc, _ = _run_quietly(
                 ["score", "--data", world["csv"], "--model", os.path.join(tmp, "f.ckpt"),
-                 "--features-from", os.path.join(tmp, "h.ckpt"), "--l", "3", "--h", "2",
+                 "--features-from", os.path.join(tmp, "h.ckpt"), "--l", "3", "--trapezoids", "2",
                  "--kinds", "inn,midpoint,loss_ce", "--out", tmp])
             if rc == 0:
                 rows = open(os.path.join(tmp, "scores.csv")).read().splitlines()[1:]
