@@ -32,7 +32,8 @@ from dataclasses import asdict, fields
 # stdlib-only modules, safe to import before --threads takes effect
 from .config import (SCORE_KINDS, SEGMENT_KINDS, RunConfig, TrainConfig, boolean,
                      check_neighbor_count, check_probe_rows, check_score_kinds, check_threads,
-                     check_training_steps, field_parser, fields_from, label_map, write_manifest)
+                     check_training_steps, field_parser, fields_from, kind_list, label_map,
+                     write_manifest)
 from .errors import NumericError
 
 
@@ -94,7 +95,7 @@ def build_parser():
                    help="checkpoint whose penultimate layer defines the neighbors, "
                         "searched on every run")
     _add_flags(p, RunConfig, ("n_neighbors", "trapezoids", "out_dir"))  # --l and --trapezoids
-    p.add_argument("--kinds", default=",".join(SEGMENT_KINDS),
+    p.add_argument("--kinds", type=kind_list, default=",".join(SEGMENT_KINDS),
                    help=f"columns to emit ({','.join(SCORE_KINDS)}); loss columns use the "
                         "scored checkpoint's own losses, and with loss columns alone the pass "
                         "runs, and the probe budget charges it, at --trapezoids 1 --l 1")
@@ -259,8 +260,7 @@ def _cmd_score(args):
     settings = fields_from(RunConfig, args)  # data_path, n_neighbors, trapezoids, out_dir
     RunConfig(**settings)  # rejects --trapezoids or --l below 1
     L, H = args.n_neighbors, args.trapezoids
-    kinds = check_score_kinds([k.strip() for k in args.kinds.split(",") if k.strip()]
-                              or [args.kinds])  # no kind: reject the whole text
+    kinds = check_score_kinds(args.kinds)
     ds = data.read_csv(args.data_path)
     check_neighbor_count(ds.n, L, f"--l is {L}")
     check_probe_rows(ds.n, L, H, len(args.model), kinds,
@@ -322,18 +322,20 @@ def _cmd_split(args):
 
     settings = fields_from(RunConfig, args)  # normalize, threshold and out_dir
     RunConfig(**settings)  # rejects a threshold outside [0, 1]
+    if mixture.score_orientation(args.kind) < 0:  # a Gaussian fit, which does not normalize
+        if not args.normalize:
+            raise ValueError(f"normalize is False, but kind {args.kind} does not read it")
+        del settings["normalize"]
     tables = scorer.read_score_csv(args.scores)
     wanted = args.epoch if args.epoch is not None else tables[-1].epoch
     table = next((t for t in tables if t.epoch == wanted), None)
     if table is None or args.kind not in table.values:
         raise ValueError(f"no {args.kind!r} scores at epoch {wanted}")
     os.makedirs(args.out_dir, exist_ok=True)
-    fit, result = mixture.split_to_files(table.values[args.kind], args.kind, args.normalize,
-                                         args.threshold, table.ids, args.out_dir, "split.csv")
+    _, result = mixture.split_to_files(table.values[args.kind], args.kind, args.normalize,
+                                       args.threshold, table.ids, args.out_dir, "split.csv")
     print(f"wrote {os.path.join(args.out_dir, 'split.csv')} ({len(result.labeled_ids)} labeled / "
           f"{len(result.unlabeled_ids)} unlabeled)")
-    if fit.kind != "beta":  # only the beta fit normalizes
-        del settings["normalize"]
     write_manifest({**settings, "scores": args.scores, "kind": args.kind, "epoch": args.epoch},
                    args.command)
     return 0

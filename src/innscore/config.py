@@ -32,14 +32,24 @@ def int_list(text):
 
 
 def label_map(text):
-    """'0:1,2:0' -> {0: 1, 2: 0}. A source label given twice is an
-    ArgumentTypeError naming it, which argparse shows as it is."""
+    """'0:1,2:0' -> {0: 1, 2: 0} and '' -> {}; an empty entry, as in '0:1,',
+    is a ValueError. A source label given twice is an ArgumentTypeError
+    naming it, which argparse shows as it is."""
     mapping = {}
-    for src, dst in (part.split(":") for part in text.split(",") if part):
+    for src, dst in (part.split(":") for part in text.split(",")) if text else ():
         if int(src) in mapping:
             raise argparse.ArgumentTypeError(f"{text!r} maps label {int(src)} twice")
         mapping[int(src)] = int(dst)
     return mapping
+
+
+def kind_list(text):
+    """'inn, midpoint' -> ('inn', 'midpoint'); an empty or repeated entry, as
+    in 'inn,' or 'inn,inn', is a ValueError."""
+    kinds = tuple(kind.strip() for kind in text.split(","))
+    if not all(kinds) or len(set(kinds)) < len(kinds):
+        raise ValueError(text)
+    return kinds
 
 
 def boolean(text):

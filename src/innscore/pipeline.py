@@ -142,7 +142,6 @@ def run_pipeline(cfg, quiet=False, threads=None):
               "h": (cfg.h_hidden, 0.0, cfg.h_loss, h_epochs, 2, None)}
     jobs = {tag: functools.partial(_train_model, ds, cfg, *model) for tag, model in models.items()
             if cfg.baselines or tag in ("f", "h")}
-    workers.claim(threads)  # BLAS on one thread from here on: see `workers`
     done = dict(zip(jobs, workers.run(list(jobs.values()), threads)))
     train_models = {tag: seconds for tag, (_, _, seconds) in done.items()}
     trained = {tag: done[tag][0] for tag in ("h", "f", "ce", "cene") if tag in done}

@@ -87,7 +87,7 @@ class ConsistencyStats:
 
     e_cor / e_inc average f_y(x) over clean / noisy samples; em_cor and
     em_inc do the same for f_y((x + x~)/2) with x~ the single nearest
-    neighbor. Empty groups are flagged in `missing` and left as None.
+    neighbor. The means of an empty group are None.
     """
 
     e_cor: float | None
@@ -95,7 +95,6 @@ class ConsistencyStats:
     em_cor: float | None
     em_inc: float | None
     epoch: int | None = None
-    missing: tuple = ()
 
 
 def trapezoid_weights(trapezoids):
@@ -378,8 +377,6 @@ def _consistency(p_self, p_mid, clean, epoch):
         em_cor=group_mean(p_mid, clean),
         em_inc=group_mean(p_mid, ~clean),
         epoch=epoch,
-        missing=tuple(name for name, group in (("clean", clean), ("noisy", ~clean))
-                      if not group.any()),
     )
 
 

@@ -10,12 +10,12 @@ setter for the rest of the process, so that the workers do not
 oversubscribe the cores. Nothing restores the count: after a call on
 two threads, OpenBLAS's helper thread spins on a core for about 0.12 s,
 so a BLAS call made between pool calls would set it against the workers.
-A command that runs the pool therefore calls `claim` before its first
-BLAS call. `claim` also sets glibc's malloc to one arena, so that the
-memory the helpers free is reused by the calling thread. Calls with
-helpers made from several threads at once take turns, so that none swaps
-the executor under another's helpers, and each gets the results it
-would get alone.
+A command that makes a BLAS call before its first pool call therefore
+calls `claim` before it. `claim` also sets glibc's malloc to one arena,
+so that the memory the helpers free is reused by the calling thread.
+Each call starts its helpers and joins them before it returns, so calls
+made from several threads at once are independent, and each gets the
+results it would get alone.
 
 A job must write only what no other job of the same call reads or
 writes, and must not call `run`. OpenBLAS gives the same bits at any
@@ -81,35 +81,17 @@ def claim(threads=None):
         openblas_threads()[1](1)
 
 
-_executor, _executor_size = None, 0
-# held while a call's helpers run, so that no call swaps the executor under another's
-_turns = threading.Lock()
-
-
-def _helpers(count):
-    """The process's one executor, made anew with room for `count` threads
-    when the last had less. It starts threads on demand and reuses idle
-    ones, so that a scoring pass's many small calls start none; an old
-    one is idle, as every call waits for its helpers."""
-    global _executor, _executor_size
-    if count > _executor_size:
-        if _executor is not None:
-            _executor.shutdown()
-        _executor = ThreadPoolExecutor(count, thread_name_prefix="innscore")
-        _executor_size = count
-    return _executor
-
-
 def run(jobs, threads=None):
     """Call each of `jobs` (callables taking no argument) and return their
     results in job order.
 
-    The calling thread and up to `threads` - 1 helper threads take the
-    jobs in order, each the next one not yet taken. After a job fails no
-    job is taken, every taken job finishes, and the first failed job in
-    job order raises: every job before it was taken, so the error does
-    not depend on the pool size. With helpers, it first calls `claim`, so
-    OpenBLAS stays on one thread after it returns.
+    The calling thread and up to `threads` - 1 helper threads, started for
+    the call and joined before it returns, take the jobs in order, each
+    the next one not yet taken. After a job fails no job is taken, every
+    taken job finishes, and the first failed job in job order raises:
+    every job before it was taken, so the error does not depend on the
+    pool size. With helpers, it first calls `claim`, so OpenBLAS stays on
+    one thread after it returns.
     """
     jobs = list(jobs)
     workers = pool_size(threads, len(jobs))
@@ -130,8 +112,8 @@ def run(jobs, threads=None):
 
     if workers > 1:
         claim(workers)
-        with _turns:
-            helpers = [_helpers(workers - 1).submit(take) for _ in range(workers - 1)]
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="innscore") as pool:
+            helpers = [pool.submit(take) for _ in range(workers - 1)]
             take()
             for helper in helpers:
                 helper.result()

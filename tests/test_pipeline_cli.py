@@ -375,7 +375,10 @@ def _keeps_the_contract(argv, out_dir):
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        rc = main([*argv, "--out", str(out_dir)])
+        try:
+            rc = main([*argv, "--out", str(out_dir)])
+        except SystemExit as exc:  # argparse's own rejection of a flag's text
+            rc = exc.code
     shown = err.getvalue()
     assert rc in (0, 2, 3, 4), (rc, shown)
     if rc:
@@ -388,6 +391,18 @@ def _keeps_the_contract(argv, out_dir):
 
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         json.load(fh, parse_constant=reject)
+
+
+# a small pipeline run, to which the contract tests add flags
+_PIPELINE_BASE = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
+                  "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2"]
+# (flag, takes a text) of every pipeline flag but --n and --threads, which could ask
+# for memory-sized arrays or many threads, and --out, which the contract sets
+_PIPELINE_FLAGS = [(_flag(f), f.type != "bool") for f in fields(RunConfig)
+                   if f.name not in ("n", "out_dir")] + [("--config", True)]
+# each type's edges, an empty text, malformed lists and an unknown choice
+_FLAG_TEXTS = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "8,,4", "1:2,", ",",
+               "x", "foo")
 
 
 class TestCli:
@@ -883,9 +898,18 @@ class TestCli:
     def test_every_numeric_flag_keeps_the_exit_code_contract(self, tmp_path, flag, text):
         """Each numeric RunConfig flag at the edges of its type (no memory-sized
         value among them) keeps the exit-code contract of `_keeps_the_contract`."""
-        _keeps_the_contract(["pipeline", "--quiet", "--n", "60", "--epochs", "2",
-                             "--h-epochs", "1", "--hidden", "8,4", "--h-hidden", "4,2",
-                             "--l", "3", "--trapezoids", "2", f"{flag}={text}"], tmp_path / "run")
+        _keeps_the_contract([*_PIPELINE_BASE, f"{flag}={text}"], tmp_path / "run")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_PIPELINE_FLAGS), st.sampled_from(_FLAG_TEXTS)),
+                    min_size=1, max_size=3))
+    def test_drawn_flag_texts_keep_the_exit_code_contract(self, drawn):
+        """Any pipeline flag, one to three at a time, at a type's edge, an empty
+        or malformed list or an unknown choice keeps the contract of
+        `_keeps_the_contract`; a flag that takes no text is given alone."""
+        flags = [f"{flag}={text}" if takes_text else flag for (flag, takes_text), text in drawn]
+        with tempfile.TemporaryDirectory() as tmp:
+            _keeps_the_contract([*_PIPELINE_BASE, *flags], os.path.join(tmp, "run"))
 
     @pytest.mark.parametrize("command, flag, text", [
         pytest.param(command, flag, text, id=f"{command} {flag}={text}")
@@ -1015,6 +1039,16 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {shown.format(data=path)}\n"
         assert not out.exists()
 
+    def test_split_of_a_loss_kind_refuses_no_normalize(self, world, tmp_path, capsys):
+        """Only the beta fit normalizes: a loss kind's Gaussian split does not
+        read --no-normalize, and is refused before --out is made."""
+        out = tmp_path / "split"
+        assert main(["split", "--scores", world["scores"], "--kind", "loss_ce", "--no-normalize",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: normalize is False, but kind loss_ce does not read it\n")
+        assert not out.exists()
+
     def test_defaults_and_read_settings_are_accepted(self):
         RunConfig(data_path="d.csv", synth_kind="blobs", n=2000, n_classes=4, dim=2, spread=0.3)
         RunConfig(f_loss="ce", h_loss="mixup", mixup_alpha=0.7)
@@ -1120,6 +1154,20 @@ class TestCli:
         (["pipeline", "--l-sweep", "2,,3"], "argument --l-sweep: invalid int_list value: '2,,3'"),
         (["train", "--data", "d.csv", "--hidden", "8,"],
          "argument --hidden: invalid int_list value: '8,'"),
+        (["pipeline", "--noise", "map", "--map", "0:1,,2:0"],
+         "argument --map: invalid label_map value: '0:1,,2:0'"),
+        (["pipeline", "--noise", "map", "--map", "0:1,"],
+         "argument --map: invalid label_map value: '0:1,'"),
+        (["pipeline", "--noise", "map", "--map", ",0:1"],
+         "argument --map: invalid label_map value: ',0:1'"),
+        (["corrupt", "--data", "d.csv", "--map", "0:1,,"],
+         "argument --map: invalid label_map value: '0:1,,'"),
+        (["score", "--kinds", "inn,,midpoint"],
+         "argument --kinds: invalid kind_list value: 'inn,,midpoint'"),
+        (["score", "--kinds", "inn,"], "argument --kinds: invalid kind_list value: 'inn,'"),
+        (["score", "--kinds", ","], "argument --kinds: invalid kind_list value: ','"),
+        (["score", "--kinds", ""], "argument --kinds: invalid kind_list value: ''"),
+        (["score", "--kinds", "inn,inn"], "argument --kinds: invalid kind_list value: 'inn,inn'"),
     ])
     def test_malformed_list_flag_named(self, capsys, argv, shown):
         with pytest.raises(SystemExit) as err:
@@ -1236,9 +1284,6 @@ class TestMalformedInputsCli:
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--kinds", "inn,foo", "--out", out],
              "unknown score kind 'foo'"),
-            (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
-              "--features-from", str(root / "h.ckpt"), "--kinds", ",", "--out", out],
-             "unknown score kind ','"),
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--trapezoids", "0", "--out", out],
              "trapezoids is 0, not a positive integer"),

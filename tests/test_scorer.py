@@ -355,14 +355,13 @@ class TestConsistencyStats:
         st = scorer.score_models(ds, nbr[:, :1], 1, [(None, ConstantModel(np.full(3, 1 / 3)))])[1][0]
         for v in (st.e_cor, st.e_inc, st.em_cor, st.em_inc):
             assert v == pytest.approx(1 / 3)
-        assert st.missing == ()
 
     def test_all_clean_flags_missing_group(self):
         ds = data.synth("blobs", 15, 3, 2, 0.4, seed=13)
         nbr, _ = neighbors.search(ds.features, 2)
         st = scorer.score_models(ds, nbr[:, :1], 1, [(None, ConstantModel(np.full(3, 1 / 3)))])[1][0]
-        assert st.missing == ("noisy",)
-        assert st.e_inc is None
+        assert st.e_inc is None and st.em_inc is None
+        assert st.e_cor is not None and st.em_cor is not None
 
 
 class TestScoreCSV:

@@ -150,12 +150,10 @@ class TestRun:
         finally:
             BLAS[1](before)
 
-    def test_one_executor_for_every_pool_size(self):
-        workers.run([threading.get_ident] * 4, 4)
-        executor = workers._helpers(1)
-        for threads in (2, 3, 4, 2):
+    def test_no_helper_outlives_its_call(self):
+        for threads in (2, 4):
             workers.run([threading.get_ident] * 4, threads)
-            assert workers._helpers(1) is executor
+            assert [t.name for t in threading.enumerate() if t.name.startswith("innscore")] == []
 
     def test_no_jobs_and_bad_threads(self):
         assert workers.run([], 2) == []
