@@ -18,18 +18,18 @@ print(f"blobs: n={ds.n} d={ds.d} K={ds.n_classes} "
 # symmetric noise: replacement drawn uniformly over ALL K classes, so the
 # expected fraction of actually flipped labels is r (K-1)/K
 for rate in (0.1, 0.3, 0.8):
-    noisy = data.corrupt_symmetric(ds, rate, seed=1)
+    noisy = data.corrupt(ds, "symmetric", rate, seed=1)
     print(f"symmetric r={rate}: realized {noisy.noisy_fraction():.4f}  "
           f"expected {rate * 3 / 4:.4f}")
 
 # class-conditional map in the style of visually-confusable pairs
 # (e.g. indices for truck->automobile, bird->airplane, deer->horse, cat<->dog)
-mapped = data.corrupt_asymmetric(ds, rate=0.4, seed=2, mapping={3: 1, 2: 0})
+mapped = data.corrupt(ds, "map", rate=0.4, seed=2, mapping={3: 1, 2: 0})
 print(f"asym map r=0.4 on classes 2,3: realized {mapped.noisy_fraction():.4f}  "
       f"expected {0.4 * 0.5:.4f}")
 
 # cyclic chain: every class moves to (y*+1) mod K with probability r
-chain = data.corrupt_asymmetric(ds, rate=0.2, seed=3)
+chain = data.corrupt(ds, "chain", rate=0.2, seed=3)
 print(f"asym chain r=0.2: realized {chain.noisy_fraction():.4f}  expected 0.2000")
 
 # two-class imbalanced: keep all of class 0, a tenth of class 1, flip 30%
@@ -41,8 +41,8 @@ print(f"imbalanced: n={imb.n} {sizes} realized flips {imb.noisy_fraction():.4f}"
 # corruption is reproducible and order-independent: shuffling the dataset
 # first yields the same noisy label for every id
 perm = np.random.default_rng(9).permutation(ds.n)
-a = data.corrupt_symmetric(ds, 0.3, seed=1)
-b = data.corrupt_symmetric(ds.subset(perm), 0.3, seed=1)
+a = data.corrupt(ds, "symmetric", 0.3, seed=1)
+b = data.corrupt(ds.subset(perm), "symmetric", 0.3, seed=1)
 by_id = dict(zip(b.ids.tolist(), b.observed_labels.tolist()))
 assert all(by_id[i] == y for i, y in zip(a.ids.tolist(), a.observed_labels.tolist()))
 print("order independence: ok")

@@ -12,9 +12,8 @@ import numpy as np
 
 from innscore import data, neighbors, scorer, tinynet
 
-ds = data.corrupt_symmetric(
-    data.synth("blobs", n=1500, n_classes=4, dim=2, spread=1.6, seed=0), 0.3, seed=1
-)
+ds = data.corrupt(data.synth("blobs", n=1500, n_classes=4, dim=2, spread=1.6, seed=0),
+                  "symmetric", 0.3, seed=1)
 print(f"data: n={ds.n}, noisy fraction {ds.noisy_fraction():.3f}")
 
 # feature model: plain ReLU stack with a narrow embedding layer

@@ -12,9 +12,8 @@ from innscore import data as data_mod
 
 L = H = 10
 
-ds = data_mod.corrupt_symmetric(
-    data_mod.synth("blobs", n=1500, n_classes=4, dim=2, spread=1.6, seed=0), 0.3, seed=1
-)
+ds = data_mod.corrupt(data_mod.synth("blobs", n=1500, n_classes=4, dim=2, spread=1.6, seed=0),
+                      "symmetric", 0.3, seed=1)
 clean = ds.clean_mask()
 print(f"n={ds.n}, noisy fraction {ds.noisy_fraction():.3f}")
 

@@ -213,6 +213,7 @@ def _cmd_corrupt(args):
     from . import data
 
     _check_name(args.name)
+    RunConfig(**fields_from(RunConfig, args))  # rejects a --seed out of range
     if args.rate is not None and args.label_map is None:
         raise ValueError("--rate is the rate of --map and goes only with it")
     # the four exclusive flags, each naming a noise kind, and the settings that kind reads

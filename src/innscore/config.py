@@ -158,12 +158,13 @@ def _reject_non_finite(settings):
 
 def write_manifest(config, command=None):
     """Write manifest.json into `config`'s out_dir: the settings dict `config`
-    a command read, its hash, its seed and the versions, and for a step
-    command the `command`."""
+    a command read, its hash, its seed and the versions, the OpenBLAS build
+    among them (null without numpy's bundled one), and for a step command
+    the `command`."""
     import numpy
     import scipy
 
-    from . import __version__
+    from . import __version__, workers
 
     blob = json.dumps(config, sort_keys=True).encode()
     return write_json(os.path.join(config["out_dir"], "manifest.json"), {
@@ -172,7 +173,8 @@ def write_manifest(config, command=None):
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": config.get("seed"),
         "versions": {"innscore": __version__, "python": platform.python_version(),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+                     "numpy": numpy.__version__, "scipy": scipy.__version__,
+                     "openblas": workers.openblas_build()},
     })
 
 
@@ -196,7 +198,6 @@ _READERS = {
     **dict.fromkeys(("synth_kind", "n", "n_classes", "dim", "spread"),
                     (("data_path",), lambda path: path is None)),
     "mixup_alpha": (("f_loss", "h_loss"), lambda *losses: "mixup" in losses),
-    "h_epochs": (("share_epochs",), lambda share: not share),
 }
 
 
@@ -233,6 +234,9 @@ class TrainConfig:
         _reject_non_finite(self)
         if not 0.0 < self.lr_drop_factor * self.lr_drop_factor < math.inf:
             raise ValueError(f"lr_drop_factor is {self.lr_drop_factor}, too big or small to square")
+        if self.mixup_alpha != TrainConfig.mixup_alpha and self.loss_kind != "mixup":
+            raise ValueError(f"mixup_alpha is {self.mixup_alpha}, but loss_kind "
+                             f"{self.loss_kind} does not read it")
 
 
 @dataclass
@@ -276,7 +280,6 @@ class RunConfig:
     baselines: bool = _setting(True, flag="--no-baselines")
     l_sweep: tuple[int, ...] | None = _setting(None, help="e.g. '1,2,5,10'")
     epoch_scale: float = 1.0
-    share_epochs: bool = False
     normalize: bool = _setting(True, flag="--no-normalize")
     threshold: float = 0.5
     bins: int = 20
@@ -310,7 +313,8 @@ class RunConfig:
                 given = " and ".join(f"{o} {getattr(self, o)}" for o in others)
                 raise ValueError(f"{name} is {value}, but {given} "
                                  f"{'does' if len(others) == 1 else 'do'} not read it")
-        TrainConfig(**fields_from(TrainConfig, self))  # checks the shared training settings
+        # checks the shared training settings, mixup_alpha as a mixup model reads it
+        TrainConfig(**fields_from(TrainConfig, self), loss_kind="mixup")
         _reject_non_finite(self)
         for name in ("spread", "lift_freq"):
             if getattr(self, name) < 0:

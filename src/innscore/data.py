@@ -1,8 +1,9 @@
 """Datasets, synthetic generators and label-corruption protocols.
 
-Corruption draws its randomness from a per-sample keyed hash (seed, id),
-so a sample's corrupted label never depends on array order or on which
-other samples are present. Features and true labels are never mutated;
+Every protocol has one rule (`_flip`): with a probability drawn from a
+per-sample keyed hash (seed, id), a sample takes its target label, so a
+sample's corrupted label never depends on array order or on which other
+samples are present. Features and true labels are never mutated;
 corruption returns a new dataset with a fresh observed-label column.
 """
 
@@ -135,52 +136,6 @@ def synth(kind, n, n_classes, dim, spread, seed):
     return Dataset(X, labels.copy(), labels.copy(), n_classes, ids)
 
 
-def corrupt_symmetric(ds, rate, seed):
-    """With probability `rate`, replace a label by a uniform draw over all
-    K classes. The draw may reproduce the original label, so the expected
-    fraction of actually-noisy samples is rate * (K - 1) / K."""
-    if ds.true_labels is None:
-        raise ValueError("corruption requires true labels")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"noise_rate is {rate}, not in [0, 1]")
-    flip = keyed_uniform(seed, ds.ids, _SALT_FLIP) < rate
-    draw = np.floor(keyed_uniform(seed, ds.ids, _SALT_LABEL) * ds.n_classes).astype(np.int64)
-    observed = np.where(flip, draw, ds.observed_labels)
-    return ds.with_observed(observed)
-
-
-def corrupt_asymmetric(ds, rate, seed, mapping=None):
-    """Class-conditional corruption from the true label, each sample moving
-    with probability `rate`.
-
-    With a `mapping`, samples whose true class is in its domain move to
-    their mapped label; other classes are untouched. Without one (the
-    chain), every class moves to (y* + 1) mod K.
-    """
-    if ds.true_labels is None:
-        raise ValueError("corruption requires true labels")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"noise_rate is {rate}, not in [0, 1]")
-    flip = keyed_uniform(seed, ds.ids, _SALT_FLIP) < rate
-    if mapping is None:
-        target = (ds.true_labels + 1) % ds.n_classes
-        eligible = np.ones(ds.n, dtype=bool)
-    else:
-        outside = [label for pair in mapping.items() for label in pair
-                   if not 0 <= label < ds.n_classes]
-        if outside:
-            raise ValueError(f"noise_map is {mapping}, with label {outside[0]} outside the "
-                             f"dataset's classes [0, {ds.n_classes})")
-        target = ds.true_labels.copy()
-        eligible = np.zeros(ds.n, dtype=bool)
-        for src, dst in mapping.items():
-            hit = ds.true_labels == src
-            target[hit] = dst
-            eligible |= hit
-    observed = np.where(flip & eligible, target, ds.observed_labels)
-    return ds.with_observed(observed)
-
-
 def build_imbalanced(ds, class_a, class_b, keep_frac, flip_p, seed):
     """Two-class imbalanced construction.
 
@@ -204,29 +159,50 @@ def build_imbalanced(ds, class_a, class_b, keep_frac, flip_p, seed):
     keep_b = is_b & (keyed_uniform(seed, ds.ids, _SALT_KEEP) < keep_frac)
     rows = np.flatnonzero(is_a | keep_b)
     true = is_b[rows].astype(np.int64)  # majority -> 0, minority -> 1
-    flip = keyed_uniform(seed, ds.ids[rows], _SALT_FLIP) < flip_p
-    observed = np.where(flip, 1 - true, true)
+    observed = _flip(true, 1 - true, flip_p, seed, ds.ids[rows])
     return Dataset(ds.features[rows], observed, true, 2, ds.ids[rows])
 
 
+def _flip(observed, target, rate, seed, ids):
+    """`observed` with each sample's label replaced by its `target` with
+    probability `rate`, drawn by id."""
+    return np.where(keyed_uniform(seed, ids, _SALT_FLIP) < rate, target, observed)
+
+
 def corrupt(ds, kind, rate, seed, mapping=None, imbalance=None):
-    """Apply noise protocol `kind`, one of `config.NOISE_KINDS`. `rate` is
-    the flip probability of symmetric, chain and map noise, `mapping` the
-    label map of map noise and `imbalance` the (class_a, class_b,
-    keep_frac, flip_p) of the imbalanced construction."""
+    """Apply noise protocol `kind`, one of `config.NOISE_KINDS`. Symmetric,
+    chain and map noise give a sample, with probability `rate`, a target
+    label: a uniform draw over the K classes (which may be the original, so
+    the expected noisy fraction is rate * (K - 1) / K), (y* + 1) mod K from
+    the true label y*, or `mapping[y*]`, other classes keeping their labels.
+    `imbalance` is the (class_a, class_b, keep_frac, flip_p) of
+    `build_imbalanced`."""
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}, not one of {', '.join(NOISE_KINDS)}")
-    if kind == "symmetric":
-        return corrupt_symmetric(ds, rate, seed)
-    if kind == "chain":
-        return corrupt_asymmetric(ds, rate, seed)
-    if kind == "map":
-        if not mapping:
-            raise ValueError("map noise requires a label mapping")
-        return corrupt_asymmetric(ds, rate, seed, mapping)
     if kind == "imbalanced":
         return build_imbalanced(ds, *imbalance, seed)
-    return ds
+    if kind == "none":
+        return ds
+    if kind == "map" and not mapping:
+        raise ValueError("map noise requires a label mapping")
+    if ds.true_labels is None:
+        raise ValueError("corruption requires true labels")
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"noise_rate is {rate}, not in [0, 1]")
+    if kind == "symmetric":
+        target = np.floor(keyed_uniform(seed, ds.ids, _SALT_LABEL) * ds.n_classes).astype(np.int64)
+    elif kind == "chain":
+        target = (ds.true_labels + 1) % ds.n_classes
+    else:
+        outside = [label for pair in mapping.items() for label in pair
+                   if not 0 <= label < ds.n_classes]
+        if outside:
+            raise ValueError(f"noise_map is {mapping}, with label {outside[0]} outside the "
+                             f"dataset's classes [0, {ds.n_classes})")
+        target = ds.observed_labels.copy()
+        for src, dst in mapping.items():
+            target[ds.true_labels == src] = dst
+    return ds.with_observed(_flip(ds.observed_labels, target, rate, seed, ds.ids))
 
 
 # --- file formats -----------------------------------------------------

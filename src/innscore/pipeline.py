@@ -88,11 +88,14 @@ def make_dataset(cfg):
 
 
 def _train_model(ds, cfg, hidden, lift_freq, loss_kind, epochs, offset, checkpoint_every):
-    """(TrainResult, TrainConfig, seconds) of one of the run's models."""
+    """(TrainResult, TrainConfig, seconds) of one of the run's models; only
+    a mixup model reads mixup_alpha."""
     t0 = time.perf_counter()
-    tc = tinynet.TrainConfig(**{**fields_from(tinynet.TrainConfig, cfg), "loss_kind": loss_kind,
-                                "epochs": epochs, "seed": cfg.seed + offset,
-                                "checkpoint_every": checkpoint_every})
+    settings = fields_from(tinynet.TrainConfig, cfg)
+    if loss_kind != "mixup":
+        del settings["mixup_alpha"]
+    tc = tinynet.TrainConfig(**{**settings, "loss_kind": loss_kind, "epochs": epochs,
+                                "seed": cfg.seed + offset, "checkpoint_every": checkpoint_every})
     return tinynet.build_and_train(ds, hidden, lift_freq, tc), tc, time.perf_counter() - t0
 
 
@@ -116,13 +119,12 @@ def run_pipeline(cfg, quiet=False, threads=None):
     l_max = max([cfg.n_neighbors, *(cfg.l_sweep or ())])  # one search serves both
     name = "n_neighbors" if l_max == cfg.n_neighbors else "l_sweep"
     check_neighbor_count(ds.n, l_max, f"{name} is {getattr(cfg, name)}")
-    h_unscaled = cfg.epochs if cfg.share_epochs else cfg.h_epochs
-    model_epochs = ((3 if cfg.baselines else 1) * cfg.epochs + h_unscaled) * cfg.epoch_scale
+    model_epochs = ((3 if cfg.baselines else 1) * cfg.epochs + cfg.h_epochs) * cfg.epoch_scale
     check_training_steps(ds.n, cfg.batch_size, model_epochs,
-                         f"epochs {cfg.epochs}, h_epochs {h_unscaled} and epoch_scale "
+                         f"epochs {cfg.epochs}, h_epochs {cfg.h_epochs} and epoch_scale "
                          f"{cfg.epoch_scale:g}")
     f_epochs = cfg.scaled(cfg.epochs)
-    h_epochs = f_epochs if cfg.share_epochs else cfg.scaled(cfg.h_epochs)
+    h_epochs = cfg.scaled(cfg.h_epochs)
     ckpt_every = None if cfg.checkpoint_every is None else cfg.scaled(cfg.checkpoint_every)
     n_ckpts = -(-f_epochs // ckpt_every) if ckpt_every else 1  # the final model among them
     check_probe_rows(ds.n, l_max, cfg.trapezoids, n_ckpts, SEGMENT_KINDS,

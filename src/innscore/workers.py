@@ -11,11 +11,10 @@ oversubscribe the cores. Nothing restores the count: after a call on
 two threads, OpenBLAS's helper thread spins on a core for about 0.12 s,
 so a BLAS call made between pool calls would set it against the workers.
 A command that makes a BLAS call before its first pool call therefore
-calls `claim` before it. `claim` also sets glibc's malloc to one arena,
-so that the memory the helpers free is reused by the calling thread.
-Each call starts its helpers and joins them before it returns, so calls
-made from several threads at once are independent, and each gets the
-results it would get alone.
+calls `claim` before it. Each call starts its helpers and joins them
+before it returns, so calls made from several threads at once are
+independent, and each gets the results it would get alone.
+`openblas_build` names that OpenBLAS's build and kernel for the manifests.
 
 A job must write only what no other job of the same call reads or
 writes, and must not call `run`. OpenBLAS gives the same bits at any
@@ -48,36 +47,45 @@ def pool_size(threads, jobs):
 
 
 @functools.cache
-def openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    wheel bundles, or None where there is none."""
+def _openblas():
+    """The OpenBLAS that numpy's wheel bundles, or None where there is none."""
     libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
         lib = ctypes.CDLL(path)  # the copy numpy already loaded
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+        if all(hasattr(lib, f"scipy_openblas_{name}_num_threads64_") for name in ("get", "set")):
+            return lib
     return None
 
 
 @functools.cache
-def _one_arena():
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-8, 1)  # M_ARENA_MAX
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None where there is none."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def openblas_build():
+    """The build text of the OpenBLAS that numpy's wheel bundles, which names
+    its kernel, or None where there is none."""
+    get = getattr(_openblas(), "scipy_openblas_get_config64_", None)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
 
 
 def claim(threads=None):
-    """Pin the OpenBLAS that numpy's wheel bundles to one thread, and glibc's
-    malloc to one arena, for the rest of the process, when the pool of
-    `threads` workers has helpers (`pool_size(threads, 2) > 1`). The pin is
-    set on every call, as a caller may have reset the count since."""
+    """Pin the OpenBLAS that numpy's wheel bundles to one thread for the
+    rest of the process, when the pool of `threads` workers has helpers
+    (`pool_size(threads, 2) > 1`). The pin is set on every call, as a
+    caller may have reset the count since."""
     if pool_size(threads, 2) > 1:  # then openblas_threads() is not None
-        _one_arena()
         openblas_threads()[1](1)
 
 

@@ -49,25 +49,25 @@ class TestSynth:
 class TestSymmetricNoise:
     def test_rate_zero_is_identity(self):
         ds = data.synth("blobs", 500, 4, 2, 0.3, seed=0)
-        out = data.corrupt_symmetric(ds, 0.0, seed=1)
+        out = data.corrupt(ds, "symmetric", 0.0, seed=1)
         assert np.array_equal(out.observed_labels, ds.observed_labels)
 
     def test_rate_one_flips_k_minus_1_over_k(self):
         # label drawn uniformly over all K classes, so ~1/K stay clean
         ds = data.synth("blobs", 100_000, 10, 2, 0.3, seed=0)
-        out = data.corrupt_symmetric(ds, 1.0, seed=1)
+        out = data.corrupt(ds, "symmetric", 1.0, seed=1)
         assert abs(out.noisy_fraction() - 0.9) < 0.01
 
     def test_rate_point_three(self):
         ds = data.synth("blobs", 100_000, 10, 2, 0.3, seed=0)
-        out = data.corrupt_symmetric(ds, 0.3, seed=1)
+        out = data.corrupt(ds, "symmetric", 0.3, seed=1)
         assert abs(out.noisy_fraction() - 0.27) < 0.01
 
     def test_never_mutates_inputs(self):
         ds = data.synth("blobs", 200, 4, 2, 0.3, seed=0)
         feats = ds.features.copy()
         trues = ds.true_labels.copy()
-        data.corrupt_symmetric(ds, 0.5, seed=1)
+        data.corrupt(ds, "symmetric", 0.5, seed=1)
         assert np.array_equal(ds.features, feats)
         assert np.array_equal(ds.true_labels, trues)
 
@@ -75,45 +75,45 @@ class TestSymmetricNoise:
         ds = data.synth("blobs", 300, 4, 2, 0.3, seed=0)
         perm = np.random.default_rng(9).permutation(ds.n)
         shuffled = ds.subset(perm)
-        a = data.corrupt_symmetric(ds, 0.4, seed=7)
-        b = data.corrupt_symmetric(shuffled, 0.4, seed=7)
+        a = data.corrupt(ds, "symmetric", 0.4, seed=7)
+        b = data.corrupt(shuffled, "symmetric", 0.4, seed=7)
         by_id = dict(zip(b.ids.tolist(), b.observed_labels.tolist()))
         assert all(by_id[i] == lab for i, lab in zip(a.ids.tolist(), a.observed_labels.tolist()))
 
     def test_subset_does_not_change_other_samples(self):
         ds = data.synth("blobs", 300, 4, 2, 0.3, seed=0)
-        full = data.corrupt_symmetric(ds, 0.4, seed=7)
-        half = data.corrupt_symmetric(ds.subset(np.arange(150)), 0.4, seed=7)
+        full = data.corrupt(ds, "symmetric", 0.4, seed=7)
+        half = data.corrupt(ds.subset(np.arange(150)), "symmetric", 0.4, seed=7)
         assert np.array_equal(full.observed_labels[:150], half.observed_labels)
 
 
 class TestAsymmetricNoise:
     def test_chain_rate_one(self):
         ds = data.synth("blobs", 500, 5, 2, 0.3, seed=0)
-        out = data.corrupt_asymmetric(ds, 1.0, seed=3)
+        out = data.corrupt(ds, "chain", 1.0, seed=3)
         assert np.array_equal(out.observed_labels, (ds.true_labels + 1) % 5)
 
     def test_map_rate_one_moves_only_domain(self):
         ds = data.synth("blobs", 600, 3, 2, 0.3, seed=0)
-        out = data.corrupt_asymmetric(ds, 1.0, seed=3, mapping={0: 1})
+        out = data.corrupt(ds, "map", 1.0, seed=3, mapping={0: 1})
         was_zero = ds.true_labels == 0
         assert np.all(out.observed_labels[was_zero] == 1)
         assert np.array_equal(out.observed_labels[~was_zero], ds.observed_labels[~was_zero])
 
     def test_chain_realized_rate(self):
         ds = data.synth("blobs", 100_000, 100, 2, 0.3, seed=0)
-        out = data.corrupt_asymmetric(ds, 0.2, seed=3)
+        out = data.corrupt(ds, "chain", 0.2, seed=3)
         assert abs(out.noisy_fraction() - 0.20) < 0.01
 
     def test_map_label_out_of_range(self):
         ds = data.synth("blobs", 50, 3, 2, 0.3, seed=0)
         with pytest.raises(ValueError):
-            data.corrupt_asymmetric(ds, 0.5, seed=0, mapping={0: 7})
+            data.corrupt(ds, "map", 0.5, seed=0, mapping={0: 7})
 
     def test_pairwise_swap_map(self):
         # the cat<->dog style bidirectional mapping
         ds = data.synth("blobs", 2000, 4, 2, 0.3, seed=0)
-        out = data.corrupt_asymmetric(ds, 1.0, seed=1, mapping={2: 3, 3: 2})
+        out = data.corrupt(ds, "map", 1.0, seed=1, mapping={2: 3, 3: 2})
         assert np.all(out.observed_labels[ds.true_labels == 2] == 3)
         assert np.all(out.observed_labels[ds.true_labels == 3] == 2)
 
@@ -153,7 +153,7 @@ class TestImbalanced:
 
 class TestFileFormats:
     def test_csv_roundtrip_exact(self, tmp_path):
-        ds = data.corrupt_symmetric(data.synth("blobs", 120, 3, 4, 0.3, seed=0), 0.3, seed=1)
+        ds = data.corrupt(data.synth("blobs", 120, 3, 4, 0.3, seed=0), "symmetric", 0.3, seed=1)
         path = tmp_path / "ds.csv"
         data.write_csv(ds, path)
         back = data.read_csv(path)

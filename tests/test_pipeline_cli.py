@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from innscore import data, mixture, neighbors, scorer, tinynet, workers
 from innscore._records import read_rows
-from innscore.cli import main
+from innscore.cli import build_parser, main
 from innscore.config import TrainConfig
 from innscore.pipeline import RunConfig, run_pipeline
 
@@ -50,8 +50,6 @@ def tiny_config(out_dir, **overrides):
     if "data_path" in overrides:  # a run reads the synthesis settings only without a dataset
         for name in ("n", "n_classes", "dim", "spread"):
             del base[name]
-    if overrides.get("share_epochs"):  # and h_epochs only without share_epochs
-        del base["h_epochs"]
     base.update(overrides)
     return RunConfig(**base)
 
@@ -122,8 +120,8 @@ class TestPipeline:
         for name in ("scores.csv", "dataset.csv", "neighbors.csv", "split_scores.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 
-    @pytest.mark.parametrize("overrides", [{}, {"baselines": False}, {"share_epochs": True}],
-                             ids=["lift_baselines", "no_baselines", "share_epochs"])
+    @pytest.mark.parametrize("overrides", [{}, {"baselines": False}, {"h_epochs": 10}],
+                             ids=["lift_baselines", "no_baselines", "h_epochs_as_epochs"])
     def test_outputs_do_not_depend_on_pool_size(self, tmp_path, capsys, overrides):
         """With 1, 2 or 4 workers (more than the jobs or the cores may be), every
         file but timing.json and every stderr line are the same."""
@@ -192,7 +190,7 @@ class TestPipeline:
             assert filecmp.cmp(own / ours, tmp_path / theirs, shallow=False), ours
 
     def test_epoch_scale_and_share(self, tmp_path):
-        cfg = tiny_config(tmp_path / "run", epoch_scale=0.5, share_epochs=True)
+        cfg = tiny_config(tmp_path / "run", epoch_scale=0.5, h_epochs=10)  # h as long as f
         result = run_pipeline(cfg, quiet=True)
         # epochs 10 -> 5, checkpoint grid 5 -> 2 (banker's rounding); the
         # final model of epoch 5 is scored too
@@ -242,6 +240,9 @@ class TestPipeline:
         assert sorted(manifest) == ["config", "config_hash", "seed", "versions"]
         assert manifest["seed"] == 0
         assert "numpy" in manifest["versions"]
+        build = manifest["versions"]["openblas"]  # names the kernel; null without OpenBLAS
+        assert build == workers.openblas_build()
+        assert build is None or build.startswith("OpenBLAS "), build
 
 
 def _count_sample_forwards(monkeypatch, n):
@@ -403,6 +404,23 @@ _PIPELINE_FLAGS = [(_flag(f), f.type != "bool") for f in fields(RunConfig)
 # each type's edges, an empty text, malformed lists and an unknown choice
 _FLAG_TEXTS = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "8,,4", "1:2,", ",",
                "x", "foo")
+
+
+def _step_flags(command, skip=()):
+    """(flag, takes a text) of every flag of step command `command` but
+    --help, --out, which the contract sets, and `skip`."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return [(a.option_strings[-1], a.nargs != 0) for a in sub._actions
+            if a.option_strings and a.option_strings[-1] not in ("--help", "--out", *skip)]
+
+
+# a small run of each step command, to which the contract tests add flags; the
+# `world` paths are filled in, and synth, at its default 2,000 rows, draws no --n
+_STEP_BASES = {"train": ["--data", "{csv}", "--epochs", "2", "--hidden", "8,4"],
+               "corrupt": ["--data", "{csv}", "--sym", "0.3"],
+               "score": ["--data", "{csv}", "--model", "{root}/f.ckpt",
+                         "--features-from", "{root}/h.ckpt", "--l", "3", "--trapezoids", "2"],
+               "synth": []}
 
 
 class TestCli:
@@ -758,7 +776,7 @@ class TestCli:
             ("mixup_alpha", "--mixup-alpha", "0.5"), ("trapezoids", "--trapezoids", "4"),
             ("n_neighbors", "--l", "6"),
             ("baselines", "--no-baselines", None), ("l_sweep", "--l-sweep", "1,3"),
-            ("epoch_scale", "--epoch-scale", "0.5"), ("share_epochs", "--share-epochs", None),
+            ("epoch_scale", "--epoch-scale", "0.5"),
             ("normalize", "--no-normalize", None), ("threshold", "--threshold", "0.4"),
             ("bins", "--bins", "7"), ("seed", "--seed", "11"),
             ("out_dir", "--out", str(tmp_path / "out")),
@@ -772,19 +790,18 @@ class TestCli:
             raise Built(cfg)
 
         monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
-        # each run takes only the settings it reads: the map run synthesizes, trains f
-        # with mixup and h for its own epochs; the imbalanced run reads a dataset, trains
-        # no model with mixup and h for f's epochs
+        # each run takes only the settings it reads: the map run synthesizes and trains f
+        # with mixup; the imbalanced run reads a dataset and trains no model with mixup
         unread = {"map": ("imb_class_a", "imb_class_b", "imb_keep", "imb_flip", "data_path",
-                          "f_loss", "share_epochs"),
+                          "f_loss"),
                   "imbalanced": ("noise_rate", "noise_map", "synth_kind", "n", "n_classes", "dim",
-                                 "spread", "mixup_alpha", "h_epochs")}
+                                 "spread", "mixup_alpha")}
         changed = set()
         for kind, skipped in unread.items():
             run = [(name, flag, kind if name == "noise_kind" else text)
                    for name, flag, text in settings if name not in skipped]
             flags = [arg for _, flag, text in run for arg in (flag, text) if arg is not None]
-            lines = [f"{name} = {text if text is not None else json.dumps(name == 'share_epochs')}"
+            lines = [f"{name} = {text if text is not None else 'false'}"  # --no-* flags
                      for name, _, text in run]
             (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
             seen = []
@@ -911,6 +928,20 @@ class TestCli:
         with tempfile.TemporaryDirectory() as tmp:
             _keeps_the_contract([*_PIPELINE_BASE, *flags], os.path.join(tmp, "run"))
 
+    @pytest.mark.parametrize("command", sorted(_STEP_BASES))
+    @settings(max_examples=100, deadline=None)
+    @given(draws=st.data())
+    def test_drawn_step_flag_texts_keep_the_exit_code_contract(self, world, command, draws):
+        """Any flag of a step command, one to three at a time, with the same
+        texts keeps the same contract; a flag that takes no text is given alone."""
+        choices = _step_flags(command, skip=("--n",) if command == "synth" else ())
+        drawn = draws.draw(st.lists(st.tuples(st.sampled_from(choices),
+                                              st.sampled_from(_FLAG_TEXTS)), min_size=1, max_size=3))
+        base = [arg.format(csv=world["csv"], root=world["root"]) for arg in _STEP_BASES[command]]
+        flags = [f"{flag}={text}" if takes_text else flag for (flag, takes_text), text in drawn]
+        with tempfile.TemporaryDirectory() as tmp:
+            _keeps_the_contract([command, *base, *flags], os.path.join(tmp, "run"))
+
     @pytest.mark.parametrize("command, flag, text", [
         pytest.param(command, flag, text, id=f"{command} {flag}={text}")
         for command, flag, values in _STEP_FLAGS for text in values
@@ -1025,8 +1056,6 @@ class TestCli:
          "synth_kind is two_moons, but data_path {data} does not read it"),
         (["--mixup-alpha", "0.7", "--f-loss", "ce"],
          "mixup_alpha is 0.7, but f_loss ce and h_loss ce do not read it"),
-        (["--h-epochs", "5", "--share-epochs"],
-         "h_epochs is 5, but share_epochs True does not read it"),
     ])
     def test_setting_the_run_does_not_read_exits_two(self, tmp_path, capsys, argv, shown):
         """A setting away from its default that the run does not read is refused
@@ -1038,6 +1067,31 @@ class TestCli:
                      "--trapezoids", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {shown.format(data=path)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, argv, shown", [
+        ("corrupt", ["--sym", "0.3", "--seed", "-1"], "seed is -1, not at least 0"),
+        ("train", ["--loss", "ce", "--mixup-alpha", "0.7", "--epochs", "1", "--hidden", "4"],
+         "mixup_alpha is 0.7, but loss_kind ce does not read it"),
+    ])
+    def test_step_command_refuses_a_setting_before_its_data(self, world, tmp_path, capsys,
+                                                            command, argv, shown):
+        """`corrupt` checks --seed as the other commands do, and `train` refuses
+        a --mixup-alpha that its loss does not read, before --out is made."""
+        out = tmp_path / "out"
+        assert main([command, "--data", world["csv"], *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not out.exists()
+
+    def test_only_a_mixup_model_reads_mixup_alpha(self, tmp_path):
+        """In a run whose f trains with mixup, h (ce) and the baselines train at
+        the default mixup_alpha, as their checkpoints' sidecars record."""
+        run_pipeline(tiny_config(tmp_path / "run", mixup_alpha=0.5), quiet=True)
+        ckpts = tmp_path / "run" / "checkpoints"
+
+        def alpha(name):
+            return json.loads((ckpts / f"{name}.ckpt.json").read_text())["config"]["mixup_alpha"]
+
+        assert (alpha("h_final"), alpha("f_epoch10")) == (1.0, 0.5)
 
     def test_split_of_a_loss_kind_refuses_no_normalize(self, world, tmp_path, capsys):
         """Only the beta fit normalizes: a loss kind's Gaussian split does not
@@ -1052,18 +1106,22 @@ class TestCli:
     def test_defaults_and_read_settings_are_accepted(self):
         RunConfig(data_path="d.csv", synth_kind="blobs", n=2000, n_classes=4, dim=2, spread=0.3)
         RunConfig(f_loss="ce", h_loss="mixup", mixup_alpha=0.7)
-        RunConfig(h_epochs=50, share_epochs=True)
 
     def test_removed_spellings_exit_two(self, world, tmp_path, capsys):
-        """`pipeline --mode`, the config key `mode` and `score --h` are gone:
-        each is refused with one line, `--h` as an unknown flag, not as `--help`."""
+        """`pipeline --mode` and `--share-epochs`, the config keys `mode` and
+        `share_epochs` and `score --h` are gone: each is refused with one line,
+        `--h` as an unknown flag, not as `--help`."""
         root = world["root"]
         (tmp_path / "mode.cfg").write_text("mode = midpoint\n")
+        (tmp_path / "share.cfg").write_text("share_epochs = true\n")
         for argv, shown in (
             (["pipeline", "--mode", "midpoint"],
              "error: unrecognized arguments: --mode midpoint\n"),
             (["pipeline", "--config", str(tmp_path / "mode.cfg")],
              f"error: {tmp_path / 'mode.cfg'}: line 1: unknown key 'mode'\n"),
+            (["pipeline", "--share-epochs"], "error: unrecognized arguments: --share-epochs\n"),
+            (["pipeline", "--config", str(tmp_path / "share.cfg")],
+             f"error: {tmp_path / 'share.cfg'}: line 1: unknown key 'share_epochs'\n"),
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--h", "4"],
              "error: unrecognized arguments: --h 4\n"),
@@ -1398,7 +1456,7 @@ class TestCorruptDatasetCli:
     )
     def test_one_bad_line_exits_cleanly(self, line, other, col, edit):
         with tempfile.TemporaryDirectory() as tmp:
-            ds = data.corrupt_symmetric(data.synth("blobs", 30, 2, 2, 0.5, seed=0), 0.3, seed=1)
+            ds = data.corrupt(data.synth("blobs", 30, 2, 2, 0.5, seed=0), "symmetric", 0.3, seed=1)
             lines = open(data.write_csv(ds, os.path.join(tmp, "d.csv"))).read().splitlines()
             bad_line = _corrupt_line(lines, line, other, col, edit)
             path = os.path.join(tmp, "bad.csv")
@@ -1421,7 +1479,7 @@ def world(tmp_path_factory):
     """Valid input files of every format the CLI reads, for 30 samples: a
     dataset, two checkpoints and a score table."""
     root = tmp_path_factory.mktemp("world")
-    ds = data.corrupt_symmetric(data.synth("blobs", 30, 2, 2, 0.5, seed=0), 0.3, seed=1)
+    ds = data.corrupt(data.synth("blobs", 30, 2, 2, 0.5, seed=0), "symmetric", 0.3, seed=1)
     h = tinynet.init_model([2, 4, 2, 2], seed=0)
     f = tinynet.init_model([2, 8, 4, 2], seed=1, lift_freq=2.0)
     tinynet.save_checkpoint(h, root / "h.ckpt", epoch=3)

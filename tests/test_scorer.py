@@ -37,7 +37,8 @@ class AffineModel:
 
 
 def tiny_world(n=12, d=3, n_classes=3, seed=0, L=4):
-    ds = data.corrupt_symmetric(data.synth("blobs", n, n_classes, d, 0.5, seed=seed), 0.4, seed + 1)
+    ds = data.corrupt(data.synth("blobs", n, n_classes, d, 0.5, seed=seed), "symmetric", 0.4,
+                      seed + 1)
     nbr, _ = neighbors.search(ds.features, L)
     return ds, nbr
 
@@ -247,7 +248,7 @@ class TestScoreModels:
     def test_peak_memory_flat_in_n(self):
         """At most one chunk per worker is in flight, at any pool size."""
         def peak(n, threads):
-            ds = data.corrupt_symmetric(data.synth("blobs", n, 3, 2, 0.5, seed=0), 0.3, 1)
+            ds = data.corrupt(data.synth("blobs", n, 3, 2, 0.5, seed=0), "symmetric", 0.3, 1)
             nbr, _ = neighbors.search(ds.features, 10)
             m = tinynet.init_model([2, 64, 32, 3], seed=1, lift_freq=2.0)
             tracemalloc.start()

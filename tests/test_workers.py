@@ -2,6 +2,7 @@
 
 import functools
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -228,7 +229,7 @@ class TestScoringAnyPool:
         block=st.integers(1, 3),
     )
     def test_bitwise_equal(self, seed, n, d, H, kind, n_ckpts, ties, L, probes, block):
-        ds = data.corrupt_symmetric(data.synth("blobs", n, 3, d, 0.5, seed=seed), 0.3, seed + 1)
+        ds = data.corrupt(data.synth("blobs", n, 3, d, 0.5, seed=seed), "symmetric", 0.3, seed + 1)
         if ties:  # a grid with repeated rows: zero-length segments
             ds.features = np.round(ds.features)
         L = min(L, n - 1)
@@ -250,7 +251,7 @@ class TestScoringAnyPool:
     def test_two_pool_calls_per_lift_group(self, monkeypatch, kind, groups, probes):
         """Each group of checkpoints sharing a lift is one call at the samples
         and one over the chunks, however many chunks there are."""
-        ds = data.corrupt_symmetric(data.synth("blobs", 40, 3, 2, 0.5, seed=3), 0.3, 4)
+        ds = data.corrupt(data.synth("blobs", 40, 3, 2, 0.5, seed=3), "symmetric", 0.3, 4)
         nbr, _ = neighbors.search(ds.features, 4)
         ckpts = _checkpoints(kind, 3, 2, 3, 3)
         calls, run = [], workers.run
@@ -267,7 +268,7 @@ class TestScoringAnyPool:
         assert calls == [3 // groups, chunks] * groups
 
     def test_score_models_takes_threads(self):
-        ds = data.corrupt_symmetric(data.synth("blobs", 30, 3, 2, 0.5, seed=3), 0.3, 4)
+        ds = data.corrupt(data.synth("blobs", 30, 3, 2, 0.5, seed=3), "symmetric", 0.3, 4)
         nbr, _ = neighbors.search(ds.features, 4)
         ckpts = _checkpoints("shared", 2, 2, 3, 3)
         one, two = (scorer.score_models(ds, nbr, 4, ckpts, threads)[0] for threads in (1, 2))
@@ -278,7 +279,7 @@ class TestScoringAnyPool:
 def test_no_openblas_runs_inline_without_counting_cores(monkeypatch):
     """Where numpy bundles no OpenBLAS, the pool has one worker, and the search
     and the scoring pass run where os.sched_getaffinity does not exist."""
-    ds = data.corrupt_symmetric(data.synth("blobs", 30, 3, 2, 0.5, seed=3), 0.3, 4)
+    ds = data.corrupt(data.synth("blobs", 30, 3, 2, 0.5, seed=3), "symmetric", 0.3, 4)
     ckpts = _checkpoints("shared", 2, 2, 3, 3)
     nbr, dist = neighbors.search(ds.features, 4, 2)
     want = scorer.segment_scores(ds, nbr, 3, ckpts, 2)
@@ -291,10 +292,25 @@ def test_no_openblas_runs_inline_without_counting_cores(monkeypatch):
         assert got.inn.tobytes() == segments.inn.tobytes()
 
 
+def test_openblas_build_names_the_kernel():
+    """The build text that the manifests record names the kernel, which
+    OPENBLAS_CORETYPE picks in a build for several."""
+    build = workers.openblas_build()
+    if build is None or "DYNAMIC_ARCH" not in build:
+        pytest.skip("no OpenBLAS build for several kernels in this numpy")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(workers.__file__)))
+    done = subprocess.run([sys.executable, "-c", "from innscore import workers; "
+                           "print(workers.openblas_build())"], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src,
+                                           "OPENBLAS_CORETYPE": "Sandybridge"})
+    assert done.stdout.split(" ")[:2] == build.split(" ")[:2], done.stderr
+    assert " Sandybridge " in done.stdout, done.stdout
+
+
 @pytest.fixture(scope="module")
 def score_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("score_inputs")
-    ds = data.corrupt_symmetric(data.synth("blobs", 60, 3, 2, 0.5, seed=5), 0.3, seed=6)
+    ds = data.corrupt(data.synth("blobs", 60, 3, 2, 0.5, seed=5), "symmetric", 0.3, seed=6)
     tinynet.save_checkpoint(tinynet.init_model([2, 6, 3, 3], seed=7), root / "h.ckpt", epoch=1)
     f = tinynet.init_model([2, 16, 8, 3], seed=8, lift_freq=2.0)
     tinynet.save_checkpoint(f, root / "f1.ckpt", epoch=1)
