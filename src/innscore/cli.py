@@ -30,7 +30,7 @@ import sys
 from dataclasses import asdict, fields
 
 # stdlib-only modules, safe to import before --threads takes effect
-from .config import (SCORE_KINDS, SEGMENT_KINDS, RunConfig, TrainConfig, boolean,
+from .config import (SCORE_KINDS, SEGMENT_KINDS, RunConfig, TrainConfig,
                      check_neighbor_count, check_probe_rows, check_score_kinds, check_threads,
                      check_training_steps, field_parser, fields_from, kind_list, label_map,
                      write_manifest)
@@ -101,8 +101,7 @@ def build_parser():
                         "runs, and the probe budget charges it, at --trapezoids 1 --l 1")
 
     p = sub.add_parser("oracle", help="enumerate the analytic separation check")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l", type=int, default=10)
+    _add_flags(p, RunConfig, ("n_classes", "n_neighbors"))  # --k and --l
     p.add_argument("--cond", default="majority", choices=["majority", "pure", "count"])
     p.add_argument("--out", dest="out_dir", default=None, help="optional output directory")
 
@@ -121,8 +120,15 @@ def build_parser():
     for name, help_text in (
         ("pipeline", "run the full protocol"),
         ("timing", "run the full protocol and print per-phase wall clock"),
-    ):
-        _add_run_flags(sub.add_parser(name, help=help_text))
+    ):  # one flag per RunConfig field, and --threads and --quiet
+        p = sub.add_parser(name, help=help_text)
+        _add_flags(p, RunConfig)
+        p.add_argument("--threads", type=int, default=None,
+                       help="cap the BLAS thread pools, and the workers that train, search and "
+                            "score (default there: the usable cores); with more than one worker, "
+                            "BLAS runs on one thread for the whole run; outputs do not depend "
+                            "on it")
+        p.add_argument("--quiet", action="store_true")
 
     return parser
 
@@ -140,53 +146,6 @@ def _add_flags(p, cls, names=None):
                            **shown)
         else:
             p.add_argument(flag, dest=f.name, type=field_parser(f), default=f.default, **shown)
-
-
-def _add_run_flags(p):
-    """The flags of `pipeline` and `timing`: one per `RunConfig` field, and
-    `--config`, `--threads` and `--quiet`."""
-    _add_flags(p, RunConfig)
-    p.add_argument("--config", default=None, help="flat key = value config file; flags win")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap the BLAS thread pools, and the workers that train, search and "
-                        "score (default there: the usable cores); with more than one worker, "
-                        "BLAS runs on one thread for the whole run; outputs do not depend on it")
-    p.add_argument("--quiet", action="store_true")
-
-
-def _apply_config_file(args, argv):
-    """Parse the pipeline or timing flags `argv` again with the config file's
-    `key = value` lines as defaults, so explicit flags win. A key is a flag's
-    dest: a `RunConfig` field, `threads` or `quiet`. Its value goes through
-    the flag's parser and choices. An unknown or repeated key, or a value
-    either rejects, is a configuration error naming the file and line."""
-    parser = _Parser(prog=f"innscore {args.command}")
-    _add_run_flags(parser)
-    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    values = {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, raw = (part.strip() for part in line.partition("="))
-            where = f"{args.config}: line {lineno}"
-            if not eq or key not in actions:
-                raise ValueError(f"{where}: unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"{where}: {key} is given twice")
-            parse = actions[key].type or boolean  # the store_true / store_false flags
-            try:  # the value is flag text, or a JSON string of it
-                values[key] = parse(json.loads(raw) if raw.startswith('"') else raw)
-            except (ValueError, argparse.ArgumentTypeError):  # JSONDecodeError is a ValueError
-                raise ValueError(f"{where}: {key} = {raw}: "
-                                 f"invalid {parse.__name__} value") from None
-            choices = actions[key].choices
-            if choices and values[key] not in choices:
-                raise ValueError(f"{where}: {key} is {values[key]!r}, "
-                                 f"not one of {', '.join(choices)}")
-    parser.set_defaults(**values)
-    return argparse.Namespace(command=args.command, **vars(parser.parse_args(argv)))
 
 
 def _check_name(name):
@@ -307,14 +266,15 @@ def _cmd_score(args):
 def _cmd_oracle(args):
     from .oracle import verify_separation
 
+    settings = fields_from(RunConfig, args)  # n_classes, n_neighbors and out_dir
+    RunConfig(**settings)  # rejects a --k below 2 or an --l below 1
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    report = verify_separation(args.k, args.l, args.cond)
+    report = verify_separation(args.n_classes, args.n_neighbors, args.cond)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if args.out_dir:
         report.to_json(os.path.join(args.out_dir, "oracle_report.json"))
-        write_manifest({"n_classes": args.k, "n_neighbors": args.l, "cond": args.cond,
-                        "out_dir": args.out_dir}, args.command)
+        write_manifest({**settings, "cond": args.cond}, args.command)
     return 0
 
 
@@ -395,12 +355,9 @@ def _cmd_pipeline(args, print_timing=False):
 
 
 def main(argv=None):
-    argv = sys.argv if argv is None else ["innscore", *argv]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv[1:])
-        if getattr(args, "config", None):
-            args = _apply_config_file(args, argv[2:])
+        args = parser.parse_args(argv)
         threads = check_threads(getattr(args, "threads", None))
         if threads:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -1,14 +1,14 @@
 """Settings: `RunConfig`, the one source of the `pipeline` and `timing`
-flags and of the `--config` keys, `TrainConfig`, that of the `train`
-flags, and `write_manifest`, which records the settings a command read.
-Standard library only, so that the command line can parse and check them,
-and set --threads, before numpy loads.
+flags, `TrainConfig`, that of the `train` flags, and `write_manifest`,
+which records the settings a command read. Standard library only, so that
+the command line can parse and check them, and set --threads, before numpy
+loads.
 
-A field's type names its text parser, which is the flag's argparse `type`
-and converts a config-file value. Its metadata holds only what the name,
-type and default cannot give: the flag where it is not `--field-name`, the
-choices and the help text. `RunConfig` refuses a setting away from its
-default that the run does not read (`_READERS`).
+A field's type names its text parser, the flag's argparse `type`. Its
+metadata holds only what the name, type and default cannot give: the flag
+where it is not `--field-name`, the choices and the help text. `RunConfig`
+refuses a setting away from its default that the run does not read
+(`_READERS`).
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ def kind_list(text):
     if not all(kinds) or len(set(kinds)) < len(kinds):
         raise ValueError(text)
     return kinds
-
-
-def boolean(text):
-    """A boolean setting in a config file, 'true' or 'false' (its flag takes no value)."""
-    if text not in ("true", "false"):
-        raise ValueError(f"not a boolean: {text!r}")
-    return text == "true"
 
 
 _PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": int_list,

@@ -134,12 +134,13 @@ class EvalReport:
 def sweep_report(tables, clean_mask):
     """AUC stability report across checkpoint ScoreTables.
 
-    Needs at least two checkpoints. Kinds missing at some epochs produce
-    warnings and a partial report. Flags compare the integral score to
-    every loss baseline at the final epoch.
+    Needs at least one checkpoint; with one, every stability range is 0.
+    Kinds missing at some epochs produce warnings and a partial report.
+    Flags compare the integral score to every loss baseline at the final
+    epoch, and, with two or more checkpoints, in stability.
     """
-    if len(tables) < 2:
-        raise ValueError("need at least two checkpoints for a sweep report")
+    if not tables:
+        raise ValueError("need at least one checkpoint for a sweep report")
     tables = sorted(tables, key=lambda t: t.epoch)
     epochs = [t.epoch for t in tables]
     all_kinds = sorted({k for t in tables for k in t.values})
@@ -174,7 +175,7 @@ def sweep_report(tables, clean_mask):
             a, b = by_key.get((final_epoch, main)), by_key.get((final_epoch, kind))
             if a is not None and b is not None:
                 flags[f"{main}_beats_{kind}_at_final"] = bool(a > b)
-            if main in stability and kind in stability:
+            if len(tables) > 1:
                 flags[f"{main}_more_stable_than_{kind}"] = bool(
                     stability[main]["range"] <= stability[kind]["range"]
                 )

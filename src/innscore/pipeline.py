@@ -214,7 +214,7 @@ def run_pipeline(cfg, quiet=False, threads=None):
     clean = None if ds.true_labels is None else ds.clean_mask()
     if clean is not None and len(set(clean.tolist())) < 2:
         _log("skipping AUC report: dataset is entirely clean or entirely noisy", quiet)
-    elif clean is not None and len(tables) >= 2:
+    elif clean is not None:
         report = evaluate.sweep_report(tables, clean)
         if cfg.l_sweep:
             report.flags["l_sweep"] = _l_sweep_aucs(f_segments[-1].inn, cfg.l_sweep, clean)

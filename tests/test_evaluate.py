@@ -166,10 +166,17 @@ class TestSweepReport:
         rep = evaluate.sweep_report([t1, t2], mask)
         assert any("midpoint" in w for w in rep.warnings)
 
-    def test_requires_two_checkpoints(self):
-        tables = self.make_tables([(50, 0.5)])
-        with pytest.raises(ValueError):
-            evaluate.sweep_report(tables, self.mask)
+    def test_one_checkpoint_has_zero_range(self):
+        (table,) = self.make_tables([(50, 0.8)])
+        table.add("loss_ce", np.where(self.mask, 0.0, 1.0))  # small loss = clean
+        rep = evaluate.sweep_report([table], self.mask)
+        assert rep.auc_of(50, "inn") == pytest.approx(0.9)
+        assert rep.stability["inn"] == {"min": rep.auc_of(50, "inn"),
+                                        "max": rep.auc_of(50, "inn"), "range": 0.0}
+        # a stability flag needs two checkpoints
+        assert rep.flags == {"inn_beats_loss_ce_at_final": False}
+        with pytest.raises(ValueError, match="at least one checkpoint"):
+            evaluate.sweep_report([], self.mask)
 
     def test_json_and_csv(self, tmp_path):
         import json

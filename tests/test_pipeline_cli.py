@@ -397,21 +397,22 @@ def _keeps_the_contract(argv, out_dir):
 # a small pipeline run, to which the contract tests add flags
 _PIPELINE_BASE = ["pipeline", "--quiet", "--n", "60", "--epochs", "2", "--h-epochs", "1",
                   "--hidden", "8,4", "--h-hidden", "4,2", "--l", "3", "--trapezoids", "2"]
-# (flag, takes a text) of every pipeline flag but --n and --threads, which could ask
-# for memory-sized arrays or many threads, and --out, which the contract sets
-_PIPELINE_FLAGS = [(_flag(f), f.type != "bool") for f in fields(RunConfig)
-                   if f.name not in ("n", "out_dir")] + [("--config", True)]
 # each type's edges, an empty text, malformed lists and an unknown choice
 _FLAG_TEXTS = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "8,,4", "1:2,", ",",
                "x", "foo")
 
 
 def _step_flags(command, skip=()):
-    """(flag, takes a text) of every flag of step command `command` but
-    --help, --out, which the contract sets, and `skip`."""
+    """(flag, takes a text) of every flag of command `command` but --help,
+    --out, which the contract sets, and `skip`."""
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
     return [(a.option_strings[-1], a.nargs != 0) for a in sub._actions
             if a.option_strings and a.option_strings[-1] not in ("--help", "--out", *skip)]
+
+
+# every pipeline flag but --n and --threads, which could ask for memory-sized
+# arrays or many threads
+_PIPELINE_FLAGS = _step_flags("pipeline", skip=("--n", "--threads"))
 
 
 # a small run of each step command, to which the contract tests add flags; the
@@ -420,7 +421,10 @@ _STEP_BASES = {"train": ["--data", "{csv}", "--epochs", "2", "--hidden", "8,4"],
                "corrupt": ["--data", "{csv}", "--sym", "0.3"],
                "score": ["--data", "{csv}", "--model", "{root}/f.ckpt",
                          "--features-from", "{root}/h.ckpt", "--l", "3", "--trapezoids", "2"],
-               "synth": []}
+               "synth": [],
+               "split": ["--scores", "{scores}"],
+               "eval": ["--scores", "{scores}", "--data", "{csv}"],
+               "oracle": []}
 
 
 class TestCli:
@@ -601,6 +605,20 @@ class TestCli:
         assert shown["gap"] == pytest.approx(0.1)
         assert os.path.exists(tmp_path / "oracle_report.json")
 
+    def test_oracle_takes_the_run_flags(self, tmp_path, capsys):
+        """`oracle --k` and `--l` are RunConfig's flags, with its defaults and checks."""
+        assert main(["oracle", "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["K"] == RunConfig.n_classes == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == {"n_classes": RunConfig.n_classes,
+                                      "n_neighbors": RunConfig.n_neighbors, "cond": "majority",
+                                      "out_dir": str(tmp_path)}
+        for argv, shown in ((["--k", "1"], "n_classes is 1, not at least 2"),
+                            (["--l", "0"], "n_neighbors is 0, not a positive integer")):
+            assert main(["oracle", *argv, "--out", str(tmp_path / "no")]) == 2
+            assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not (tmp_path / "no").exists()
+
     def test_pipeline_and_timing_commands(self, tmp_path, capsys):
         args = ["--n", "150", "--k", "3", "--noise", "symmetric", "--rate", "0.3",
                 "--epochs", "8", "--checkpoint-every", "4", "--h-epochs", "4",
@@ -612,6 +630,32 @@ class TestCli:
         assert main(["timing", *args, "--out", str(tmp_path / "t")]) == 0
         shown = capsys.readouterr().out
         assert "total" in shown
+
+    def test_one_checkpoint_gets_its_report(self, world, tmp_path):
+        """A pipeline run with one checkpoint of f writes the AUC report, the
+        histograms and the L-sweep, and `eval` reports its scores and those
+        of a `score` given one `--model`."""
+        run = tmp_path / "run"
+        assert main(["pipeline", "--quiet", "--n", "200", "--k", "3", "--noise", "symmetric",
+                     "--rate", "0.3", "--epochs", "6", "--h-epochs", "2", "--hidden", "16,8",
+                     "--h-hidden", "8,4", "--l", "3", "--trapezoids", "2",
+                     "--checkpoint-every", "null", "--l-sweep", "1,3", "--out", str(run)]) == 0
+        for name in ("auc.csv", "report.json", "histograms_inn.csv", "histograms_loss_ce.csv",
+                     "lsweep.csv"):
+            assert (run / name).exists(), name
+        report = json.loads((run / "report.json").read_text())
+        assert [row["epoch"] for row in report["aucs"]] == [6] * 4
+        assert report["stability"]["inn"]["range"] == 0.0
+        assert main(["eval", "--scores", str(run / "scores.csv"), "--data", str(run / "dataset.csv"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert filecmp.cmp(run / "auc.csv", tmp_path / "eval" / "auc.csv", shallow=False)
+        root = world["root"]
+        assert main(["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
+                     "--features-from", str(root / "h.ckpt"), "--l", "3", "--trapezoids", "2",
+                     "--out", str(tmp_path / "one")]) == 0
+        assert main(["eval", "--scores", str(tmp_path / "one" / "scores.csv"),
+                     "--data", world["csv"], "--out", str(tmp_path / "one")]) == 0
+        assert (tmp_path / "one" / "auc.csv").exists()
 
     @pytest.mark.parametrize("k, d, model, bad, shown", [
         (4, 2, "f.ckpt", "f.ckpt", "model has 2 classes, too few for observed label 3"),
@@ -672,14 +716,11 @@ class TestCli:
         assert main(["train", "--data", world["csv"], "--hidden", "", "--epochs", "1",
                      "--out", str(tmp_path / "linear")]) == 0
 
-    def test_missing_file_is_config_error(self, tmp_path, capsys):
+    def test_missing_file_is_config_error(self, tmp_path):
         assert main(["corrupt", "--data", "/no/such/file.csv", "--sym", "0.1",
                      "--out", str(tmp_path)]) == 2
         assert main(["score", "--data", "/no/such.csv", "--model", "/no/model",
                      "--features-from", "/no/h", "--out", str(tmp_path)]) == 2
-        capsys.readouterr()
-        assert main(["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: file not found: /no/such.cfg\n"
 
     def test_threads_flag_overrides_preset_environment(self, tmp_path, monkeypatch):
         from innscore import cli
@@ -719,16 +760,12 @@ class TestCli:
             assert (done.returncode, done.stderr) == (0, ""), (argv[0], done.stderr)
             assert done.stdout.splitlines()[-1] == "loaded: []", (argv[0], done.stdout)
 
-    def test_parsing_loads_no_numpy(self, tmp_path):
+    def test_parsing_loads_no_numpy(self):
         """--threads sets the BLAS variables, so parsing must not load numpy."""
         import innscore
 
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("threads = 1\n")
-        code = ("import argparse, sys, innscore._records, innscore.cli as cli; "
+        code = ("import sys, innscore._records, innscore.cli as cli; "
                 "cli.build_parser().parse_args(['pipeline', '--threads', '1']); "
-                f"args = argparse.Namespace(command='pipeline', config={str(cfg)!r}); "
-                "assert cli._apply_config_file(args, []).threads == 1; "
                 "assert 'numpy' not in sys.modules")
         src = os.path.dirname(os.path.dirname(os.path.abspath(innscore.__file__)))
         subprocess.run([sys.executable, "-c", code], check=True,
@@ -754,8 +791,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(shown), err
 
-    def test_flags_and_config_file_set_every_field(self, tmp_path, monkeypatch):
-        """Each RunConfig field has a flag and a config key, and the two agree."""
+    def test_flags_set_every_field(self, tmp_path, monkeypatch):
+        """Each RunConfig field has a flag, and two runs of flags set every field."""
         from innscore import pipeline
 
         data_file = tmp_path / "d.csv"
@@ -801,17 +838,12 @@ class TestCli:
             run = [(name, flag, kind if name == "noise_kind" else text)
                    for name, flag, text in settings if name not in skipped]
             flags = [arg for _, flag, text in run for arg in (flag, text) if arg is not None]
-            lines = [f"{name} = {text if text is not None else 'false'}"  # --no-* flags
-                     for name, _, text in run]
-            (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
-            seen = []
-            for argv in (flags, ["--config", str(tmp_path / "run.cfg")]):
-                with pytest.raises(Built) as built:
-                    main(["pipeline", *argv])
-                seen.append(built.value.args[0])
-            by_flags, by_file = seen
-            assert by_flags == by_file
-            changed |= {f.name for f in fields(RunConfig) if getattr(by_flags, f.name) != f.default}
+            with pytest.raises(Built) as built:
+                main(["pipeline", *flags])
+            moved = {f.name for f in fields(RunConfig)
+                     if getattr(built.value.args[0], f.name) != f.default}
+            assert moved == {name for name, _, _ in run}, kind  # each flag sets its field
+            changed |= moved
         assert changed == {f.name for f in fields(RunConfig)}
 
     @pytest.mark.parametrize("argv, name", [
@@ -937,7 +969,8 @@ class TestCli:
         choices = _step_flags(command, skip=("--n",) if command == "synth" else ())
         drawn = draws.draw(st.lists(st.tuples(st.sampled_from(choices),
                                               st.sampled_from(_FLAG_TEXTS)), min_size=1, max_size=3))
-        base = [arg.format(csv=world["csv"], root=world["root"]) for arg in _STEP_BASES[command]]
+        base = [arg.format(csv=world["csv"], root=world["root"], scores=world["scores"])
+                for arg in _STEP_BASES[command]]
         flags = [f"{flag}={text}" if takes_text else flag for (flag, takes_text), text in drawn]
         with tempfile.TemporaryDirectory() as tmp:
             _keeps_the_contract([command, *base, *flags], os.path.join(tmp, "run"))
@@ -1108,20 +1141,18 @@ class TestCli:
         RunConfig(f_loss="ce", h_loss="mixup", mixup_alpha=0.7)
 
     def test_removed_spellings_exit_two(self, world, tmp_path, capsys):
-        """`pipeline --mode` and `--share-epochs`, the config keys `mode` and
-        `share_epochs` and `score --h` are gone: each is refused with one line,
-        `--h` as an unknown flag, not as `--help`."""
+        """`pipeline --mode` and `--share-epochs`, the `--config` file of
+        `pipeline` and `timing` and `score --h` are gone: each is refused with
+        one line, `--h` as an unknown flag, not as `--help`."""
         root = world["root"]
-        (tmp_path / "mode.cfg").write_text("mode = midpoint\n")
-        (tmp_path / "share.cfg").write_text("share_epochs = true\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 60\n")
         for argv, shown in (
             (["pipeline", "--mode", "midpoint"],
              "error: unrecognized arguments: --mode midpoint\n"),
-            (["pipeline", "--config", str(tmp_path / "mode.cfg")],
-             f"error: {tmp_path / 'mode.cfg'}: line 1: unknown key 'mode'\n"),
             (["pipeline", "--share-epochs"], "error: unrecognized arguments: --share-epochs\n"),
-            (["pipeline", "--config", str(tmp_path / "share.cfg")],
-             f"error: {tmp_path / 'share.cfg'}: line 1: unknown key 'share_epochs'\n"),
+            (["pipeline", "--config", str(cfg)], f"error: unrecognized arguments: --config {cfg}\n"),
+            (["timing", "--config", str(cfg)], f"error: unrecognized arguments: --config {cfg}\n"),
             (["score", "--data", world["csv"], "--model", str(root / "f.ckpt"),
               "--features-from", str(root / "h.ckpt"), "--h", "4"],
              "error: unrecognized arguments: --h 4\n"),
@@ -1186,16 +1217,6 @@ class TestCli:
         assert seen == set(exceptions)
         assert checked > 2 * len(fields(RunConfig))
 
-    def test_threads_below_one_in_config_file_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        (tmp_path / "run.cfg").write_text("n = 60\nthreads = 0\n")
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: threads is 0, not a positive integer\n"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        assert not (out / "dataset.csv").exists()
-
     @pytest.mark.parametrize("argv, shown", [
         (["train", "--data", "d.csv", "--hidden", "8,x"],
          "argument --hidden: invalid int_list value: '8,x'"),
@@ -1233,20 +1254,6 @@ class TestCli:
         assert err.value.code == 2
         assert shown in capsys.readouterr().err
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            "n = 120\nn_classes = 3\nnoise_kind = symmetric\nnoise_rate = 0.3\n"
-            "epochs = 8\ncheckpoint_every = 4\nh_epochs = 4\nhidden = \"16,8\"\n"
-            "h_hidden = \"16,4\"\nn_neighbors = 3\nseed = 5\n"
-        )
-        out = str(tmp_path / "run")
-        assert main(["pipeline", "--config", str(cfg_file), "--quiet",
-                     "--seed", "9", "--out", out]) == 0
-        manifest = json.loads(open(f"{out}/manifest.json").read())
-        assert manifest["config"]["n"] == 120  # from file
-        assert manifest["config"]["seed"] == 9  # flag wins
-
 
 class TestMalformedInputsCli:
     """Each malformed input exits 2 with one stderr line naming the file and the line."""
@@ -1265,7 +1272,6 @@ class TestMalformedInputsCli:
             "b.ckpt": ckpt, "b.ckpt.json": '{\n  "epoch": "x"\n}\n',
             "c.ckpt": ckpt[:-8] + np.float64(np.nan).tobytes(),
             "c.ckpt.json": (root / "f.ckpt.json").read_text(),
-            "run.cfg": "n = 60\nepochz = 3\n",
         }
         for name, content in files.items():
             mode = "wb" if isinstance(content, bytes) else "w"
@@ -1293,8 +1299,6 @@ class TestMalformedInputsCli:
             (score("a.ckpt"), "a.ckpt.json: line 1: a JSON list, not an object"),
             (score("b.ckpt"), "b.ckpt.json: line 2: 'epoch' is 'x', not int or null"),
             (score("c.ckpt"), "c.ckpt: layer 2 has a non-finite weight or bias"),
-            (["pipeline", "--config", str(tmp_path / "run.cfg"), "--out", out],
-             "run.cfg: line 2: unknown key 'epochz'"),
         ]
         for argv, shown in cases:
             assert main(argv) == 2, argv
@@ -1308,33 +1312,11 @@ class TestMalformedInputsCli:
         big = "99999999999999999999"
         (tmp_path / "big_id.csv").write_text(
             "\n".join(lines[:3] + [big + "," + lines[3].split(",", 1)[1]] + lines[4:]) + "\n")
-        (tmp_path / "kind.cfg").write_text("n = 60\n\nsynth_kind = foo\n")
-        (tmp_path / "loss.cfg").write_text('f_loss = "hinge"\n')
-        (tmp_path / "map.cfg").write_text("noise_kind = map\nnoise_map = 1:2,1:3\n")
-        typed = {"n.cfg": "n = abc\n", "epochs.cfg": "seed = 1\nepochs = 1.5\n",
-                 "base.cfg": "baselines = 3\n", "hidden.cfg": "hidden = [16, 8]\n",
-                 "twice.cfg": "seed = 1\nn = 60\nseed = 2\n"}
-        for name, text in typed.items():
-            (tmp_path / name).write_text(text)
         searched = []
         monkeypatch.setattr(neighbors, "search", lambda *a: searched.append(a))
         cases = [
             (["train", "--data", str(tmp_path / "big_id.csv"), "--out", out],
              f"big_id.csv: line 4: '{big}' is outside the int64 range"),
-            (["pipeline", "--config", str(tmp_path / "kind.cfg"), "--out", out],
-             "kind.cfg: line 3: synth_kind is 'foo', not one of blobs, two_moons"),
-            (["timing", "--config", str(tmp_path / "loss.cfg"), "--out", out],
-             "loss.cfg: line 1: f_loss is 'hinge', not one of ce, cene, mixup"),
-            (["pipeline", "--config", str(tmp_path / "n.cfg"), "--out", out],
-             "n.cfg: line 1: n = abc: invalid int value"),
-            (["timing", "--config", str(tmp_path / "epochs.cfg"), "--out", out],
-             "epochs.cfg: line 2: epochs = 1.5: invalid int value"),
-            (["pipeline", "--config", str(tmp_path / "base.cfg"), "--out", out],
-             "base.cfg: line 1: baselines = 3: invalid boolean value"),
-            (["pipeline", "--config", str(tmp_path / "hidden.cfg"), "--out", out],
-             "hidden.cfg: line 1: hidden = [16, 8]: invalid int_list value"),
-            (["pipeline", "--config", str(tmp_path / "twice.cfg"), "--out", out],
-             "twice.cfg: line 3: seed is given twice"),
             (["split", "--scores", world["scores"], "--threshold", "7", "--out", out],
              "threshold is 7.0, not in [0, 1]"),
             (["split", "--scores", world["scores"], "--threshold", "-1", "--out", out],
@@ -1376,8 +1358,6 @@ class TestMalformedInputsCli:
             (["train", "--data", world["csv"], "--checkpoint-every", "0", "--out", out],
              "checkpoint_every is 0, not a positive integer or None"),
             (["synth", "--d", "0", "--out", out], "dim is 0, not at least 2"),
-            (["pipeline", "--config", str(tmp_path / "map.cfg"), "--out", out],
-             "map.cfg: line 2: noise_map = 1:2,1:3: invalid label_map value"),
             (["corrupt", "--data", world["csv"], "--sym", "2", "--out", out],
              "noise_rate is 2.0, not in [0, 1]"),
             (["corrupt", "--data", world["csv"], "--chain", "-1", "--out", out],
