@@ -1,24 +1,26 @@
 """Command-line front end.
 
-Subcommands compose the library's stage functions, which `pipeline` and
-`timing` run in sequence: `synth` and `corrupt` build datasets, `train`
-fits a model (`tinynet.build_and_train`), `score` scores checkpoints
+Subcommands compose the library's stage functions, which `pipeline` runs
+in sequence, writing each phase's wall clock to its `timing.json`:
+`synth` and `corrupt` build datasets, `train` fits a model
+(`tinynet.build_and_train`), `score` scores checkpoints
 (`config.check_neighbor_count`, `check_probe_rows`, `neighbors.search` on
 the penultimate layer of --features-from, `scorer.score_models`,
 `write_scores`), `oracle` enumerates the analytic separation check, and
 `split` and `eval` post-process score tables (`mixture.split_to_files`,
 `evaluate`). A step command makes its --out after its settings checks,
 before its work. Exit codes: 0 success, 2 bad configuration (a missing
-input file among them), 3 numeric failure, 4 I/O failure.
+input file among them), 3 numeric failure, 4 I/O failure or a refused
+allocation.
 
 Heavy imports happen inside handlers so that --threads can cap the BLAS
-pools via environment variables before numpy loads. For `pipeline`
-and `timing`, --threads also caps the worker pool (`workers.run`) that
-trains the four models side by side, searches the neighbours and scores;
-`score` searches and scores on that pool at its default size, the usable
-cores. A command whose pool has helpers runs all of its BLAS on one
-thread from before its first BLAS call to its end (`workers.claim`). The
-outputs do not depend on the pool size.
+pools via environment variables before numpy loads. For `pipeline`,
+--threads also caps the worker pool (`workers.run`) that trains the four
+models side by side, searches the neighbours and scores; `score`
+searches and scores on that pool at its default size, the usable cores.
+A command whose pool has helpers runs all of its BLAS on one thread from
+before its first BLAS call to its end (`workers.claim`). The outputs do
+not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -117,18 +119,13 @@ def build_parser():
     p.add_argument("--data", dest="data_path", required=True, help="dataset with true labels")
     _add_flags(p, RunConfig, ("bins", "out_dir"))
 
-    for name, help_text in (
-        ("pipeline", "run the full protocol"),
-        ("timing", "run the full protocol and print per-phase wall clock"),
-    ):  # one flag per RunConfig field, and --threads and --quiet
-        p = sub.add_parser(name, help=help_text)
-        _add_flags(p, RunConfig)
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap the BLAS thread pools, and the workers that train, search and "
-                            "score (default there: the usable cores); with more than one worker, "
-                            "BLAS runs on one thread for the whole run; outputs do not depend "
-                            "on it")
-        p.add_argument("--quiet", action="store_true")
+    p = sub.add_parser("pipeline", help="run the full protocol")
+    _add_flags(p, RunConfig)
+    p.add_argument("--threads", type=int, default=None,
+                   help="cap the BLAS thread pools, and the workers that train, search and "
+                        "score (default there: the usable cores); with more than one worker, "
+                        "BLAS runs on one thread for the whole run; outputs do not depend on it")
+    p.add_argument("--quiet", action="store_true")
 
     return parser
 
@@ -267,7 +264,8 @@ def _cmd_oracle(args):
     from .oracle import verify_separation
 
     settings = fields_from(RunConfig, args)  # n_classes, n_neighbors and out_dir
-    RunConfig(**settings)  # rejects a --k below 2 or an --l below 1
+    # rejects a --k below 2 or an --l below 1; oracle reads no n, so n = K passes n >= K
+    RunConfig(**settings, n=args.n_classes)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     report = verify_separation(args.n_classes, args.n_neighbors, args.cond)
@@ -325,7 +323,7 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_pipeline(args, print_timing=False):
+def _cmd_pipeline(args):
     from .pipeline import run_pipeline
 
     cfg = RunConfig(**fields_from(RunConfig, args))
@@ -340,16 +338,6 @@ def _cmd_pipeline(args, print_timing=False):
         if sweep:
             rows = " ".join(f"L={r['L']}:{r['auc']:.4f}" for r in sweep["aucs"])
             print(f"l_sweep ({'non' if sweep['nondecreasing'] else 'NOT non'}decreasing): {rows}")
-    if print_timing:
-        timing = result.timing
-        width = max(len(k) for k in timing["phases"])
-        for name, seconds in timing["phases"].items():
-            print(f"{name:<{width}}  {seconds:10.3f}s")
-            if name == "train":  # the models overlap on the pool's workers
-                for tag, model_s in timing["train_models"].items():
-                    print(f"  {tag:<{width - 2}}  {model_s:10.3f}s")
-        print(f"{'total':<{width}}  {timing['total']:10.3f}s")
-        print(f"(training on {timing['train_workers']} workers)")
     print(f"outputs in {cfg.out_dir}")
     return 0
 
@@ -371,7 +359,6 @@ def main(argv=None):
             "split": _cmd_split,
             "eval": _cmd_eval,
             "pipeline": _cmd_pipeline,
-            "timing": lambda a: _cmd_pipeline(a, print_timing=True),
         }[args.command]
         return handler(args)
     except ValueError as exc:
@@ -385,6 +372,9 @@ def main(argv=None):
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # an allocation the machine refused
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 4
 
 

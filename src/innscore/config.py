@@ -1,5 +1,5 @@
-"""Settings: `RunConfig`, the one source of the `pipeline` and `timing`
-flags, `TrainConfig`, that of the `train` flags, and `write_manifest`,
+"""Settings: `RunConfig`, the one source of the `pipeline` flags,
+`TrainConfig`, that of the `train` flags, and `write_manifest`,
 which records the settings a command read. Standard library only, so that
 the command line can parse and check them, and set --threads, before numpy
 loads.

@@ -12,6 +12,7 @@ all neighbor-label count vectors satisfying a chosen condition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,13 +132,11 @@ def _condition_met(condition, counts, y_star, n_neighbors, n_classes):
 
 
 def _compositions(total, parts):
-    # all nonnegative integer vectors of length `parts` summing to `total`
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    # all nonnegative integer vectors of length `parts` summing to `total`, in
+    # lexicographic order: the gaps between parts - 1 bars among total + parts - 1 slots
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(end - start - 1 for start, end in zip((-1, *bars), (*bars, slots)))
 
 
 def verify_separation(n_classes, n_neighbors, condition):

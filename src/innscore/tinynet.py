@@ -46,11 +46,6 @@ class Model:
     def n_classes(self):
         return self.layer_dims[-1]
 
-    @property
-    def feature_dim(self):
-        # penultimate width; for a linear model the input itself is the feature
-        return self.layer_dims[-2]
-
     def copy(self):
         return Model(
             list(self.layer_dims),
@@ -71,9 +66,10 @@ class Model:
         """Return (probs, features) for a batch of inputs.
 
         probs is row-stochastic (n, K); features are the activations of
-        the last hidden layer (n, feature_dim). With start > 0 the inputs
-        are the activations of hidden layer start - 1 and the layers
-        before `start` are skipped. A non-finite output, which diverged
+        the last hidden layer (n, layer_dims[-2]), the inputs themselves
+        for a model without hidden layers. With start > 0 the inputs are
+        the activations of hidden layer start - 1 and the layers before
+        `start` are skipped. A non-finite output, which diverged
         parameters give, is a NumericError.
         """
         X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))

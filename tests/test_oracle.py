@@ -1,6 +1,8 @@
 """Closed-form scores of the ideal interpolating predictor and the
 exhaustive separation check."""
 
+import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +72,31 @@ class TestSegmentInterpolant:
         probs = m.predict_proba(rng.normal(size=(40, 4)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() >= 0.0
+
+
+def _reference_compositions(total, parts):
+    # the recursive enumeration, one stack frame per part
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _reference_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("total, parts",
+                             [(0, 3), (3, 1), (4, 3), (10, 4), (6, 6), (12, 2), (0, 1), (5, 7)])
+    def test_same_vectors_in_the_same_order_as_the_recursion(self, total, parts):
+        assert list(oracle._compositions(total, parts)) == list(
+            _reference_compositions(total, parts))
+
+    def test_more_parts_than_the_recursion_limit(self):
+        parts = sys.getrecursionlimit() + 1000
+        first, second = itertools.islice(oracle._compositions(1, parts), 2)
+        assert first == (0,) * (parts - 1) + (1,)
+        assert second == (0,) * (parts - 2) + (1, 0)
+        assert next(oracle._compositions(0, 5000)) == (0,) * 5000
 
 
 class TestSeparation:
